@@ -21,10 +21,6 @@ class AllZeroWeights(CamlocError):
     pass
 
 
-class StaleMessage(CamlocError):
-    pass
-
-
 class InsufficientObservations(CamlocError):
     pass
 

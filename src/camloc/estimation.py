@@ -19,18 +19,22 @@ from .errors import (
     InsufficientObservations,
     NoEligibleCamera,
     SolverDiverged,
+    UnknownCamera,
 )
 from .geometry import (
     CameraModel,
+    FlatObservations,
     PoseSE2,
     RobotModel,
     angle_diff,
     circular_weighted_mean,
-    wrap_angle,
+    flatten_observations,
+    frameset_observations,
+    reprojection_kernel,
 )
 from .sync import DetectionMessage, FrameSet
 
-_MIN_DEPTH = 0.05  # m; depth clamp keeping gradients finite off-manifold
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -91,136 +95,114 @@ class Candidate:
     camera_id: int
 
 
-class _Observations:
-    """Per-camera detection arrays prepared for vectorized LM evaluation."""
-
-    def __init__(self):
-        self.blocks = []  # (camera, kp_indices (K,), pixels (K,2), weights (K,))
-        self.total = 0
-
-    def add_message(self, camera: CameraModel, message: DetectionMessage):
-        idx = np.array([k.index for k in message.keypoints], dtype=int)
-        pix = np.array([k.pixel for k in message.keypoints])
-        w = np.array([k.confidence for k in message.keypoints])
-        self.blocks.append((camera, idx, pix, w))
-        self.total += len(idx)
-
-    @property
-    def n_cameras(self) -> int:
-        return len(self.blocks)
+def _wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Vectorised geometry.wrap_angle: the same fmod and (-pi, pi] edges."""
+    theta = np.fmod(theta, _TWO_PI)
+    return theta - _TWO_PI * (theta > math.pi) + _TWO_PI * (theta <= -math.pi)
 
 
-def _gather(frameset: FrameSet, cameras, model: RobotModel) -> _Observations:
-    cams = {c.camera_id: c for c in cameras}
-    obs = _Observations()
-    for cam_id in sorted(frameset.per_camera):
-        msg = frameset.per_camera[cam_id]
-        obs.add_message(cams[cam_id], msg)
-    return obs
+def _residual_norms(res):
+    """Per-row residual norms (S, K) of residuals (S, K, 2)."""
+    return np.sqrt(np.add.reduce(res * res, axis=-1))
 
 
-def _residuals_jacobian(params, obs: _Observations, model: RobotModel, need_jac=True):
-    """Stacked residuals (K,2), per-row weights (K,) and Jacobian (K,2,3)."""
-    x, y, theta = params
-    c, s = math.cos(theta), math.sin(theta)
-    res = []
-    wts = []
-    jac = []
-    for camera, idx, pix, w in obs.blocks:
-        kp = model.keypoints[idx]
-        wx = c * kp[:, 0] - s * kp[:, 1] + x
-        wy = s * kp[:, 0] + c * kp[:, 1] + y
-        pw = np.stack([wx, wy, kp[:, 2]], axis=1)
-        rot = camera.world_to_camera.rotation
-        pc = pw @ rot.T + camera.world_to_camera.translation
-        z = np.maximum(pc[:, 2], _MIN_DEPTH)
-        u = camera.fx * pc[:, 0] / z + camera.cx
-        v = camera.fy * pc[:, 1] / z + camera.cy
-        res.append(pix - np.stack([u, v], axis=1))
-        wts.append(w)
-        if need_jac:
-            k = len(idx)
-            dpi = np.zeros((k, 2, 3))
-            dpi[:, 0, 0] = camera.fx / z
-            dpi[:, 0, 2] = -camera.fx * pc[:, 0] / z**2
-            dpi[:, 1, 1] = camera.fy / z
-            dpi[:, 1, 2] = -camera.fy * pc[:, 1] / z**2
-            dpw = np.zeros((k, 3, 3))
-            dpw[:, 0, 0] = 1.0
-            dpw[:, 1, 1] = 1.0
-            dpw[:, 0, 2] = -s * kp[:, 0] - c * kp[:, 1]
-            dpw[:, 1, 2] = c * kp[:, 0] - s * kp[:, 1]
-            jac.append(-np.einsum("kij,jl,klm->kim", dpi, rot, dpw))
-    res = np.concatenate(res) if res else np.zeros((0, 2))
-    wts = np.concatenate(wts) if wts else np.zeros(0)
-    if need_jac:
-        jac = np.concatenate(jac) if jac else np.zeros((0, 2, 3))
-        return res, wts, jac
-    return res, wts, None
+def _huber_objective(norms, wts, delta) -> np.ndarray:
+    """Per-start sum of per-detection weighted Huber costs on the residual norm."""
+    cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
+    return np.add.reduce(wts * cost, axis=-1)
 
 
-def _huber_objective(res, wts, delta) -> float:
-    """Sum of per-detection weighted Huber costs on the residual norm."""
-    s = np.linalg.norm(res, axis=1)
-    quad = s <= delta
-    cost = np.where(quad, s**2, 2.0 * delta * s - delta**2)
-    return float(np.sum(wts * cost))
+def _normal_equations(res, jac, norms, wts, delta):
+    """Huber-reweighted Gauss-Newton system: (hessian (S, 3, 3), gradient (S, 3))."""
+    sw = np.sqrt(wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12)))
+    jw = (jac * sw[..., None, None]).reshape(len(res), -1, 3)
+    rw = (res * sw[..., None]).reshape(len(res), -1, 1)
+    jwt = jw.transpose(0, 2, 1)
+    return jwt @ jw, (jwt @ rw)[..., 0]
 
 
-def _huber_weights(res, delta):
-    s = np.linalg.norm(res, axis=1)
-    return np.where(s <= delta, 1.0, delta / np.maximum(s, 1e-12))
+def _damping(hess):
+    """LM damping matrices diag(max(diag(H), 1e-12)), scaled by lambda per trial."""
+    return np.eye(3) * np.maximum(np.diagonal(hess, axis1=1, axis2=2), 1e-12)[:, None, :]
 
 
-def _levenberg_marquardt(init: PoseSE2, obs: _Observations, model, config: SolverConfig):
-    """Minimize the Huber objective from init; returns (pose, objective, iters)."""
-    params = init.as_array()
-    res, wts, _ = _residuals_jacobian(params, obs, model, need_jac=False)
-    obj = _huber_objective(res, wts, config.huber_delta)
-    lam = config.lm_lambda_init
-    iters = 0
-    for _ in range(config.max_iterations):
-        iters += 1
-        res, wts, jac = _residuals_jacobian(params, obs, model)
-        eff = wts * _huber_weights(res, config.huber_delta)
-        sw = np.sqrt(eff)[:, None, None]
-        jw = (jac * sw).reshape(-1, 3)
-        rw = (res * np.sqrt(eff)[:, None]).reshape(-1)
-        hess = jw.T @ jw
-        grad = jw.T @ rw
-        if np.linalg.norm(grad) < 1e-14:
-            break
-        improved = False
-        while True:
-            damp = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
+def _small_gradient(grad):
+    """Starts (S,) whose gradient norm is below 1e-14: already stationary."""
+    return np.sqrt(np.add.reduce(grad * grad, axis=1)) < 1e-14
+
+
+def _solve_steps(damp, grad):
+    """Solve the stacked 3x3 systems damp @ step = -grad.
+
+    A singular system gets a NaN step, which no objective test accepts;
+    the other rows keep their own solutions.
+    """
+    try:
+        return -np.linalg.solve(damp, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(grad, np.nan)
+        for i in range(len(damp)):
             try:
-                step = -np.linalg.solve(damp, grad)
+                steps[i] = -np.linalg.solve(damp[i], grad[i])
             except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                trial = params + step
-                trial[2] = wrap_angle(trial[2])
-                t_res, t_wts, _ = _residuals_jacobian(trial, obs, model, need_jac=False)
-                t_obj = _huber_objective(t_res, t_wts, config.huber_delta)
-                if t_obj < obj:
-                    rel = (obj - t_obj) / max(obj, 1e-300)
-                    params, obj = trial, t_obj
-                    lam = max(lam / config.lm_lambda_scale, 1e-12)
-                    improved = True
-                    if rel < config.convergence_tol:
-                        return PoseSE2(*params), obj, iters
-                    break
-            lam *= config.lm_lambda_scale
-            if lam > 1e12:
-                # Infinite damping shrinks the step to nothing: no descent
-                # direction improves the objective within machine precision,
-                # so this is a stationary point, not divergence.
-                if not np.isfinite(obj) or not np.all(np.isfinite(params)):
-                    raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
-                return PoseSE2(*params), obj, iters
-        if not improved:
-            break
-    return PoseSE2(*params), obj, iters
+                pass
+        return steps
+
+
+def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
+    """Minimize the Huber objective from each row of starts (S, 3).
+
+    Every start runs its own LM with its own damping schedule; batching
+    only stacks the arithmetic, so a start's result does not depend on the
+    other starts. Each trial pose is evaluated with its Jacobian, which
+    becomes the next linearization when the step is accepted. Returns
+    (params (S, 3), objective (S,), iterations (S,), diverged (S,)); a
+    diverged start ended in a non-finite state.
+    """
+    delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
+    params = np.array(starts, dtype=float).reshape(-1, 3)
+    n = len(params)
+    res, jac, _ = reprojection_kernel(params, obs, jacobian=True)
+    norms = _residual_norms(res)
+    obj = _huber_objective(norms, wts, delta)
+    hess, grad = _normal_equations(res, jac, norms, wts, delta)
+    damping = _damping(hess)
+    iters = np.ones(n, dtype=int)
+    running = ~_small_gradient(grad)
+    diverged = np.zeros(n, dtype=bool)
+    lam = np.full(n, config.lm_lambda_init)
+    while running.any():
+        trial = params + _solve_steps(hess + lam[:, None, None] * damping, grad)
+        trial[:, 2] = _wrap_angles(trial[:, 2])
+        res, jac, _ = reprojection_kernel(trial, obs, jacobian=True)
+        norms = _residual_norms(res)
+        t_obj = _huber_objective(norms, wts, delta)
+        accept = running & (t_obj < obj)
+        rel = (obj[accept] - t_obj[accept]) / np.maximum(obj[accept], 1e-300)
+        params[accept] = trial[accept]
+        obj[accept] = t_obj[accept]
+        lam[accept] = np.maximum(lam[accept] / scale, 1e-12)
+        done = accept.copy()
+        done[accept] = (rel < config.convergence_tol) | (iters[accept] >= config.max_iterations)
+        running &= ~done
+        relinearize = accept & running
+        if relinearize.any():
+            iters += relinearize
+            t_hess, t_grad = _normal_equations(res, jac, norms, wts, delta)
+            hess[relinearize] = t_hess[relinearize]
+            grad[relinearize] = t_grad[relinearize]
+            damping[relinearize] = _damping(t_hess[relinearize])
+            running &= ~(relinearize & _small_gradient(grad))
+        rejected = running & ~accept
+        lam[rejected] *= scale
+        # Infinite damping shrinks the step to nothing: no descent direction
+        # improves the objective within machine precision, so this is a
+        # stationary point, not divergence, unless the state is non-finite.
+        stuck = rejected & (lam > 1e12)
+        if stuck.any():
+            running &= ~stuck
+            diverged |= stuck & ~(np.isfinite(obj) & np.isfinite(params).all(axis=1))
+    return params, obj, iters, diverged
 
 
 def estimate_covariance(rms_residual: float, n_cameras: int, n_keypoints: int) -> np.ndarray:
@@ -245,29 +227,31 @@ def solve_multiview(
 ) -> PoseEstimate:
     """Refine the robot pose on a frame-set via robust LM from the given init."""
     config = config or SolverConfig()
-    obs = _gather(frameset, cameras, model)
-    if obs.total < 3:
-        raise InsufficientObservations(f"{obs.total} keypoint observations (need 3)")
-    pose, obj, iters = _levenberg_marquardt(init, obs, model, config)
-    rms = math.sqrt(obj / obs.total)
+    obs = frameset_observations(frameset, cameras, model)
+    if obs.n_rows < 3:
+        raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
+    params, obj, iters, diverged = _levenberg_marquardt(init.as_array()[None], obs, config)
+    if diverged[0]:
+        raise SolverDiverged(f"non-finite state at objective {obj[0]:.3g}")
+    rms = math.sqrt(obj[0] / obs.n_rows)
     return PoseEstimate(
-        pose=pose,
-        covariance=estimate_covariance(rms, obs.n_cameras, obs.total),
+        pose=PoseSE2(*params[0]),
+        covariance=estimate_covariance(rms, obs.n_cameras, obs.n_rows),
         rms_residual=rms,
         n_cameras=obs.n_cameras,
-        n_keypoints=obs.total,
+        n_keypoints=obs.n_rows,
         stamp=frameset.anchor_stamp,
-        n_iterations=iters,
+        n_iterations=int(iters[0]),
     )
 
 
-def _backproject_centroid(message, camera: CameraModel, model: RobotModel) -> np.ndarray:
+def _backproject_centroid(
+    obs: FlatObservations, camera: CameraModel, model: RobotModel
+) -> np.ndarray:
     """Ground-plane position whose keypoint-centroid projects near the
     observed centroid pixel; used only to seed the multi-start solve."""
-    w = np.array([k.confidence for k in message.keypoints])
-    pix = np.array([k.pixel for k in message.keypoints])
-    w = np.maximum(w, 1e-6)
-    centroid = (pix * w[:, None]).sum(axis=0) / w.sum()
+    w = np.maximum(obs.weight, 1e-6)
+    centroid = (obs.pixel * w[:, None]).sum(axis=0) / w.sum()
     xn = (centroid[0] - camera.cx) / camera.fx
     yn = (centroid[1] - camera.cy) / camera.fy
     d_world = camera.world_to_camera.rotation.T @ np.array([xn, yn, 1.0])
@@ -283,6 +267,13 @@ def _backproject_centroid(message, camera: CameraModel, model: RobotModel) -> np
     return fallback[:2]
 
 
+def _heading_starts(seed_xy) -> np.ndarray:
+    """The 8 multi-start initializations (8, 3): equally spaced headings
+    from -pi at one ground-plane position."""
+    theta = _wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
+    return np.column_stack([np.full(8, seed_xy[0]), np.full(8, seed_xy[1]), theta])
+
+
 def single_view_candidate(
     message: DetectionMessage,
     camera: CameraModel,
@@ -292,35 +283,25 @@ def single_view_candidate(
     """Ground-plane pose candidate from one camera's detections.
 
     Runs the 3-DoF solve from 8 equally spaced heading initializations at
-    the back-projected keypoint centroid and keeps the lowest-residual
-    solution; the narrow robot body makes the heading multi-modal from a
-    single view, which the multi-start resolves.
+    the back-projected keypoint centroid, as one batch, and keeps the
+    lowest-residual solution; the narrow robot body makes the heading
+    multi-modal from a single view, which the multi-start resolves.
     """
     config = config or SolverConfig()
     if len(message.keypoints) < 4:
         raise InsufficientKeypoints(
             f"{len(message.keypoints)} keypoints from camera {message.camera_id} (need 4)"
         )
-    obs = _Observations()
-    obs.add_message(camera, message)
-    seed_xy = _backproject_centroid(message, camera, model)
-    best = None
-    for k in range(8):
-        theta0 = -math.pi + (2.0 * math.pi * k) / 8.0
-        init = PoseSE2(seed_xy[0], seed_xy[1], theta0)
-        try:
-            pose, obj, _ = _levenberg_marquardt(init, obs, model, config)
-        except SolverDiverged:
-            continue
-        if best is None or obj < best[1]:
-            best = (pose, obj)
-    if best is None:
+    obs = flatten_observations([(camera, message)], model)
+    starts = _heading_starts(_backproject_centroid(obs, camera, model))
+    params, obj, _, diverged = _levenberg_marquardt(starts, obs, config)
+    kept = np.flatnonzero(~diverged)
+    if not kept.size:
         raise SolverDiverged("all candidate starts diverged")
-    pose, obj = best
-    rms = math.sqrt(obj / obs.total)
-    mean_conf = float(np.mean([k.confidence for k in message.keypoints]))
-    return Candidate(pose=pose, rms_residual=rms, mean_confidence=mean_conf,
-                     camera_id=message.camera_id)
+    best = kept[np.argmin(obj[kept])]  # the first start on ties
+    rms = math.sqrt(obj[best] / obs.n_rows)
+    return Candidate(pose=PoseSE2(*params[best]), rms_residual=rms,
+                     mean_confidence=float(np.mean(obs.weight)), camera_id=message.camera_id)
 
 
 def interpolate_candidates(candidates) -> PoseSE2:
@@ -356,6 +337,8 @@ def initialize_global(
         msg = frameset.per_camera[cam_id]
         if len(msg.keypoints) < 4:
             continue
+        if cam_id not in cams:
+            raise UnknownCamera(f"camera {cam_id} not in rig")
         try:
             candidates.append(single_view_candidate(msg, cams[cam_id], model, config))
         except SolverDiverged:

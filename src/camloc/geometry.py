@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllZeroWeights, BehindCamera, UnknownCamera, UnknownKeypoint
+from .sync import DetectionMessage, KeypointObservation
 
 _TWO_PI = 2.0 * math.pi
+MIN_DEPTH = 0.05  # m; projection depth clamp, see reprojection_kernel
 
 
 def wrap_angle(a: float) -> float:
@@ -205,30 +207,131 @@ def keypoints_world(pose: PoseSE2, model: RobotModel) -> np.ndarray:
     return se2_embed(pose).apply(model.keypoints)
 
 
+@dataclass(frozen=True)
+class FlatObservations:
+    """Detections flattened once per solve, one row per detected keypoint.
+
+    The camera-frame point of row k with the robot at (x, y, theta) is
+    ``r0 * (bx + x) + r1 * (by + y) + base`` where (bx, by) is the body
+    keypoint rotated by theta, so the keypoint height and the camera
+    translation are folded into ``base`` ahead of every evaluation.
+    """
+
+    r0: np.ndarray  # (K, 3) first column of the camera rotation
+    r1: np.ndarray  # (K, 3) second column of the camera rotation
+    base: np.ndarray  # (K, 3) kp_z * R[:, 2] + t
+    focal: np.ndarray  # (K, 2) fx, fy
+    center: np.ndarray  # (K, 2) cx, cy
+    kx: np.ndarray  # (K,) body-frame keypoint x
+    ky: np.ndarray  # (K,) body-frame keypoint y
+    pixel: np.ndarray  # (K, 2) observed pixel
+    weight: np.ndarray  # (K,) detection confidence
+    n_cameras: int
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.weight)
+
+
+def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
+    """Flatten (camera, detection message) pairs into one FlatObservations.
+
+    Raises UnknownKeypoint for a keypoint index outside the robot model.
+    """
+    cams, index, pixel, weight, cam_row = [], [], [], [], []
+    for camera, message in pairs:
+        for k in message.keypoints:
+            index.append(k.index)
+            pixel.append(k.pixel)
+            weight.append(k.confidence)
+        cam_row += [len(cams)] * len(message.keypoints)
+        cams.append(camera)
+    idx = np.array(index, dtype=int)
+    bad = (idx < 0) | (idx >= model.n_keypoints)
+    if bad.any():
+        raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
+                              f"{model.n_keypoints}-keypoint robot model")
+    rot = np.array([c.world_to_camera.rotation for c in cams]).reshape(-1, 3, 3)
+    columns = rot.transpose(2, 0, 1)[:, cam_row]  # (3, K, 3): rotation column j of row k
+    trans = np.array([c.world_to_camera.translation for c in cams]).reshape(-1, 3)[cam_row]
+    intrinsics = np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).reshape(-1, 4)[cam_row]
+    kp = model.keypoints[idx]
+    return FlatObservations(
+        r0=columns[0],
+        r1=columns[1],
+        base=kp[:, 2:] * columns[2] + trans,
+        focal=intrinsics[:, :2],
+        center=intrinsics[:, 2:],
+        kx=kp[:, 0],
+        ky=kp[:, 1],
+        pixel=np.array(pixel, dtype=float).reshape(-1, 2),
+        weight=np.array(weight, dtype=float),
+        n_cameras=len(cams),
+    )
+
+
+def frameset_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
+    """Flatten a frame-set in camera-id order.
+
+    Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
+    for a keypoint index outside the robot model.
+    """
+    cams = {c.camera_id: c for c in cameras}
+    pairs = []
+    for cam_id in sorted(frameset.per_camera):
+        if cam_id not in cams:
+            raise UnknownCamera(f"camera {cam_id} not in rig")
+        pairs.append((cams[cam_id], frameset.per_camera[cam_id]))
+    return flatten_observations(pairs, model)
+
+
+def reprojection_kernel(params, obs: FlatObservations, jacobian: bool = False):
+    """Reprojection residuals of S robot poses against K flattened rows.
+
+    params: (S, 3) rows of (x, y, theta). Returns (residuals (S, K, 2),
+    Jacobian (S, K, 2, 3) w.r.t. (x, y, theta) or None, depth (S, K)).
+    The residual is observed pixel minus projection. Depth is the camera-
+    frame z before the projection clamps it at MIN_DEPTH, which keeps the
+    residual and its gradient finite when a trial pose puts a keypoint
+    behind a camera.
+    """
+    params = np.asarray(params, dtype=float)
+    theta = params[:, 2:3]
+    c, s = np.cos(theta), np.sin(theta)
+    bx = c * obs.kx - s * obs.ky  # (S, K) body keypoint rotated into the world
+    by = s * obs.kx + c * obs.ky
+    pc = (bx + params[:, 0:1])[..., None] * obs.r0 + (by + params[:, 1:2])[..., None] * obs.r1
+    pc += obs.base
+    depth = pc[..., 2]
+    z = np.maximum(depth, MIN_DEPTH)[..., None]
+    res = obs.pixel - (obs.focal * pc[..., :2] / z + obs.center)
+    if not jacobian:
+        return res, None, depth
+    # residual = -projection and d(f * p / z) = f / z * (dp - p / z * dz), with
+    # d pc / d(x, y, theta) = r0, r1 and the rotated body lever arm
+    f_z = obs.focal / z
+    p_z = pc[..., :2] / z
+    d_theta = bx[..., None] * obs.r1 - by[..., None] * obs.r0
+    jac = np.empty(res.shape + (3,))
+    for col, d_pc in enumerate((obs.r0, obs.r1, d_theta)):
+        jac[..., col] = f_z * (p_z * d_pc[..., 2:] - d_pc[..., :2])
+    return res, jac, depth
+
+
 def reprojection_residuals(pose: PoseSE2, cameras, frameset, model: RobotModel):
     """Stacked reprojection residuals over a frame-set.
 
     Returns (residuals (K, 2), weights (K,)) with one row per detected
     keypoint: observed pixel minus projected model keypoint. The weighted
     squared norm of the stack is the multi-view least-squares objective.
+    Evaluated by the solver's kernel, so depth is clamped at MIN_DEPTH as
+    in the solve; raises BehindCamera when a keypoint lies behind its camera.
     """
-    cams = {c.camera_id: c for c in cameras}
-    pts = keypoints_world(pose, model)
-    residuals = []
-    weights = []
-    for cam_id in sorted(frameset.per_camera):
-        msg = frameset.per_camera[cam_id]
-        if cam_id not in cams:
-            raise UnknownCamera(f"camera {cam_id} not in rig")
-        cam = cams[cam_id]
-        for obs in msg.keypoints:
-            if not 0 <= obs.index < model.n_keypoints:
-                raise UnknownKeypoint(f"keypoint index {obs.index}")
-            residuals.append(obs.pixel - project(cam, pts[obs.index]))
-            weights.append(obs.confidence)
-    if not residuals:
-        return np.zeros((0, 2)), np.zeros(0)
-    return np.array(residuals), np.array(weights)
+    obs = frameset_observations(frameset, cameras, model)
+    res, _, depth = reprojection_kernel(pose.as_array()[None], obs)
+    if np.any(depth <= 1e-9):
+        raise BehindCamera(f"depth {depth.min():.3g} behind a camera")
+    return res[0], obs.weight
 
 
 def residual_jacobian(
@@ -237,38 +340,16 @@ def residual_jacobian(
     """2x3 derivative of the reprojection residual w.r.t. (x, y, theta).
 
     Chain rule through the ground-plane embedding, the camera extrinsic and
-    the pinhole division. The residual is observation minus projection, so
-    the result is the negated projection derivative.
+    the pinhole division, evaluated by the solver's own kernel. The residual
+    is observation minus projection, so the result is the negated
+    projection derivative.
     """
-    kp = model.keypoints[j]
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    pw = np.array(
-        [
-            c * kp[0] - s * kp[1] + pose.x,
-            s * kp[0] + c * kp[1] + pose.y,
-            kp[2],
-        ]
-    )
-    rot = camera.world_to_camera.rotation
-    pc = rot @ pw + camera.world_to_camera.translation
-    if pc[2] <= 1e-9:
-        raise BehindCamera(f"depth {pc[2]:.3g} in camera {camera.camera_id}")
-    x_, y_, z_ = pc
-    dpi = np.array(
-        [
-            [camera.fx / z_, 0.0, -camera.fx * x_ / z_**2],
-            [0.0, camera.fy / z_, -camera.fy * y_ / z_**2],
-        ]
-    )
-    # world-point derivative w.r.t. (x, y, theta)
-    dpw = np.array(
-        [
-            [1.0, 0.0, -s * kp[0] - c * kp[1]],
-            [0.0, 1.0, c * kp[0] - s * kp[1]],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-    return -dpi @ rot @ dpw
+    message = DetectionMessage(camera.camera_id, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
+    obs = flatten_observations([(camera, message)], model)
+    _, jac, depth = reprojection_kernel(pose.as_array()[None], obs, jacobian=True)
+    if depth[0, 0] <= 1e-9:
+        raise BehindCamera(f"depth {depth[0, 0]:.3g} in camera {camera.camera_id}")
+    return jac[0, 0]
 
 
 def circular_weighted_mean(angles, weights) -> float:

@@ -8,6 +8,7 @@ common window, and emits completed sets in strictly increasing anchor order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,10 @@ class KeypointObservation:
     confidence: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pixel", np.asarray(self.pixel, dtype=float).reshape(2))
+        pixel = np.asarray(self.pixel, dtype=float).reshape(2)
+        object.__setattr__(self, "pixel", pixel)
+        if not (math.isfinite(pixel[0]) and math.isfinite(pixel[1])):
+            raise ValueError(f"non-finite pixel {pixel.tolist()}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError("confidence outside [0, 1]")
 
@@ -51,9 +55,6 @@ class FrameSet:
     @property
     def n_keypoints(self) -> int:
         return sum(len(m.keypoints) for m in self.per_camera.values())
-
-    def messages(self):
-        return [self.per_camera[cid] for cid in sorted(self.per_camera)]
 
 
 @dataclass

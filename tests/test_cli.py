@@ -171,6 +171,16 @@ class TestReplay:
         assert rc == 2
         assert f"{stream}:2" in capsys.readouterr().err
 
+    def test_non_finite_pixel_reports_location(self, small_scenario, tmp_path, capsys):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"type":"detections","camera_id":0,"stamp_ns":0,"keypoints":[]}\n'
+                          '{"type":"detections","camera_id":0,"stamp_ns":1,"keypoints":'
+                          '[{"id":0,"u":NaN,"v":240.0,"conf":0.9}]}\n')
+        rc = cli.main(["replay", "--stream", str(stream),
+                       "--scenario", str(small_scenario), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{stream}:2" in capsys.readouterr().err
+
     def test_empty_stream_succeeds(self, small_scenario, tmp_path):
         stream = tmp_path / "empty.jsonl"
         stream.write_text("")

@@ -4,10 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from camloc import estimation
 from camloc.errors import (
     InsufficientKeypoints,
     InsufficientObservations,
     NoEligibleCamera,
+    SolverDiverged,
+    UnknownCamera,
+    UnknownKeypoint,
 )
 from camloc.estimation import (
     Candidate,
@@ -22,7 +26,7 @@ from camloc.estimation import (
     single_view_candidate,
     solve_multiview,
 )
-from camloc.geometry import PoseSE2, angle_diff, keypoints_world, project
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations, keypoints_world, project
 from camloc.scenario import make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
 from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
@@ -152,6 +156,70 @@ class TestSingleViewCandidate:
         assert math.sqrt(np.mean(depth_sq)) >= 2.0 * math.sqrt(np.mean(lat_sq))
 
 
+class TestBatchedMultiStart:
+    """single_view_candidate runs its 8 heading starts as one LM batch; each
+    start must end exactly where it ends when solved alone."""
+
+    @staticmethod
+    def _single_camera_messages(rig, model, n=50):
+        rng = np.random.default_rng(2024)
+        noise = NoiseModel(timestamp_jitter=0.0)
+        out = []
+        while len(out) < n:
+            pose = PoseSE2(rng.uniform(0, 10), rng.uniform(0, 8), rng.uniform(-math.pi, math.pi))
+            msgs = simulate_frame(GroundTruthSample(0.0, pose, True, 0), rig, model, noise, rng)
+            out.extend(m for m in msgs if len(m.keypoints) >= 4)
+        return out[:n]
+
+    @staticmethod
+    def _starts(msg, cam, model):
+        obs = flatten_observations([(cam, msg)], model)
+        return obs, estimation._heading_starts(estimation._backproject_centroid(obs, cam, model))
+
+    def test_batch_matches_each_start_alone(self, rig, robot_model):
+        cams = {c.camera_id: c for c in rig}
+        config = SolverConfig()
+        for msg in self._single_camera_messages(rig, robot_model):
+            cam = cams[msg.camera_id]
+            obs, starts = self._starts(msg, cam, robot_model)
+            params, obj, iters, diverged = estimation._levenberg_marquardt(starts, obs, config)
+            assert params.shape == (8, 3) and not diverged.any()
+            for i in range(8):
+                p1, o1, it1, d1 = estimation._levenberg_marquardt(starts[i:i + 1], obs, config)
+                assert np.abs(p1[0] - params[i]).max() <= 1e-12
+                assert abs(o1[0] - obj[i]) <= 1e-12
+                assert it1[0] == iters[i] and not d1[0]
+            cand = single_view_candidate(msg, cam, robot_model, config)
+            first_best = int(np.flatnonzero(obj == obj.min())[0])
+            assert cand.pose == PoseSE2(*params[first_best])
+            assert cand.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
+
+    def test_diverged_start_leaves_the_others(self, rig, robot_model, monkeypatch):
+        msg = self._single_camera_messages(rig, robot_model, n=1)[0]
+        cam = next(c for c in rig if c.camera_id == msg.camera_id)
+        obs, starts = self._starts(msg, cam, robot_model)
+        config = SolverConfig()
+        clean = estimation._levenberg_marquardt(starts, obs, config)
+        broken = starts.copy()
+        broken[3] = np.nan  # a non-finite start can only diverge
+        params, obj, iters, diverged = estimation._levenberg_marquardt(broken, obs, config)
+        keep = np.arange(8) != 3
+        assert diverged.tolist() == (~keep).tolist()
+        np.testing.assert_array_equal(params[keep], clean[0][keep])
+        np.testing.assert_array_equal(obj[keep], clean[1][keep])
+        np.testing.assert_array_equal(iters[keep], clean[2][keep])
+
+        monkeypatch.setattr(estimation, "_heading_starts", lambda seed_xy: broken)
+        cand = single_view_candidate(msg, cam, robot_model, config)
+        best = np.flatnonzero(keep)[np.argmin(obj[keep])]
+        assert cand.pose == PoseSE2(*params[best])
+
+        monkeypatch.setattr(estimation, "_heading_starts",
+                            lambda seed_xy: np.full((8, 3), np.nan))
+        with pytest.raises(SolverDiverged):
+            single_view_candidate(msg, cam, robot_model, config)
+
+
 class TestInterpolateCandidates:
     def _cand(self, pose, rms=1.0, conf=1.0, cam=0):
         return Candidate(pose=pose, rms_residual=rms, mean_confidence=conf, camera_id=cam)
@@ -196,6 +264,44 @@ class TestInitializeGlobal:
         fs = FrameSet(anchor_stamp=0.0, per_camera={0: msg})
         with pytest.raises(NoEligibleCamera):
             initialize_global(fs, rig, robot_model)
+
+
+class TestUnknownInputIds:
+    """A camera id outside the rig or a keypoint index outside the model
+    raises a typed error on the solver path, not KeyError or IndexError."""
+
+    SOLVERS = {
+        "solve_multiview": lambda fs, rig, model: solve_multiview(
+            fs, PoseSE2(5.0, 4.0, 0.7), rig, model),
+        "initialize_global": lambda fs, rig, model: initialize_global(fs, rig, model),
+    }
+
+    @pytest.fixture
+    def frameset(self, rig, robot_model, rng):
+        fs = make_frameset(PoseSE2(5.0, 4.0, 0.7), rig, robot_model, ZERO_NOISE, rng)
+        assert max(len(m.keypoints) for m in fs.per_camera.values()) >= 4
+        return fs
+
+    @staticmethod
+    def _widest(fs):
+        return max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_unknown_camera(self, frameset, rig, robot_model, solver):
+        msg = frameset.per_camera.pop(self._widest(frameset))
+        frameset.per_camera[99] = DetectionMessage(99, msg.stamp, msg.keypoints)
+        with pytest.raises(UnknownCamera):
+            self.SOLVERS[solver](frameset, rig, robot_model)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_unknown_keypoint(self, frameset, rig, robot_model, solver):
+        cam_id = self._widest(frameset)
+        msg = frameset.per_camera[cam_id]
+        k0 = msg.keypoints[0]
+        bad = (KeypointObservation(42, k0.pixel, k0.confidence),) + msg.keypoints[1:]
+        frameset.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, bad)
+        with pytest.raises(UnknownKeypoint):
+            self.SOLVERS[solver](frameset, rig, robot_model)
 
 
 class TestGateSingleView:
