@@ -10,11 +10,12 @@ and information-weighted averaging of consecutive estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
+    EmptyInput,
     InsufficientKeypoints,
     InsufficientObservations,
     NoEligibleCamera,
@@ -390,8 +391,6 @@ def gate_single_view(
 
 def average_estimates(estimates) -> PoseEstimate:
     """Information-weighted mean of estimates taken at a static robot."""
-    from .errors import EmptyInput
-
     if not estimates:
         raise EmptyInput("no estimates to average")
     stamps = [e.stamp for e in estimates]

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import EmptyWindow, InsufficientOverlap
 from .geometry import PoseSE2, angle_diff
+from .sync import nearest_stamp_index
 
 STAMP_MATCH_TOL = 0.05  # seconds, nearest-neighbor stamp association
 
@@ -57,12 +58,9 @@ def match_stamps(a: Trajectory, b: Trajectory, tol: float = STAMP_MATCH_TOL):
     """Nearest-neighbor stamp matching; returns index pairs (ia, ib)."""
     if len(a) == 0 or len(b) == 0:
         return []
-    pairs = []
-    for ia, t in enumerate(a.stamps):
-        ib = int(np.argmin(np.abs(b.stamps - t)))
-        if abs(b.stamps[ib] - t) <= tol:
-            pairs.append((ia, ib))
-    return pairs
+    ib = nearest_stamp_index(b.stamps, a.stamps)
+    (ia,) = np.nonzero(np.abs(b.stamps[ib] - a.stamps) <= tol)
+    return list(zip(ia.tolist(), ib[ia].tolist()))
 
 
 def procrustes_align(estimate: Trajectory, reference: Trajectory, tol: float = STAMP_MATCH_TOL):
@@ -114,16 +112,15 @@ def waypoint_errors(estimates_by_mode, reference: Trajectory, windows, camera_vi
         ref_idx = np.nonzero((reference.stamps >= t0 - 1e-9) & (reference.stamps <= t1 + 1e-9))[0]
         if len(ref_idx) == 0:
             raise EmptyWindow(f"waypoint {wp_id} window has no reference samples")
+        ref_stamps = reference.stamps[ref_idx]
         for mode in sorted(estimates_by_mode):
             traj = estimates_by_mode[mode]
+            if len(traj) == 0:
+                continue
+            nearest = nearest_stamp_index(traj.stamps, ref_stamps)
+            matched = np.abs(traj.stamps[nearest] - ref_stamps) <= STAMP_MATCH_TOL
             terr, oerr = [], []
-            for ib in ref_idx:
-                t = reference.stamps[ib]
-                if len(traj) == 0:
-                    continue
-                ia = int(np.argmin(np.abs(traj.stamps - t)))
-                if abs(traj.stamps[ia] - t) > STAMP_MATCH_TOL:
-                    continue
+            for ia, ib in zip(nearest[matched], ref_idx[matched]):
                 pa, pr = traj.poses[ia], reference.poses[ib]
                 terr.append(math.hypot(pa.x - pr.x, pa.y - pr.y))
                 oerr.append(abs(angle_diff(pa.theta, pr.theta)))
@@ -156,9 +153,9 @@ def error_over_distance(aligned: Trajectory, reference: Trajectory, tol: float =
     ref_pos = reference.positions()
     seg = np.linalg.norm(np.diff(ref_pos, axis=0), axis=1) if len(reference) > 1 else np.zeros(0)
     cumdist = np.concatenate([[0.0], np.cumsum(seg)])
+    pos = aligned.positions()
     out = []
     for ia, ib in pairs:
-        pa = aligned.positions()[ia]
-        err = float(np.linalg.norm(pa - ref_pos[ib]))
+        err = float(np.linalg.norm(pos[ia] - ref_pos[ib]))
         out.append((float(aligned.stamps[ia]), float(cumdist[ib]), err))
     return out

@@ -8,7 +8,7 @@ and a rigid set of 3D keypoints on the robot body.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,6 +193,14 @@ def project_points(camera: CameraModel, pts_world: np.ndarray):
         axis=1,
     )
     return pix, valid
+
+
+def visible_keypoints(camera: CameraModel, pts_world: np.ndarray) -> np.ndarray:
+    """Mask (N,) of points in front of the camera whose projection, rounded
+    to the pixel grid, lands inside the image."""
+    pix, valid = project_points(camera, pts_world)
+    col, row = np.round(pix[:, 0]), np.round(pix[:, 1])
+    return valid & (col >= 0) & (col < camera.width) & (row >= 0) & (row < camera.height)
 
 
 def keypoint_world(pose: PoseSE2, model: RobotModel, j: int) -> np.ndarray:

@@ -9,16 +9,17 @@ replayed against regenerated odometry with bit-identical results.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientObservations, InsufficientOverlap, NoEligibleCamera
+from .errors import UnknownCamera, UnknownKeypoint
 from .estimation import (
-    PoseEstimate,
     average_estimates,
     gate_single_view,
     initialize_global,
@@ -33,9 +34,9 @@ from .evaluation import (
 )
 from .geometry import PoseSE2
 from .posegraph import PoseGraph, RobotLocalizationSim, apply_feedback
-from .scenario import ScenarioConfig, camera_visibility_count
+from .scenario import ALL_MODES, ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
-from .sync import Synchronizer, message_to_json
+from .sync import Synchronizer, message_to_json, nearest_stamp_index
 
 # Pose-graph node creation thresholds.
 NODE_TRANS_STEP = 0.05  # m
@@ -86,12 +87,22 @@ def _odometry_covariance(noise, length, turn):
 
 
 def _waypoint_labels(config: ScenarioConfig):
-    labels = []
-    for i, w in enumerate(config.raw.get("trajectory", {}).get("waypoints", [])):
-        labels.append(int(w.get("waypoint_id", i)))
-    if not labels:
-        labels = list(range(len(config.trajectory.waypoints)))
-    return labels
+    """Output label of each waypoint, in trajectory order."""
+    specs = config.raw.get("trajectory", {}).get("waypoints", [])
+    labels = [int(w.get("waypoint_id", i)) for i, w in enumerate(specs)]
+    return labels or list(range(len(config.trajectory.waypoints)))
+
+
+def _waypoint_windows(samples, labels):
+    """(label, t_start, t_end) of each run of samples dwelling at a waypoint,
+    labelled by the run's first sample."""
+    windows = []
+    runs = itertools.groupby(samples, key=lambda s: s.is_static and s.waypoint_id is not None)
+    for at_waypoint, run in runs:
+        if at_waypoint:
+            run = list(run)
+            windows.append((labels[run[0].waypoint_id], run[0].stamp, run[-1].stamp))
+    return windows
 
 
 def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
@@ -104,35 +115,23 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     if messages is None:
         _, messages = simulate_detections(config, samples)
 
-    rng_odo = _odometry_rng(config.seed)
-    odometry = [None]
-    for i in range(1, len(samples)):
-        true_delta = samples[i - 1].pose.inverse().compose(samples[i].pose)
-        odometry.append(simulate_odometry_step(true_delta, config.odometry_noise, rng_odo))
-
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
-    framesets = []
-    for msg in messages:
-        framesets.extend(sync.ingest(msg))
-    framesets.extend(sync.flush())
+    framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()
 
     # Associate each frame-set with the nearest ground-truth sample.
-    stamps = np.array([s.stamp for s in samples])
     fs_by_sample = {}
-    for fs in framesets:
-        idx = int(np.argmin(np.abs(stamps - fs.anchor_stamp)))
+    nearest = nearest_stamp_index([s.stamp for s in samples], [fs.anchor_stamp for fs in framesets])
+    for idx, fs in zip(nearest.tolist(), framesets):
         fs_by_sample.setdefault(idx, []).append(fs)
 
-    labels = _waypoint_labels(config)
     counters = {
-        "stale_messages": 0,
         "gated_estimates": 0,
         "solver_iterations": 0,
         "skipped_framesets": 0,
         "feedback_applications": 0,
-        "stamp_mismatch_warnings": 0,
     }
 
+    rng_odo = _odometry_rng(config.seed)
     initial_pose = samples[0].pose
     belief = RobotLocalizationSim(initial_pose)
     graph = PoseGraph(initial_pose=initial_pose, initial_stamp=samples[0].stamp)
@@ -142,23 +141,23 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     need_estimates = any(
         m in config.modes for m in ("raw", "gated_1frame", "averaged_5frames")
     )
+    if need_fused:
+        # anchor node so the first dwell's estimates have a home
+        cov = _odometry_covariance(config.odometry_noise, 0.0, 0.0)
+        graph.add_odometry(PoseSE2(), cov, stamp=samples[0].stamp + 1e-6)
     prior = None  # last accepted estimate pose
     odo_since_prior = PoseSE2()
     pending = PoseSE2()
     pending_len = 0.0
     pending_turn = 0.0
-    current_node = None  # node id of the most recent graph node
     static_buffer = []
     static_key = None
-
-    robot_traj = []
-    raw_traj = []
-    gated_traj = []
-    averaged_traj = []
+    tracks = {mode: [] for mode in ALL_MODES if mode != "fused"}
 
     for i, sample in enumerate(samples):
         if i > 0:
-            delta = odometry[i]
+            true_delta = samples[i - 1].pose.inverse().compose(sample.pose)
+            delta = simulate_odometry_step(true_delta, config.odometry_noise, rng_odo)
             belief.integrate(delta)
             odo_since_prior = odo_since_prior.compose(delta)
             pending = pending.compose(delta)
@@ -170,18 +169,15 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                 or pending_turn >= NODE_ROT_STEP
             ):
                 cov = _odometry_covariance(config.odometry_noise, pending_len, pending_turn)
-                current_node = graph.add_odometry(pending, cov, stamp=sample.stamp)
+                graph.add_odometry(pending, cov, stamp=sample.stamp)
                 pending = PoseSE2()
                 pending_len = 0.0
                 pending_turn = 0.0
-        elif need_fused:
-            # anchor node so the first dwell's estimates have a home
-            cov = _odometry_covariance(config.odometry_noise, 0.0, 0.0)
-            current_node = graph.add_odometry(PoseSE2(), cov, stamp=sample.stamp + 1e-6)
 
-        robot_traj.append((sample.stamp, belief.internal_pose))
+        tracks["robot"].append((sample.stamp, belief.internal_pose))
 
-        if not sample.is_static or sample.waypoint_id is None:
+        at_waypoint = sample.is_static and sample.waypoint_id is not None
+        if not at_waypoint:
             static_key = None
             static_buffer = []
 
@@ -189,75 +185,58 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
             # solve only when some requested output needs this frame-set
             if not need_estimates and not (need_fused and sample.is_static):
                 continue
-            est = None
-            if prior is None:
-                try:
+            predicted = None if prior is None else prior.compose(odo_since_prior)
+            try:
+                if predicted is None:
                     est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
-                except (NoEligibleCamera, InsufficientObservations):
-                    counters["skipped_framesets"] += 1
-                    continue
-            else:
-                init = prior.compose(odo_since_prior)
-                try:
-                    est = solve_multiview(fs, init, config.cameras, config.robot_model, config.solver)
-                except InsufficientObservations:
-                    counters["skipped_framesets"] += 1
-                    continue
+                else:
+                    est = solve_multiview(
+                        fs, predicted, config.cameras, config.robot_model, config.solver
+                    )
+            except (NoEligibleCamera, InsufficientObservations, UnknownCamera, UnknownKeypoint):
+                counters["skipped_framesets"] += 1
+                continue
             counters["solver_iterations"] += est.n_iterations
 
             gated = est
-            if est.n_cameras == 1 and prior is not None:
-                cam_id = next(iter(fs.per_camera))
-                gated = gate_single_view(
-                    prior.compose(odo_since_prior), est, camera_by_id[cam_id], config.gate
-                )
+            if est.n_cameras == 1 and predicted is not None:
+                camera = camera_by_id[next(iter(fs.per_camera))]
+                gated = gate_single_view(predicted, est, camera, config.gate)
                 if gated.gated:
                     counters["gated_estimates"] += 1
 
-            raw_traj.append((fs.anchor_stamp, est.pose))
-            gated_traj.append((fs.anchor_stamp, gated.pose))
+            tracks["raw"].append((fs.anchor_stamp, est.pose))
+            tracks["gated_1frame"].append((fs.anchor_stamp, gated.pose))
             prior = gated.pose
             odo_since_prior = PoseSE2()
 
-            if sample.is_static and sample.waypoint_id is not None:
+            if at_waypoint:
                 if static_key != sample.waypoint_id:
                     static_buffer = []
                     static_key = sample.waypoint_id
                 static_buffer.append(gated)
                 if len(static_buffer) == 5:
                     avg = average_estimates(static_buffer)
-                    averaged_traj.append((avg.stamp, avg.pose))
+                    tracks["averaged_5frames"].append((avg.stamp, avg.pose))
                     static_buffer = []
 
-                if need_fused and current_node is not None:
+                if need_fused:
                     node_id = graph.nearest_node(fs.anchor_stamp)
                     graph.add_camera_estimate(node_id, gated)
                     graph.optimize(config.solver)
                     if config.feedback:
-                        fused_here = PoseEstimate(
-                            pose=graph.nodes[node_id].pose,
-                            covariance=gated.covariance,
-                            rms_residual=gated.rms_residual,
-                            n_cameras=gated.n_cameras,
-                            n_keypoints=gated.n_keypoints,
-                            stamp=fs.anchor_stamp,
-                        )
+                        fused_here = replace(gated, pose=graph.nodes[node_id].pose)
                         if apply_feedback(belief, fused_here, sample.is_static):
                             counters["feedback_applications"] += 1
 
     counters["stale_messages"] = sync.stale_count
     counters["stamp_mismatch_warnings"] = graph.stamp_mismatch_warnings
 
-    mode_trajectories = {}
-    gt = Trajectory.from_samples([(s.stamp, s.pose) for s in samples])
-    if "robot" in config.modes:
-        mode_trajectories["robot"] = Trajectory.from_samples(robot_traj)
-    if "raw" in config.modes:
-        mode_trajectories["raw"] = Trajectory.from_samples(raw_traj)
-    if "gated_1frame" in config.modes:
-        mode_trajectories["gated_1frame"] = Trajectory.from_samples(gated_traj)
-    if "averaged_5frames" in config.modes:
-        mode_trajectories["averaged_5frames"] = Trajectory.from_samples(averaged_traj)
+    mode_trajectories = {
+        mode: Trajectory.from_samples(track)
+        for mode, track in tracks.items()
+        if mode in config.modes
+    }
     if "fused" in config.modes:
         if graph.unary_edges:
             graph.optimize(config.solver)
@@ -267,35 +246,18 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
             # gauge-free, so omit it and leave a trace in the counters
             counters["fused_gauge_free"] = 1
 
-    windows = []
+    labels = _waypoint_labels(config)
     visibility = {}
-    run_start = None
-    for i, sample in enumerate(samples):
-        if sample.is_static and sample.waypoint_id is not None:
-            if run_start is None:
-                run_start = i
-            end = i
-        else:
-            if run_start is not None:
-                wp = samples[run_start].waypoint_id
-                label = labels[wp] if wp < len(labels) else wp
-                windows.append((label, samples[run_start].stamp, samples[end].stamp))
-                run_start = None
-    if run_start is not None:
-        wp = samples[run_start].waypoint_id
-        label = labels[wp] if wp < len(labels) else wp
-        windows.append((label, samples[run_start].stamp, samples[-1].stamp))
-    for wp_idx, waypoint in enumerate(config.trajectory.waypoints):
-        label = labels[wp_idx] if wp_idx < len(labels) else wp_idx
+    for label, waypoint in zip(labels, config.trajectory.waypoints):
         if label not in visibility:
             visibility[label] = camera_visibility_count(
                 waypoint.pose, config.cameras, config.robot_model
             )
 
     return RunResult(
-        ground_truth=gt,
+        ground_truth=Trajectory.from_samples([(s.stamp, s.pose) for s in samples]),
         mode_trajectories=mode_trajectories,
-        waypoint_windows=windows,
+        waypoint_windows=_waypoint_windows(samples, labels),
         camera_visibility=visibility,
         counters=counters,
         messages=messages,

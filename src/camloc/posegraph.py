@@ -9,8 +9,7 @@ is re-optimized every time a new absolute estimate arrives.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -19,28 +18,48 @@ import scipy.sparse.linalg
 from .errors import GaugeFree, SolverDiverged, UnknownNode
 from .estimation import PoseEstimate, SolverConfig
 from .geometry import PoseSE2, wrap_angle
+from .sync import nearest_stamp_index
+
+
+class _Rows:
+    """Append-only array of equal-shape rows, grown by doubling."""
+
+    def __init__(self, dtype=float, shape=()):
+        self._data = np.empty((8, *shape), dtype=dtype)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, row) -> None:
+        if self._n == len(self._data):
+            self._data = np.concatenate([self._data, np.empty_like(self._data)])
+        self._data[self._n] = row
+        self._n += 1
+
+    @property
+    def view(self) -> np.ndarray:
+        return self._data[: self._n]
+
+
+ODOMETRY_EDGE = np.dtype(
+    [("from_id", int), ("to_id", int), ("delta", float, 3), ("information", float, (3, 3))]
+)
+UNARY_EDGE = np.dtype(
+    [("node_id", int), ("measurement", float, 3), ("information", float, (3, 3))]
+)
 
 
 @dataclass
 class Node:
     id: int
     stamp: float
-    pose: PoseSE2
+    _poses: _Rows = field(repr=False, compare=False)
 
-
-@dataclass
-class OdometryEdge:
-    from_id: int
-    to_id: int
-    delta: PoseSE2
-    information: np.ndarray
-
-
-@dataclass
-class UnaryEdge:
-    node_id: int
-    measurement: PoseSE2
-    information: np.ndarray
+    @property
+    def pose(self) -> PoseSE2:
+        """Current estimate, read from the graph's pose array."""
+        return PoseSE2(*self._poses.view[self.id])
 
 
 def _information(covariance) -> np.ndarray:
@@ -53,43 +72,54 @@ def _wrap(arr):
     return (arr + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _rot2(c, s):
+    """Stack of 2x2 matrices [[c, s], [-s, c]], one per element."""
+    return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+
+
 class PoseGraph:
     def __init__(self, initial_pose: PoseSE2 | None = None, initial_stamp: float = 0.0):
         self._anchor_pose = initial_pose or PoseSE2()
         self._anchor_stamp = initial_stamp
         self.nodes: list[Node] = []
-        self.odometry_edges: list[OdometryEdge] = []
-        self.unary_edges: list[UnaryEdge] = []
+        self._stamps = _Rows()
+        self._poses = _Rows(shape=(3,))
+        self.odometry_edges = _Rows(ODOMETRY_EDGE)
+        self.unary_edges = _Rows(UNARY_EDGE)
         self.stamp_mismatch_warnings = 0
+
+    def _add_node(self, stamp: float, pose: PoseSE2) -> Node:
+        self.nodes.append(Node(len(self.nodes), stamp, self._poses))
+        self._stamps.append(stamp)
+        self._poses.append(pose.as_array())
+        return self.nodes[-1]
 
     def add_odometry(self, delta: PoseSE2, covariance, stamp: float | None = None) -> int:
         """Append a node at previous ∘ delta with a binary odometry edge."""
         info = _information(covariance)
         if not self.nodes:
-            self.nodes.append(Node(0, self._anchor_stamp, self._anchor_pose))
+            self._add_node(self._anchor_stamp, self._anchor_pose)
         prev = self.nodes[-1]
         if stamp is None:
             stamp = prev.stamp + 1.0
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")
-        node = Node(prev.id + 1, stamp, prev.pose.compose(delta))
-        self.nodes.append(node)
-        self.odometry_edges.append(OdometryEdge(prev.id, node.id, delta, info))
+        node = self._add_node(stamp, prev.pose.compose(delta))
+        self.odometry_edges.append((prev.id, node.id, delta.as_array(), info))
         return node.id
 
     def add_camera_estimate(self, node_id: int, estimate: PoseEstimate) -> None:
         """Attach an absolute unary constraint to an existing node."""
         if not 0 <= node_id < len(self.nodes) or self.nodes[node_id].id != node_id:
             raise UnknownNode(f"node {node_id} does not exist")
-        self.unary_edges.append(
-            UnaryEdge(node_id, estimate.pose, _information(estimate.covariance))
-        )
+        info = _information(estimate.covariance)
+        self.unary_edges.append((node_id, estimate.pose.as_array(), info))
 
     def nearest_node(self, stamp: float, warn_beyond: float = 0.1) -> int:
         """Node id with stamp closest to the given stamp."""
         if not self.nodes:
             raise UnknownNode("graph is empty")
-        best = min(self.nodes, key=lambda n: abs(n.stamp - stamp))
+        best = self.nodes[int(nearest_stamp_index(self._stamps.view, stamp))]
         if abs(best.stamp - stamp) > warn_beyond:
             self.stamp_mismatch_warnings += 1
         return best.id
@@ -100,15 +130,11 @@ class PoseGraph:
     # -- optimization -----------------------------------------------------
 
     def _edge_arrays(self):
-        """Flatten edge data into numpy arrays for vectorized evaluation."""
-        oi = np.array([e.from_id for e in self.odometry_edges], dtype=int)
-        oj = np.array([e.to_id for e in self.odometry_edges], dtype=int)
-        od = np.array([e.delta.as_array() for e in self.odometry_edges])
-        o_info = np.array([e.information for e in self.odometry_edges])
-        ui = np.array([e.node_id for e in self.unary_edges], dtype=int)
-        um = np.array([e.measurement.as_array() for e in self.unary_edges])
-        u_info = np.array([e.information for e in self.unary_edges])
-        return oi, oj, od, o_info, ui, um, u_info
+        """Edge fields as C-contiguous arrays, the layout the batched solver math expects."""
+        odo, un = self.odometry_edges.view, self.unary_edges.view
+        fields = (odo["from_id"], odo["to_id"], odo["delta"], odo["information"],
+                  un["node_id"], un["measurement"], un["information"])
+        return tuple(np.ascontiguousarray(f) for f in fields)
 
     @staticmethod
     def _residuals(params, oi, oj, od, ui, um):
@@ -125,33 +151,27 @@ class PoseGraph:
             axis=1,
         )
         eth = _wrap(xj[:, 2] - xi[:, 2] - od[:, 2])
-        r_odo = np.concatenate([et, eth[:, None]], axis=1) if len(oi) else np.zeros((0, 3))
+        r_odo = np.concatenate([et, eth[:, None]], axis=1)
 
-        xu = p[ui] if len(ui) else np.zeros((0, 3))
+        xu = p[ui]
         cm, sm = np.cos(um[:, 2]), np.sin(um[:, 2])
-        du = xu[:, :2] - um[:, :2] if len(ui) else np.zeros((0, 2))
-        etu = np.stack([cm * du[:, 0] + sm * du[:, 1], -sm * du[:, 0] + cm * du[:, 1]], axis=1) \
-            if len(ui) else np.zeros((0, 2))
-        ethu = _wrap(xu[:, 2] - um[:, 2]) if len(ui) else np.zeros(0)
-        r_un = np.concatenate([etu, ethu[:, None]], axis=1) if len(ui) else np.zeros((0, 3))
+        du = xu[:, :2] - um[:, :2]
+        etu = np.stack([cm * du[:, 0] + sm * du[:, 1], -sm * du[:, 0] + cm * du[:, 1]], axis=1)
+        ethu = _wrap(xu[:, 2] - um[:, 2])
+        r_un = np.concatenate([etu, ethu[:, None]], axis=1)
         return r_odo, r_un
 
     def _objective_from(self, params, arrays) -> float:
         oi, oj, od, o_info, ui, um, u_info = arrays
         r_odo, r_un = self._residuals(params, oi, oj, od, ui, um)
-        total = 0.0
-        if len(r_odo):
-            total += float(np.einsum("ei,eij,ej->", r_odo, o_info, r_odo))
-        if len(r_un):
-            total += float(np.einsum("ei,eij,ej->", r_un, u_info, r_un))
-        return total
+        return (float(np.einsum("ei,eij,ej->", r_odo, o_info, r_odo))
+                + float(np.einsum("ei,eij,ej->", r_un, u_info, r_un)))
 
     def objective(self) -> float:
-        params = np.concatenate([n.pose.as_array() for n in self.nodes])
-        return self._objective_from(params, self._edge_arrays())
+        return self._objective_from(self._poses.view.ravel(), self._edge_arrays())
 
     def optimize(self, config: SolverConfig | None = None):
-        """Minimize the sum of Mahalanobis residuals; returns node poses.
+        """Minimize the sum of Mahalanobis residuals.
 
         Node poses are updated in place so that repeated calls warm-start
         from the previous solution.
@@ -160,13 +180,14 @@ class PoseGraph:
         if not self.unary_edges:
             raise GaugeFree("graph has no absolute constraint")
         arrays = self._edge_arrays()
-        params = np.concatenate([node.pose.as_array() for node in self.nodes])
+        pattern = self._hessian_pattern(arrays)
+        params = self._poses.view.ravel().copy()
         obj = self._objective_from(params, arrays)
         # warm starts leave the problem near-quadratic, so begin with
         # almost-undamped Gauss-Newton and let LM raise damping on demand
         lam = min(config.lm_lambda_init, 1e-8)
         for _ in range(config.max_iterations):
-            hess, grad = self._normal_equations(params, arrays)
+            hess, grad = self._normal_equations(params, arrays, pattern)
             if np.linalg.norm(grad) < 1e-12:
                 break
             improved = False
@@ -198,16 +219,33 @@ class PoseGraph:
                 break
             if rel < config.convergence_tol:
                 break
-        for i, node in enumerate(self.nodes):
-            node.pose = PoseSE2(*params[3 * i : 3 * i + 3])
-        return [node.pose for node in self.nodes]
+        poses = params.reshape(-1, 3)
+        poses[:, 2] = [wrap_angle(t) for t in poses[:, 2]]  # as PoseSE2 stores theta
+        self._poses.view[:] = poses
 
-    def _normal_equations(self, params, arrays):
+    @staticmethod
+    def _hessian_pattern(arrays):
+        """Index arrays of the normal equations, fixed while the edges are:
+        gradient slots of each edge end and the (row, col) of every Hessian
+        entry, blocks ordered ii, ij, ji, jj per odometry edge, then unary."""
+        oi, oj, _, _, ui, _, _ = arrays
+        k = np.arange(3)
+        rows, cols = [], []
+        for idx_a, idx_b in ((oi, oi), (oi, oj), (oj, oi), (oj, oj), (ui, ui)):
+            rr, cc = np.broadcast_arrays(3 * idx_a[:, None, None] + k[None, :, None],
+                                         3 * idx_b[:, None, None] + k[None, None, :])
+            rows.append(rr.ravel())
+            cols.append(cc.ravel())
+        slots = tuple((3 * idx[:, None] + k).ravel() for idx in (oi, oj, ui))
+        return slots, np.concatenate(rows), np.concatenate(cols)
+
+    def _normal_equations(self, params, arrays, pattern):
         oi, oj, od, o_info, ui, um, u_info = arrays
+        (slot_i, slot_j, slot_u), rows, cols = pattern
         n = len(self.nodes)
         p = params.reshape(-1, 3)
         grad = np.zeros(3 * n)
-        rows_all, cols_all, vals_all = [], [], []
+        vals = []
 
         r_odo, r_un = self._residuals(params, oi, oj, od, ui, um)
 
@@ -215,24 +253,10 @@ class PoseGraph:
             e = len(oi)
             xi, xj = p[oi], p[oj]
             d = xj[:, :2] - xi[:, :2]
-            ca, sa = np.cos(od[:, 2]), np.sin(od[:, 2])
             ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
-            a = np.zeros((e, 2, 2))
-            a[:, 0, 0] = ca
-            a[:, 0, 1] = sa
-            a[:, 1, 0] = -sa
-            a[:, 1, 1] = ca
-            b = np.zeros((e, 2, 2))
-            b[:, 0, 0] = ct
-            b[:, 0, 1] = st
-            b[:, 1, 0] = -st
-            b[:, 1, 1] = ct
-            # derivative of R(-theta_i) w.r.t. theta_i
-            db = np.zeros((e, 2, 2))
-            db[:, 0, 0] = -st
-            db[:, 0, 1] = ct
-            db[:, 1, 0] = -ct
-            db[:, 1, 1] = -st
+            a = _rot2(np.cos(od[:, 2]), np.sin(od[:, 2]))
+            # R(-theta_i) and its derivative w.r.t. theta_i
+            b, db = _rot2(ct, st), _rot2(-st, ct)
             ab = np.einsum("eij,ejk->eik", a, b)
             ji = np.zeros((e, 3, 3))
             jj = np.zeros((e, 3, 3))
@@ -247,44 +271,22 @@ class PoseGraph:
             w_ji = o_info @ ji
             w_jj = o_info @ jj
             wr = (o_info @ r_odo[:, :, None])
-            np.add.at(grad, (3 * oi[:, None] + np.arange(3)).ravel(), (ji_t @ wr)[:, :, 0].ravel())
-            np.add.at(grad, (3 * oj[:, None] + np.arange(3)).ravel(), (jj_t @ wr)[:, :, 0].ravel())
-            blk_ii = ji_t @ w_ji
+            np.add.at(grad, slot_i, (ji_t @ wr)[:, :, 0].ravel())
+            np.add.at(grad, slot_j, (jj_t @ wr)[:, :, 0].ravel())
             blk_ij = ji_t @ w_jj
-            blk_jj = jj_t @ w_jj
-            for idx_a, idx_b, block in (
-                (oi, oi, blk_ii),
-                (oi, oj, blk_ij),
-                (oj, oi, blk_ij.transpose(0, 2, 1)),
-                (oj, oj, blk_jj),
-            ):
-                rr = (3 * idx_a[:, None, None] + np.arange(3)[None, :, None])
-                cc = (3 * idx_b[:, None, None] + np.arange(3)[None, None, :])
-                rows_all.append(np.broadcast_to(rr, block.shape).ravel())
-                cols_all.append(np.broadcast_to(cc, block.shape).ravel())
-                vals_all.append(block.ravel())
+            vals += [ji_t @ w_ji, blk_ij, blk_ij.transpose(0, 2, 1), jj_t @ w_jj]
 
         if len(ui):
-            e = len(ui)
-            cm, sm = np.cos(um[:, 2]), np.sin(um[:, 2])
-            ju = np.zeros((e, 3, 3))
-            ju[:, 0, 0] = cm
-            ju[:, 0, 1] = sm
-            ju[:, 1, 0] = -sm
-            ju[:, 1, 1] = cm
+            ju = np.zeros((len(ui), 3, 3))
+            ju[:, :2, :2] = _rot2(np.cos(um[:, 2]), np.sin(um[:, 2]))
             ju[:, 2, 2] = 1.0
             ju_t = ju.transpose(0, 2, 1)
             contrib = (ju_t @ (u_info @ r_un[:, :, None]))[:, :, 0]
-            np.add.at(grad, (3 * ui[:, None] + np.arange(3)).ravel(), contrib.ravel())
-            block = ju_t @ (u_info @ ju)
-            rr = (3 * ui[:, None, None] + np.arange(3)[None, :, None])
-            cc = (3 * ui[:, None, None] + np.arange(3)[None, None, :])
-            rows_all.append(np.broadcast_to(rr, block.shape).ravel())
-            cols_all.append(np.broadcast_to(cc, block.shape).ravel())
-            vals_all.append(block.ravel())
+            np.add.at(grad, slot_u, contrib.ravel())
+            vals.append(ju_t @ (u_info @ ju))
 
         hess = scipy.sparse.coo_matrix(
-            (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+            (np.concatenate([v.ravel() for v in vals]), (rows, cols)),
             shape=(3 * n, 3 * n),
         ).tocsr()
         return hess, grad

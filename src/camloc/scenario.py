@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import GateThresholds, SolverConfig
-from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, project_points
+from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, visible_keypoints
 from .geometry import keypoints_world
 from .simulation import (
     NoiseModel,
@@ -226,19 +226,7 @@ def _apply_override(doc, dotted_key, value):
 def camera_visibility_count(pose: PoseSE2, cameras, model: RobotModel, min_keypoints: int = 4) -> int:
     """Number of cameras seeing at least min_keypoints of the robot."""
     pts = keypoints_world(pose, model)
-    count = 0
-    for cam in cameras:
-        pix, valid = project_points(cam, pts)
-        inside = (
-            valid
-            & (np.round(pix[:, 0]) >= 0)
-            & (np.round(pix[:, 0]) < cam.width)
-            & (np.round(pix[:, 1]) >= 0)
-            & (np.round(pix[:, 1]) < cam.height)
-        )
-        if int(inside.sum()) >= min_keypoints:
-            count += 1
-    return count
+    return sum(int(visible_keypoints(cam, pts).sum()) >= min_keypoints for cam in cameras)
 
 
 # -- bundled scenarios ----------------------------------------------------

@@ -9,11 +9,12 @@ seeded generator; identical seeds give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PoseSE2, RobotModel, angle_diff, keypoints_world, project_points
+from .geometry import visible_keypoints
 from .sync import DetectionMessage, KeypointObservation, ns_to_stamp, stamp_to_ns
 
 
@@ -179,18 +180,6 @@ def script_trajectory(script: TrajectoryScript):
     return samples
 
 
-def _visible(camera, pix, valid):
-    """Integer-grid visibility of exact projections."""
-    inside = (
-        valid
-        & (np.round(pix[:, 0]) >= 0)
-        & (np.round(pix[:, 0]) < camera.width)
-        & (np.round(pix[:, 1]) >= 0)
-        & (np.round(pix[:, 1]) < camera.height)
-    )
-    return inside
-
-
 def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     """Simulate one synchronized capture; returns per-camera detection messages.
 
@@ -202,10 +191,9 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     pts = keypoints_world(sample.pose, model)
     messages = []
     for camera in sorted(cameras, key=lambda c: c.camera_id):
-        pix, valid = project_points(camera, pts)
-        inside = _visible(camera, pix, valid)
+        pix, _ = project_points(camera, pts)
         observations = []
-        for j in np.nonzero(inside)[0]:
+        for j in np.nonzero(visible_keypoints(camera, pts))[0]:
             if rng.random() < noise.dropout_prob:
                 continue
             offset = rng.normal(0.0, noise.pixel_sigma, size=2) if noise.pixel_sigma > 0 else np.zeros(2)

@@ -146,6 +146,22 @@ class Synchronizer:
         return fs
 
 
+def nearest_stamp_index(stamps, queries) -> np.ndarray:
+    """Index of the stamp nearest to each query: the smallest |Δt|, the
+    earlier stamp on a tie, exactly as ``np.argmin(np.abs(stamps - q))``.
+
+    stamps must be non-empty and strictly increasing.
+    """
+    stamps = np.asarray(stamps, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    # Strictly increasing stamps make |stamps - q| fall then rise, so the
+    # minimum sits at one of the two stamps that bracket q.
+    hi = np.minimum(np.searchsorted(stamps, queries), len(stamps) - 1)
+    lo = np.maximum(hi - 1, 0)
+    take_lo = np.abs(stamps[lo] - queries) <= np.abs(stamps[hi] - queries)
+    return np.where(take_lo, lo, hi)
+
+
 def stamp_to_ns(stamp: float) -> int:
     return int(round(stamp * 1e9))
 

@@ -181,6 +181,35 @@ class TestReplay:
         assert rc == 2
         assert f"{stream}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda msg: msg.update(camera_id=7),
+        lambda msg: msg["keypoints"][0].update(id=42),
+    ], ids=["unknown_camera", "unknown_keypoint"])
+    def test_bad_id_costs_one_frameset(self, small_scenario, tmp_path, corrupt):
+        out = tmp_path / "run"
+        cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)])
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        # a message in the second half that could be solved on its own
+        k = next(k for k in range(len(lines) // 2, len(lines))
+                 if len(json.loads(lines[k])["keypoints"]) >= 4)
+        msg = json.loads(lines[k])
+        corrupt(msg)
+        lines[k] = json.dumps(msg)
+        bad_stream = tmp_path / "bad.jsonl"
+        bad_stream.write_text("\n".join(lines) + "\n")
+        counters = {}
+        for name, stream in (("clean", out / "detections.jsonl"), ("bad", bad_stream)):
+            rc = cli.main(["replay", "--stream", str(stream),
+                           "--scenario", str(small_scenario), "--out", str(tmp_path / name)])
+            assert rc == 0
+            meta = json.loads((tmp_path / name / "run_meta.json").read_text())
+            counters[name] = meta["counters"]
+        assert set(read_outputs(tmp_path / "bad")) == {
+            "waypoint_stats.csv", "trajectory_error.csv", "run_meta.json"}
+        # the bad message was placed, and only its frame-set was skipped
+        assert counters["bad"]["stale_messages"] == counters["clean"]["stale_messages"]
+        assert counters["bad"]["skipped_framesets"] == counters["clean"]["skipped_framesets"] + 1
+
     def test_empty_stream_succeeds(self, small_scenario, tmp_path):
         stream = tmp_path / "empty.jsonl"
         stream.write_text("")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from camloc.sync import (
     DetectionMessage,
@@ -11,6 +13,7 @@ from camloc.sync import (
     Synchronizer,
     message_from_json,
     message_to_json,
+    nearest_stamp_index,
     ns_to_stamp,
     stamp_to_ns,
 )
@@ -113,6 +116,35 @@ class TestSyncFuzz:
                     seen.add(id(m))
                     placed += 1
             assert placed + sync.stale_count == len(msgs)
+
+
+@st.composite
+def _stamps_and_queries(draw):
+    """Strictly increasing stamps (integers, so midpoints are exact ties, or
+    milliseconds) and queries before, on, between, midway and after them."""
+    ticks = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30, unique=True))
+    scale = draw(st.sampled_from([1.0, 1e-3]))
+    stamps = np.array(sorted(ticks), dtype=float) * scale
+    free = draw(st.lists(st.floats(-2e6 * scale, 2e6 * scale), max_size=20))
+    queries = np.concatenate([
+        stamps,
+        (stamps[:-1] + stamps[1:]) / 2.0,
+        [stamps[0] - scale, stamps[-1] + scale],
+        free,
+    ])
+    return stamps, queries
+
+
+class TestNearestStampIndex:
+    @given(_stamps_and_queries())
+    def test_matches_argmin(self, case):
+        stamps, queries = case
+        got = nearest_stamp_index(stamps, queries)
+        for q, idx in zip(queries, got):
+            assert idx == np.argmin(np.abs(stamps - q)), (stamps, q)
+
+    def test_scalar_query(self):
+        assert nearest_stamp_index([0.0, 1.0, 2.0], 1.5) == 1
 
 
 class TestWireFormat:
