@@ -195,12 +195,16 @@ def project_points(camera: CameraModel, pts_world: np.ndarray):
     return pix, valid
 
 
-def visible_keypoints(camera: CameraModel, pts_world: np.ndarray) -> np.ndarray:
-    """Mask (N,) of points in front of the camera whose projection, rounded
-    to the pixel grid, lands inside the image."""
-    pix, valid = project_points(camera, pts_world)
+def in_image(camera: CameraModel, pix: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Mask (N,) of projections from ``project_points`` that are in front of
+    the camera and, rounded to the pixel grid, land inside the image."""
     col, row = np.round(pix[:, 0]), np.round(pix[:, 1])
     return valid & (col >= 0) & (col < camera.width) & (row >= 0) & (row < camera.height)
+
+
+def visible_keypoints(camera: CameraModel, pts_world: np.ndarray) -> np.ndarray:
+    """Mask (N,) of the points whose projection is ``in_image``."""
+    return in_image(camera, *project_points(camera, pts_world))
 
 
 def keypoint_world(pose: PoseSE2, model: RobotModel, j: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Trajectory nodes are chained by binary odometry constraints; sparse
 camera-network estimates attach as unary absolute constraints. The graph
-is solved by damped Gauss-Newton on the ground-plane manifold; residual
-and normal-equation assembly is vectorized across edges since the graph
-is re-optimized every time a new absolute estimate arrives.
+is solved by damped Gauss-Newton on the ground-plane manifold, with
+residual and normal-equation assembly vectorized across edges. A solve
+covers either the whole graph (batch) or a fixed-lag window of its newest
+nodes, with the node just before the window held fixed.
 """
 
 from __future__ import annotations
@@ -129,12 +130,20 @@ class PoseGraph:
 
     # -- optimization -----------------------------------------------------
 
-    def _edge_arrays(self):
-        """Edge fields as C-contiguous arrays, the layout the batched solver math expects."""
+    def _edge_arrays(self, first: int = 0):
+        """Fields of the edges touching a node at or after ``first``, as
+        C-contiguous arrays, the layout the batched solver math expects.
+
+        Returns the arrays and ``base``, the lowest node id they touch; node
+        ids in the arrays count from ``base``.
+        """
         odo, un = self.odometry_edges.view, self.unary_edges.view
-        fields = (odo["from_id"], odo["to_id"], odo["delta"], odo["information"],
-                  un["node_id"], un["measurement"], un["information"])
-        return tuple(np.ascontiguousarray(f) for f in fields)
+        odo = odo[(odo["from_id"] >= first) | (odo["to_id"] >= first)]
+        un = un[un["node_id"] >= first]
+        base = min(first, odo["from_id"].min(initial=first), odo["to_id"].min(initial=first))
+        fields = (odo["from_id"] - base, odo["to_id"] - base, odo["delta"], odo["information"],
+                  un["node_id"] - base, un["measurement"], un["information"])
+        return tuple(np.ascontiguousarray(f) for f in fields), base
 
     @staticmethod
     def _residuals(params, oi, oj, od, ui, um):
@@ -168,20 +177,27 @@ class PoseGraph:
                 + float(np.einsum("ei,eij,ej->", r_un, u_info, r_un)))
 
     def objective(self) -> float:
-        return self._objective_from(self._poses.view.ravel(), self._edge_arrays())
+        return self._objective_from(self._poses.view.ravel(), self._edge_arrays()[0])
 
-    def optimize(self, config: SolverConfig | None = None):
+    def optimize(self, config: SolverConfig | None = None, lag: int | None = None):
         """Minimize the sum of Mahalanobis residuals.
 
+        With ``lag`` set, only the newest ``lag`` nodes are free: the nodes
+        they connect to are held fixed, and edges among older nodes, which
+        are constants then, drop out. Otherwise the whole graph is solved.
         Node poses are updated in place so that repeated calls warm-start
         from the previous solution.
         """
         config = config or SolverConfig()
         if not self.unary_edges:
             raise GaugeFree("graph has no absolute constraint")
-        arrays = self._edge_arrays()
-        pattern = self._hessian_pattern(arrays)
-        params = self._poses.view.ravel().copy()
+        if lag is not None and lag < 1:
+            raise ValueError("lag must be at least 1")
+        first = max(len(self.nodes) - lag, 0) if lag is not None else 0
+        arrays, base = self._edge_arrays(first)
+        k = 3 * (first - base)  # parameters of the fixed nodes, which lead
+        pattern = self._hessian_pattern(arrays, k)
+        params = self._poses.view[base:].ravel().copy()
         obj = self._objective_from(params, arrays)
         # warm starts leave the problem near-quadratic, so begin with
         # almost-undamped Gauss-Newton and let LM raise damping on demand
@@ -200,8 +216,9 @@ class PoseGraph:
                 except RuntimeError:
                     step = None
                 if step is not None and np.all(np.isfinite(step)):
-                    trial = params + step
-                    trial[2::3] = _wrap(trial[2::3])
+                    trial = params.copy()
+                    trial[k:] += step
+                    trial[k + 2::3] = _wrap(trial[k + 2::3])
                     t_obj = self._objective_from(trial, arrays)
                     if t_obj < obj:
                         rel = (obj - t_obj) / max(obj, 1e-300)
@@ -219,32 +236,36 @@ class PoseGraph:
                 break
             if rel < config.convergence_tol:
                 break
-        poses = params.reshape(-1, 3)
+        poses = params[k:].reshape(-1, 3)
         poses[:, 2] = [wrap_angle(t) for t in poses[:, 2]]  # as PoseSE2 stores theta
-        self._poses.view[:] = poses
+        self._poses.view[first:] = poses
 
     @staticmethod
-    def _hessian_pattern(arrays):
-        """Index arrays of the normal equations, fixed while the edges are:
-        gradient slots of each edge end and the (row, col) of every Hessian
-        entry, blocks ordered ii, ij, ji, jj per odometry edge, then unary."""
+    def _hessian_pattern(arrays, k):
+        """Index arrays of the normal equations in the free parameters, those
+        from ``k`` on, fixed while the edges are: gradient slots of each edge
+        end, and the (row, col) of every Hessian entry, blocks ordered ii, ij,
+        ji, jj per odometry edge, then unary, with ``keep`` marking the
+        entries between two free parameters."""
         oi, oj, _, _, ui, _, _ = arrays
-        k = np.arange(3)
+        c = np.arange(3)
         rows, cols = [], []
         for idx_a, idx_b in ((oi, oi), (oi, oj), (oj, oi), (oj, oj), (ui, ui)):
-            rr, cc = np.broadcast_arrays(3 * idx_a[:, None, None] + k[None, :, None],
-                                         3 * idx_b[:, None, None] + k[None, None, :])
+            rr, cc = np.broadcast_arrays(3 * idx_a[:, None, None] + c[None, :, None],
+                                         3 * idx_b[:, None, None] + c[None, None, :])
             rows.append(rr.ravel())
             cols.append(cc.ravel())
-        slots = tuple((3 * idx[:, None] + k).ravel() for idx in (oi, oj, ui))
-        return slots, np.concatenate(rows), np.concatenate(cols)
+        rows, cols = np.concatenate(rows) - k, np.concatenate(cols) - k
+        keep = (rows >= 0) & (cols >= 0)
+        slots = tuple((3 * idx[:, None] + c).ravel() for idx in (oi, oj, ui))
+        return slots, rows[keep], cols[keep], keep, k
 
     def _normal_equations(self, params, arrays, pattern):
+        """Gradient and Hessian of the objective in the free parameters."""
         oi, oj, od, o_info, ui, um, u_info = arrays
-        (slot_i, slot_j, slot_u), rows, cols = pattern
-        n = len(self.nodes)
+        (slot_i, slot_j, slot_u), rows, cols, keep, k = pattern
         p = params.reshape(-1, 3)
-        grad = np.zeros(3 * n)
+        grad = np.zeros(len(params))
         vals = []
 
         r_odo, r_un = self._residuals(params, oi, oj, od, ui, um)
@@ -285,11 +306,11 @@ class PoseGraph:
             np.add.at(grad, slot_u, contrib.ravel())
             vals.append(ju_t @ (u_info @ ju))
 
+        n = len(params) - k
         hess = scipy.sparse.coo_matrix(
-            (np.concatenate([v.ravel() for v in vals]), (rows, cols)),
-            shape=(3 * n, 3 * n),
+            (np.concatenate([v.ravel() for v in vals])[keep], (rows, cols)), shape=(n, n)
         ).tocsr()
-        return hess, grad
+        return hess, grad[k:]
 
 
 class RobotLocalizationSim:

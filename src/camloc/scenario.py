@@ -88,7 +88,70 @@ def _require(d, key, where):
     return d[key]
 
 
-def _camera_from_spec(spec) -> CameraModel:
+def _check_keys(spec, known, where):
+    """Reject a section that is not a JSON object or holds a key outside
+    ``known``, naming the key by its dotted path."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where or 'scenario'} must be a JSON object")
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"unknown config key {where + '.' * bool(where) + key!r}")
+
+
+_TOP_KEYS = ("seed", "modes", "feedback", "cameras", "robot_model", "trajectory",
+             "noise", "odometry_noise", "sync", "solver", "gate")
+_CAMERA_KEYS = ("camera_id", "position_m", "yaw_rad", "pitch_down_rad", "fx_px", "fy_px",
+                "cx_px", "cy_px", "width_px", "height_px",
+                "distortion")  # accepted and unused: the model is pinhole
+_ROBOT_KEYS = ("keypoints_m", "body_width_m")
+_TRAJECTORY_KEYS = ("waypoints", "speed_mps", "turn_rate_radps", "sample_dt_s", "frame_stride")
+_WAYPOINT_KEYS = ("waypoint_id", "x_m", "y_m", "theta_rad", "dwell_s")
+
+# Flat sections: JSON key -> (field, type). An absent key keeps the
+# dataclass default.
+_SECTIONS = {
+    "noise": (NoiseModel, {
+        "pixel_sigma_px": ("pixel_sigma", float),
+        "dropout_prob": ("dropout_prob", float),
+        "outlier_prob": ("outlier_prob", float),
+        "outlier_spread_px": ("outlier_spread", float),
+        "confidence_floor": ("confidence_floor", float),
+        "timestamp_jitter_s": ("timestamp_jitter", float),
+    }),
+    "odometry_noise": (OdometryNoise, {
+        "trans_sigma_per_sqrt_m": ("trans_sigma_per_meter", float),
+        "rot_sigma_per_sqrt_m": ("rot_sigma_per_meter", float),
+        "rot_sigma_per_sqrt_rad": ("rot_sigma_per_rad", float),
+        "bias_trans_m_per_m": ("bias_trans", float),
+        "bias_rot_rad_per_m": ("bias_rot", float),
+    }),
+    "sync": (SyncConfig, {
+        "window_s": ("window", float),
+        "max_open_sets": ("max_open_sets", int),
+    }),
+    "solver": (SolverConfig, {
+        "max_iterations": ("max_iterations", int),
+        "convergence_tol": ("convergence_tol", float),
+        "lm_lambda_init": ("lm_lambda_init", float),
+        "lm_lambda_scale": ("lm_lambda_scale", float),
+        "huber_delta_px": ("huber_delta", float),
+    }),
+    "gate": (GateThresholds, {
+        "d_theta_rad": ("d_theta", float),
+        "d_depth_m": ("d_depth", float),
+    }),
+}
+
+
+def _section(doc, name):
+    cls, fields = _SECTIONS[name]
+    spec = doc.get(name, {})
+    _check_keys(spec, fields, name)
+    return cls(**{attr: conv(spec[key]) for key, (attr, conv) in fields.items() if key in spec})
+
+
+def _camera_from_spec(spec, where) -> CameraModel:
+    _check_keys(spec, _CAMERA_KEYS, where)
     try:
         return make_camera(
             camera_id=int(_require(spec, "camera_id", "camera")),
@@ -109,6 +172,7 @@ def _camera_from_spec(spec) -> CameraModel:
 def _robot_model_from_spec(spec) -> RobotModel:
     if spec == "default" or spec is None:
         return default_robot_model()
+    _check_keys(spec, _ROBOT_KEYS, "robot_model")
     try:
         return RobotModel(
             keypoints=np.array(_require(spec, "keypoints_m", "robot_model")),
@@ -119,8 +183,10 @@ def _robot_model_from_spec(spec) -> RobotModel:
 
 
 def _trajectory_from_spec(spec) -> TrajectoryScript:
+    _check_keys(spec, _TRAJECTORY_KEYS, "trajectory")
     wps = []
-    for w in _require(spec, "waypoints", "trajectory"):
+    for i, w in enumerate(_require(spec, "waypoints", "trajectory")):
+        _check_keys(w, _WAYPOINT_KEYS, f"trajectory.waypoints[{i}]")
         wps.append(
             Waypoint(
                 pose=PoseSE2(float(w["x_m"]), float(w["y_m"]), float(w.get("theta_rad", 0.0))),
@@ -140,53 +206,20 @@ def _trajectory_from_spec(spec) -> TrajectoryScript:
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a ScenarioConfig."""
+    _check_keys(doc, _TOP_KEYS, "")
     try:
-        cameras = [_camera_from_spec(c) for c in _require(doc, "cameras", "scenario")]
-        noise_spec = doc.get("noise", {})
-        noise = NoiseModel(
-            pixel_sigma=float(noise_spec.get("pixel_sigma_px", 2.0)),
-            dropout_prob=float(noise_spec.get("dropout_prob", 0.05)),
-            outlier_prob=float(noise_spec.get("outlier_prob", 0.01)),
-            outlier_spread=float(noise_spec.get("outlier_spread_px", 50.0)),
-            confidence_floor=float(noise_spec.get("confidence_floor", 0.1)),
-            timestamp_jitter=float(noise_spec.get("timestamp_jitter_s", 0.002)),
-        )
-        odo_spec = doc.get("odometry_noise", {})
-        odo = OdometryNoise(
-            trans_sigma_per_meter=float(odo_spec.get("trans_sigma_per_sqrt_m", 0.0625)),
-            rot_sigma_per_meter=float(odo_spec.get("rot_sigma_per_sqrt_m", 0.0125)),
-            rot_sigma_per_rad=float(odo_spec.get("rot_sigma_per_sqrt_rad", 0.0375)),
-            bias_trans=float(odo_spec.get("bias_trans_m_per_m", 0.0125)),
-            bias_rot=float(odo_spec.get("bias_rot_rad_per_m", 0.005)),
-        )
-        sync_spec = doc.get("sync", {})
-        sync = SyncConfig(
-            window=float(sync_spec.get("window_s", 0.05)),
-            max_open_sets=int(sync_spec.get("max_open_sets", 8)),
-        )
-        solver_spec = doc.get("solver", {})
-        solver = SolverConfig(
-            max_iterations=int(solver_spec.get("max_iterations", 50)),
-            convergence_tol=float(solver_spec.get("convergence_tol", 1e-10)),
-            lm_lambda_init=float(solver_spec.get("lm_lambda_init", 1e-3)),
-            lm_lambda_scale=float(solver_spec.get("lm_lambda_scale", 10.0)),
-            huber_delta=float(solver_spec.get("huber_delta_px", 5.0)),
-        )
-        gate_spec = doc.get("gate", {})
-        gate = GateThresholds(
-            d_theta=float(gate_spec.get("d_theta_rad", math.radians(15.0))),
-            d_depth=float(gate_spec.get("d_depth_m", 0.30)),
-        )
+        cameras = [_camera_from_spec(c, f"cameras[{i}]")
+                   for i, c in enumerate(_require(doc, "cameras", "scenario"))]
         traj_spec = _require(doc, "trajectory", "scenario")
         return ScenarioConfig(
             cameras=cameras,
             robot_model=_robot_model_from_spec(doc.get("robot_model", "default")),
             trajectory=_trajectory_from_spec(traj_spec),
-            noise=noise,
-            odometry_noise=odo,
-            sync=sync,
-            solver=solver,
-            gate=gate,
+            noise=_section(doc, "noise"),
+            odometry_noise=_section(doc, "odometry_noise"),
+            sync=_section(doc, "sync"),
+            solver=_section(doc, "solver"),
+            gate=_section(doc, "gate"),
             seed=int(doc.get("seed", 0)),
             modes=tuple(doc.get("modes", list(ALL_MODES))),
             feedback=bool(doc.get("feedback", False)),

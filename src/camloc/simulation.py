@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE2, RobotModel, angle_diff, keypoints_world, project_points
-from .geometry import visible_keypoints
+from .geometry import PoseSE2, RobotModel, angle_diff, in_image, keypoints_world, project_points
 from .sync import DetectionMessage, KeypointObservation, ns_to_stamp, stamp_to_ns
 
 
@@ -191,9 +190,9 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     pts = keypoints_world(sample.pose, model)
     messages = []
     for camera in sorted(cameras, key=lambda c: c.camera_id):
-        pix, _ = project_points(camera, pts)
+        pix, valid = project_points(camera, pts)
         observations = []
-        for j in np.nonzero(visible_keypoints(camera, pts))[0]:
+        for j in np.nonzero(in_image(camera, pix, valid))[0]:
             if rng.random() < noise.dropout_prob:
                 continue
             offset = rng.normal(0.0, noise.pixel_sigma, size=2) if noise.pixel_sigma > 0 else np.zeros(2)

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from camloc import cli
 from camloc.errors import ConfigError, SolverDiverged
+from camloc.posegraph import PoseGraph
 from camloc.scenario import config_from_dict, generate_scenarios, load_config
 
 ZERO_PIXEL_NOISE = [
@@ -98,6 +100,40 @@ class TestConfigValidation:
                        "--out", str(tmp_path), "--override", "no-equals-sign"])
         assert rc == 2
 
+    @pytest.mark.parametrize("override,key", [
+        ("solvr.max_iterations=1", "'solvr'"),
+        ("noise.pixel_sigma=0", "'noise.pixel_sigma'"),
+    ])
+    def test_unknown_override_key_exit_code(self, small_scenario, tmp_path, capsys,
+                                            override, key):
+        rc = cli.main(["run", "--scenario", str(small_scenario),
+                       "--out", str(tmp_path / "o"), "--override", override])
+        assert rc == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path,key", [
+        (("cameras", 1, "fxx_px"), "cameras[1].fxx_px"),
+        (("trajectory", "waypoints", 2, "dwell"), "trajectory.waypoints[2].dwell"),
+        (("trajectory", "speed"), "trajectory.speed"),
+        (("gate", "d_depth"), "gate.d_depth"),
+        (("sede",), "sede"),
+    ])
+    def test_unknown_nested_key_named(self, scenario_dir, path, key):
+        doc = json.loads((scenario_dir / "traj1.json").read_text())
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = 1
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            config_from_dict(doc)
+
+    def test_section_must_be_an_object(self, scenario_dir):
+        doc = json.loads((scenario_dir / "traj1.json").read_text())
+        doc["solver"] = 50
+        with pytest.raises(ConfigError, match="solver must be a JSON object"):
+            config_from_dict(doc)
+
 
 class TestRun:
     def test_outputs_written(self, small_scenario, tmp_path, capsys):
@@ -138,6 +174,29 @@ class TestRun:
         assert rc == 0
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["rmse_m"]["fused"] < 1e-4
+
+    @pytest.mark.parametrize("feedback", [False, True])
+    def test_pose_graph_solves_counted(self, scenario_dir, tmp_path, monkeypatch, feedback):
+        calls = {"optimize": 0, "add_camera_estimate": 0}
+        for name in calls:
+            original = getattr(PoseGraph, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PoseGraph, name, counted)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--scenario", str(scenario_dir / "traj1.json"), "--out", str(out),
+                       "--override", f"feedback={str(feedback).lower()}"])
+        assert rc == 0
+        solves = json.loads((out / "run_meta.json").read_text())["counters"]["pose_graph_solves"]
+        assert solves == calls["optimize"]
+        assert calls["add_camera_estimate"] > 0
+        if feedback:
+            assert solves == calls["add_camera_estimate"] + 1
+        else:
+            assert solves == 1
 
     def test_solver_divergence_exit_code(self, small_scenario, tmp_path, monkeypatch):
         def boom(config, messages=None):

@@ -157,6 +157,92 @@ class TestOptimize:
         assert np.mean(fused_rmse) < np.mean(odo_rmse)
 
 
+def drifting_chain(seed, n=120, fix_every=10):
+    """Noisy odometry deltas along x and noisy absolute fixes at every
+    ``fix_every``-th node, as (node id, delta, fix or None) steps."""
+    rng = np.random.default_rng(seed)
+    truth, steps = PoseSE2(), []
+    for nid in range(1, n + 1):
+        d = PoseSE2(0.1, 0.0, 0.02)
+        truth = truth.compose(d)
+        noisy = PoseSE2(d.x + rng.normal(0, 0.01), rng.normal(0, 0.01),
+                        d.theta + rng.normal(0, 0.005))
+        fix = None
+        if nid % fix_every == 0:
+            fix = unary(PoseSE2(truth.x + rng.normal(0, 0.01), truth.y + rng.normal(0, 0.01),
+                                truth.theta + rng.normal(0, 0.005)), sigma=0.01)
+        steps.append((nid, noisy, fix))
+    return steps
+
+
+def build_chain(steps, solve_each_fix=False):
+    g = PoseGraph()
+    for nid, delta, fix in steps:
+        g.add_odometry(delta, np.diag([1e-4, 1e-4, 2.5e-5]), stamp=float(nid))
+        if fix is not None:
+            g.add_camera_estimate(nid, fix)
+            if solve_each_fix:
+                g.optimize()
+    return g
+
+
+def pose_rows(g):
+    return np.array([n.pose.as_array() for n in g.nodes])
+
+
+class TestSolveSchedule:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_final_solve_matches_solving_after_every_fix(self, seed):
+        steps = drifting_chain(seed)
+        each, once = build_chain(steps, solve_each_fix=True), build_chain(steps)
+        each.optimize()
+        once.optimize()
+        a, b = pose_rows(each), pose_rows(once)
+        assert np.abs(a[:, :2] - b[:, :2]).max() < 1e-8
+        assert max(abs(angle_diff(x, y)) for x, y in zip(a[:, 2], b[:, 2])) < 1e-8
+
+    def test_lag_covering_the_graph_is_the_batch_solve(self):
+        steps = drifting_chain(1)
+        batch = build_chain(steps)
+        batch.optimize()
+        n = len(batch.nodes)
+        for lag in (n, n + 7):
+            windowed = build_chain(steps)
+            windowed.optimize(lag=lag)
+            assert np.array_equal(pose_rows(windowed), pose_rows(batch))
+
+    def test_window_leaves_older_nodes_unchanged(self):
+        g = build_chain(drifting_chain(2))
+        before = pose_rows(g)
+        lag = 25
+        g.optimize(lag=lag)
+        after = pose_rows(g)
+        assert np.array_equal(after[:-lag], before[:-lag])
+        assert not np.array_equal(after[-lag:], before[-lag:])
+
+    def test_window_ignores_constraints_among_fixed_nodes(self):
+        steps = drifting_chain(3)
+        plain, extra = build_chain(steps), build_chain(steps)
+        extra.add_camera_estimate(5, unary(PoseSE2(9.0, 9.0, 1.0)))
+        plain.optimize(lag=30)
+        extra.optimize(lag=30)
+        assert np.array_equal(pose_rows(plain), pose_rows(extra))
+
+    def test_window_reaches_the_batch_optimum_near_the_head(self):
+        # with the older nodes already at the batch optimum, the window has
+        # nothing left to move
+        g = build_chain(drifting_chain(4))
+        g.optimize()
+        settled = pose_rows(g)
+        g.optimize(lag=40)
+        assert np.abs(pose_rows(g) - settled).max() < 1e-8
+
+    def test_non_positive_lag_rejected(self):
+        g = build_chain(drifting_chain(0, n=20))
+        with pytest.raises(ValueError):
+            g.optimize(lag=0)
+
+
 class TestFeedback:
     def test_feedback_only_while_static(self):
         sim = RobotLocalizationSim(PoseSE2())
