@@ -32,10 +32,9 @@ from .geometry import (
     flatten_observations,
     frameset_observations,
     reprojection_kernel,
+    wrap_angles,
 )
 from .sync import DetectionMessage, FrameSet
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -94,12 +93,6 @@ class Candidate:
     rms_residual: float
     mean_confidence: float
     camera_id: int
-
-
-def _wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorised geometry.wrap_angle: the same fmod and (-pi, pi] edges."""
-    theta = np.fmod(theta, _TWO_PI)
-    return theta - _TWO_PI * (theta > math.pi) + _TWO_PI * (theta <= -math.pi)
 
 
 def _residual_norms(res):
@@ -174,7 +167,7 @@ def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
     lam = np.full(n, config.lm_lambda_init)
     while running.any():
         trial = params + _solve_steps(hess + lam[:, None, None] * damping, grad)
-        trial[:, 2] = _wrap_angles(trial[:, 2])
+        trial[:, 2] = wrap_angles(trial[:, 2])
         res, jac, _ = reprojection_kernel(trial, obs, jacobian=True)
         norms = _residual_norms(res)
         t_obj = _huber_objective(norms, wts, delta)
@@ -271,7 +264,7 @@ def _backproject_centroid(
 def _heading_starts(seed_xy) -> np.ndarray:
     """The 8 multi-start initializations (8, 3): equally spaced headings
     from -pi at one ground-plane position."""
-    theta = _wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
+    theta = wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
     return np.column_stack([np.full(8, seed_xy[0]), np.full(8, seed_xy[1]), theta])
 
 

@@ -29,6 +29,12 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Vectorised wrap_angle: the same fmod and (-pi, pi] edges."""
+    theta = np.fmod(theta, _TWO_PI)
+    return theta - _TWO_PI * (theta > math.pi) + _TWO_PI * (theta <= -math.pi)
+
+
 def angle_diff(a: float, b: float) -> float:
     """Wrapped difference a - b in (-pi, pi]."""
     return wrap_angle(a - b)

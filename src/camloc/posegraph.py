@@ -1,11 +1,13 @@
 """Pose graph fusing drifting odometry with absolute camera estimates.
 
-Trajectory nodes are chained by binary odometry constraints; sparse
-camera-network estimates attach as unary absolute constraints. The graph
-is solved by damped Gauss-Newton on the ground-plane manifold, with
-residual and normal-equation assembly vectorized across edges. A solve
-covers either the whole graph (batch) or a fixed-lag window of its newest
-nodes, with the node just before the window held fixed.
+Trajectory nodes form one chain: odometry edge k links node k to node
+k + 1. Sparse camera-network estimates attach as unary absolute
+constraints. The graph is solved by damped Gauss-Newton on the
+ground-plane manifold, with residual and normal-equation assembly
+vectorized across edges. The chain's Hessian is block-tridiagonal in 3x3
+blocks, so each step is one banded Cholesky solve. A solve covers either
+the whole graph (batch) or a fixed-lag window of its newest nodes, with
+the node just before the window held fixed.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 
 from .errors import GaugeFree, SolverDiverged, UnknownNode
 from .estimation import PoseEstimate, SolverConfig
-from .geometry import PoseSE2, wrap_angle
+from .geometry import PoseSE2, wrap_angles
 from .sync import nearest_stamp_index
 
 
@@ -43,9 +44,7 @@ class _Rows:
         return self._data[: self._n]
 
 
-ODOMETRY_EDGE = np.dtype(
-    [("from_id", int), ("to_id", int), ("delta", float, 3), ("information", float, (3, 3))]
-)
+ODOMETRY_EDGE = np.dtype([("delta", float, 3), ("information", float, (3, 3))])
 UNARY_EDGE = np.dtype(
     [("node_id", int), ("measurement", float, 3), ("information", float, (3, 3))]
 )
@@ -69,13 +68,14 @@ def _information(covariance) -> np.ndarray:
     return np.linalg.inv(cov)
 
 
-def _wrap(arr):
-    return (arr + np.pi) % (2.0 * np.pi) - np.pi
-
-
 def _rot2(c, s):
     """Stack of 2x2 matrices [[c, s], [-s, c]], one per element."""
     return np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)
+
+
+# (row, col) in a 3x3 block of its upper triangle, and of all its entries
+_UPPER = np.triu_indices(3)
+_BLOCK = np.indices((3, 3)).reshape(2, -1)
 
 
 class PoseGraph:
@@ -106,7 +106,7 @@ class PoseGraph:
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")
         node = self._add_node(stamp, prev.pose.compose(delta))
-        self.odometry_edges.append((prev.id, node.id, delta.as_array(), info))
+        self.odometry_edges.append((delta.as_array(), info))
         return node.id
 
     def add_camera_estimate(self, node_id: int, estimate: PoseEstimate) -> None:
@@ -134,21 +134,20 @@ class PoseGraph:
         """Fields of the edges touching a node at or after ``first``, as
         C-contiguous arrays, the layout the batched solver math expects.
 
-        Returns the arrays and ``base``, the lowest node id they touch; node
-        ids in the arrays count from ``base``.
+        Returns the arrays and ``base``, the lowest node they touch: the node
+        just before a window, else 0. Odometry edge k of the arrays links
+        nodes base + k and base + k + 1; unary node ids count from ``base``.
         """
-        odo, un = self.odometry_edges.view, self.unary_edges.view
-        odo = odo[(odo["from_id"] >= first) | (odo["to_id"] >= first)]
+        base = max(first - 1, 0)
+        odo, un = self.odometry_edges.view[base:], self.unary_edges.view
         un = un[un["node_id"] >= first]
-        base = min(first, odo["from_id"].min(initial=first), odo["to_id"].min(initial=first))
-        fields = (odo["from_id"] - base, odo["to_id"] - base, odo["delta"], odo["information"],
+        fields = (odo["delta"], odo["information"],
                   un["node_id"] - base, un["measurement"], un["information"])
         return tuple(np.ascontiguousarray(f) for f in fields), base
 
     @staticmethod
-    def _residuals(params, oi, oj, od, ui, um):
-        p = params.reshape(-1, 3)
-        xi, xj = p[oi], p[oj]
+    def _residuals(poses, od, ui, um):
+        xi, xj = poses[:-1], poses[1:]
         ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
         d = xj[:, :2] - xi[:, :2]
         # rel = R(-theta_i) d
@@ -159,32 +158,32 @@ class PoseGraph:
             [ca * diff[:, 0] + sa * diff[:, 1], -sa * diff[:, 0] + ca * diff[:, 1]],
             axis=1,
         )
-        eth = _wrap(xj[:, 2] - xi[:, 2] - od[:, 2])
+        eth = wrap_angles(xj[:, 2] - xi[:, 2] - od[:, 2])
         r_odo = np.concatenate([et, eth[:, None]], axis=1)
 
-        xu = p[ui]
+        xu = poses[ui]
         cm, sm = np.cos(um[:, 2]), np.sin(um[:, 2])
         du = xu[:, :2] - um[:, :2]
         etu = np.stack([cm * du[:, 0] + sm * du[:, 1], -sm * du[:, 0] + cm * du[:, 1]], axis=1)
-        ethu = _wrap(xu[:, 2] - um[:, 2])
+        ethu = wrap_angles(xu[:, 2] - um[:, 2])
         r_un = np.concatenate([etu, ethu[:, None]], axis=1)
         return r_odo, r_un
 
-    def _objective_from(self, params, arrays) -> float:
-        oi, oj, od, o_info, ui, um, u_info = arrays
-        r_odo, r_un = self._residuals(params, oi, oj, od, ui, um)
+    def _objective_from(self, poses, arrays) -> float:
+        od, o_info, ui, um, u_info = arrays
+        r_odo, r_un = self._residuals(poses, od, ui, um)
         return (float(np.einsum("ei,eij,ej->", r_odo, o_info, r_odo))
                 + float(np.einsum("ei,eij,ej->", r_un, u_info, r_un)))
 
     def objective(self) -> float:
-        return self._objective_from(self._poses.view.ravel(), self._edge_arrays()[0])
+        return self._objective_from(self._poses.view, self._edge_arrays()[0])
 
     def optimize(self, config: SolverConfig | None = None, lag: int | None = None):
         """Minimize the sum of Mahalanobis residuals.
 
-        With ``lag`` set, only the newest ``lag`` nodes are free: the nodes
-        they connect to are held fixed, and edges among older nodes, which
-        are constants then, drop out. Otherwise the whole graph is solved.
+        With ``lag`` set, only the newest ``lag`` nodes are free: the node
+        before them is held fixed, and edges among older nodes, which are
+        constants then, drop out. Otherwise the whole graph is solved.
         Node poses are updated in place so that repeated calls warm-start
         from the previous solution.
         """
@@ -195,122 +194,96 @@ class PoseGraph:
             raise ValueError("lag must be at least 1")
         first = max(len(self.nodes) - lag, 0) if lag is not None else 0
         arrays, base = self._edge_arrays(first)
-        k = 3 * (first - base)  # parameters of the fixed nodes, which lead
-        pattern = self._hessian_pattern(arrays, k)
-        params = self._poses.view[base:].ravel().copy()
-        obj = self._objective_from(params, arrays)
+        fixed = first - base  # 1 for a window: its leading node is held fixed
+        poses = self._poses.view[base:].copy()
+        obj = self._objective_from(poses, arrays)
         # warm starts leave the problem near-quadratic, so begin with
         # almost-undamped Gauss-Newton and let LM raise damping on demand
         lam = min(config.lm_lambda_init, 1e-8)
         for _ in range(config.max_iterations):
-            hess, grad = self._normal_equations(params, arrays, pattern)
+            band, grad = self._normal_equations(poses, arrays, fixed)
             if np.linalg.norm(grad) < 1e-12:
                 break
             improved = False
             rel = 0.0
             while True:
-                diag = hess.diagonal()
-                damp = hess + scipy.sparse.diags(lam * np.maximum(diag, 1e-12))
+                damped = band.copy()
+                damped[-1] += lam * np.maximum(band[-1], 1e-12)
                 try:
-                    step = scipy.sparse.linalg.spsolve(damp.tocsc(), -grad)
-                except RuntimeError:
+                    step = scipy.linalg.solveh_banded(damped, -grad, check_finite=False)
+                except np.linalg.LinAlgError:  # not positive definite
                     step = None
                 if step is not None and np.all(np.isfinite(step)):
-                    trial = params.copy()
-                    trial[k:] += step
-                    trial[k + 2::3] = _wrap(trial[k + 2::3])
+                    trial = poses.copy()
+                    trial[fixed:] += step.reshape(-1, 3)
+                    trial[fixed:, 2] = wrap_angles(trial[fixed:, 2])
                     t_obj = self._objective_from(trial, arrays)
                     if t_obj < obj:
                         rel = (obj - t_obj) / max(obj, 1e-300)
-                        params, obj = trial, t_obj
+                        poses, obj = trial, t_obj
                         lam = max(lam / config.lm_lambda_scale, 1e-12)
                         improved = True
                         break
                 lam *= config.lm_lambda_scale
                 if lam > 1e12:
                     # step shrunk to nothing: stationary within precision
-                    if not np.isfinite(obj) or not np.all(np.isfinite(params)):
+                    if not np.isfinite(obj) or not np.all(np.isfinite(poses)):
                         raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
                     break
             if not improved:
                 break
             if rel < config.convergence_tol:
                 break
-        poses = params[k:].reshape(-1, 3)
-        poses[:, 2] = [wrap_angle(t) for t in poses[:, 2]]  # as PoseSE2 stores theta
-        self._poses.view[first:] = poses
+        self._poses.view[first:] = poses[fixed:]
 
-    @staticmethod
-    def _hessian_pattern(arrays, k):
-        """Index arrays of the normal equations in the free parameters, those
-        from ``k`` on, fixed while the edges are: gradient slots of each edge
-        end, and the (row, col) of every Hessian entry, blocks ordered ii, ij,
-        ji, jj per odometry edge, then unary, with ``keep`` marking the
-        entries between two free parameters."""
-        oi, oj, _, _, ui, _, _ = arrays
-        c = np.arange(3)
-        rows, cols = [], []
-        for idx_a, idx_b in ((oi, oi), (oi, oj), (oj, oi), (oj, oj), (ui, ui)):
-            rr, cc = np.broadcast_arrays(3 * idx_a[:, None, None] + c[None, :, None],
-                                         3 * idx_b[:, None, None] + c[None, None, :])
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-        rows, cols = np.concatenate(rows) - k, np.concatenate(cols) - k
-        keep = (rows >= 0) & (cols >= 0)
-        slots = tuple((3 * idx[:, None] + c).ravel() for idx in (oi, oj, ui))
-        return slots, rows[keep], cols[keep], keep, k
+    def _normal_equations(self, poses, arrays, fixed):
+        """Upper band (6, 3n) and gradient (3n,) of the normal equations in
+        the n free nodes, those after the ``fixed`` leading ones. The chain's
+        Hessian is block-tridiagonal in 3x3 blocks: entry (i, j), i <= j,
+        sits at band[5 + i - j, j], as scipy.linalg.solveh_banded reads it."""
+        od, o_info, ui, um, u_info = arrays
+        r_odo, r_un = self._residuals(poses, od, ui, um)
 
-    def _normal_equations(self, params, arrays, pattern):
-        """Gradient and Hessian of the objective in the free parameters."""
-        oi, oj, od, o_info, ui, um, u_info = arrays
-        (slot_i, slot_j, slot_u), rows, cols, keep, k = pattern
-        p = params.reshape(-1, 3)
-        grad = np.zeros(len(params))
-        vals = []
+        xi = poses[:-1]
+        d = poses[1:, :2] - xi[:, :2]
+        ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
+        a = _rot2(np.cos(od[:, 2]), np.sin(od[:, 2]))
+        # R(-theta_i) and its derivative w.r.t. theta_i
+        b, db = _rot2(ct, st), _rot2(-st, ct)
+        ab = np.einsum("eij,ejk->eik", a, b)
+        ji = np.zeros((len(od), 3, 3))
+        jj = np.zeros((len(od), 3, 3))
+        ji[:, :2, :2] = -ab
+        ji[:, :2, 2] = np.einsum("eij,ejk,ek->ei", a, db, d)
+        ji[:, 2, 2] = -1.0
+        jj[:, :2, :2] = ab
+        jj[:, 2, 2] = 1.0
+        ji_t = ji.transpose(0, 2, 1)
+        jj_t = jj.transpose(0, 2, 1)
+        w_jj = o_info @ jj
+        wr = o_info @ r_odo[:, :, None]
 
-        r_odo, r_un = self._residuals(params, oi, oj, od, ui, um)
+        # diagonal blocks, off-diagonal (k, k+1) blocks and gradient, by node
+        diag = np.zeros((len(poses), 3, 3))
+        grad = np.zeros((len(poses), 3))
+        diag[:-1] += ji_t @ (o_info @ ji)
+        diag[1:] += jj_t @ w_jj
+        off = ji_t @ w_jj
+        grad[:-1] += (ji_t @ wr)[:, :, 0]
+        grad[1:] += (jj_t @ wr)[:, :, 0]
 
-        if len(oi):
-            e = len(oi)
-            xi, xj = p[oi], p[oj]
-            d = xj[:, :2] - xi[:, :2]
-            ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
-            a = _rot2(np.cos(od[:, 2]), np.sin(od[:, 2]))
-            # R(-theta_i) and its derivative w.r.t. theta_i
-            b, db = _rot2(ct, st), _rot2(-st, ct)
-            ab = np.einsum("eij,ejk->eik", a, b)
-            ji = np.zeros((e, 3, 3))
-            jj = np.zeros((e, 3, 3))
-            ji[:, :2, :2] = -ab
-            ji[:, :2, 2] = np.einsum("eij,ejk,ek->ei", a, db, d)
-            ji[:, 2, 2] = -1.0
-            jj[:, :2, :2] = ab
-            jj[:, 2, 2] = 1.0
+        ju = np.zeros((len(ui), 3, 3))
+        ju[:, :2, :2] = _rot2(np.cos(um[:, 2]), np.sin(um[:, 2]))
+        ju[:, 2, 2] = 1.0
+        ju_t = ju.transpose(0, 2, 1)
+        np.add.at(diag, ui, ju_t @ (u_info @ ju))
+        np.add.at(grad, ui, (ju_t @ (u_info @ r_un[:, :, None]))[:, :, 0])
 
-            ji_t = ji.transpose(0, 2, 1)
-            jj_t = jj.transpose(0, 2, 1)
-            w_ji = o_info @ ji
-            w_jj = o_info @ jj
-            wr = (o_info @ r_odo[:, :, None])
-            np.add.at(grad, slot_i, (ji_t @ wr)[:, :, 0].ravel())
-            np.add.at(grad, slot_j, (jj_t @ wr)[:, :, 0].ravel())
-            blk_ij = ji_t @ w_jj
-            vals += [ji_t @ w_ji, blk_ij, blk_ij.transpose(0, 2, 1), jj_t @ w_jj]
-
-        if len(ui):
-            ju = np.zeros((len(ui), 3, 3))
-            ju[:, :2, :2] = _rot2(np.cos(um[:, 2]), np.sin(um[:, 2]))
-            ju[:, 2, 2] = 1.0
-            ju_t = ju.transpose(0, 2, 1)
-            contrib = (ju_t @ (u_info @ r_un[:, :, None]))[:, :, 0]
-            np.add.at(grad, slot_u, contrib.ravel())
-            vals.append(ju_t @ (u_info @ ju))
-
-        n = len(params) - k
-        hess = scipy.sparse.coo_matrix(
-            (np.concatenate([v.ravel() for v in vals])[keep], (rows, cols)), shape=(n, n)
-        ).tocsr()
-        return hess, grad[k:]
+        diag, off, grad = diag[fixed:], off[fixed:], grad[fixed:]
+        band = np.zeros((6, len(diag), 3))  # (band row, block column, column in block)
+        band[5 + _UPPER[0] - _UPPER[1], :, _UPPER[1]] = diag[:, _UPPER[0], _UPPER[1]].T
+        band[2 + _BLOCK[0] - _BLOCK[1], 1:, _BLOCK[1]] = off[:, _BLOCK[0], _BLOCK[1]].T
+        return band.reshape(6, -1), grad.ravel()
 
 
 class RobotLocalizationSim:

@@ -101,8 +101,7 @@ def _check_keys(spec, known, where):
 _TOP_KEYS = ("seed", "modes", "feedback", "cameras", "robot_model", "trajectory",
              "noise", "odometry_noise", "sync", "solver", "gate")
 _CAMERA_KEYS = ("camera_id", "position_m", "yaw_rad", "pitch_down_rad", "fx_px", "fy_px",
-                "cx_px", "cy_px", "width_px", "height_px",
-                "distortion")  # accepted and unused: the model is pinhole
+                "cx_px", "cy_px", "width_px", "height_px")
 _ROBOT_KEYS = ("keypoints_m", "body_width_m")
 _TRAJECTORY_KEYS = ("waypoints", "speed_mps", "turn_rate_radps", "sample_dt_s", "frame_stride")
 _WAYPOINT_KEYS = ("waypoint_id", "x_m", "y_m", "theta_rad", "dwell_s")
@@ -291,7 +290,6 @@ def default_camera_specs():
                 "cy_px": 240.0,
                 "width_px": 848,
                 "height_px": 480,
-                "distortion": None,
             }
         )
     return specs

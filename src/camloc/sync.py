@@ -192,6 +192,8 @@ def message_to_json(message: DetectionMessage) -> str:
 def message_from_json(line: str) -> DetectionMessage:
     """Parse one JSONL line; raises ValueError on malformed input."""
     payload = json.loads(line)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("type") != "detections":
         raise ValueError(f"unexpected message type {payload.get('type')!r}")
     kps = tuple(

@@ -53,6 +53,12 @@ class TestGen:
         printed = capsys.readouterr().out
         assert all(n in printed for n in names)
 
+    def test_matches_bundled_scenarios(self, tmp_path):
+        bundled = Path(__file__).parent.parent / "scenarios"
+        assert cli.main(["gen", "--out", str(tmp_path)]) == 0
+        for path in sorted(bundled.glob("*.json")):
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_traj3_avoids_single_camera_waypoints(self, scenario_dir):
         doc = json.loads((scenario_dir / "traj3.json").read_text())
         ids = {w["waypoint_id"] for w in doc["trajectory"]["waypoints"]}
@@ -118,6 +124,7 @@ class TestConfigValidation:
         (("trajectory", "speed"), "trajectory.speed"),
         (("gate", "d_depth"), "gate.d_depth"),
         (("sede",), "sede"),
+        (("cameras", 0, "distortion"), "cameras[0].distortion"),
     ])
     def test_unknown_nested_key_named(self, scenario_dir, path, key):
         doc = json.loads((scenario_dir / "traj1.json").read_text())
@@ -221,10 +228,12 @@ class TestReplay:
             assert replay_files[name] == run_files[name]
         assert "detections.jsonl" not in replay_files
 
-    def test_malformed_line_reports_location(self, small_scenario, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["not json", "[]", "1", '"x"', "null"],
+                             ids=["not_json", "list", "number", "string", "null"])
+    def test_malformed_line_reports_location(self, small_scenario, tmp_path, capsys, line):
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"type":"detections","camera_id":0,"stamp_ns":0,"keypoints":[]}\n'
-                          "not json\n")
+                          f"{line}\n")
         rc = cli.main(["replay", "--stream", str(stream),
                        "--scenario", str(small_scenario), "--out", str(tmp_path / "o")])
         assert rc == 2

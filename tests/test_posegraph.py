@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from camloc.errors import GaugeFree, UnknownNode
+from camloc.errors import GaugeFree, SolverDiverged, UnknownNode
 from camloc.estimation import PoseEstimate
 from camloc.geometry import PoseSE2, angle_diff
 from camloc.posegraph import PoseGraph, RobotLocalizationSim, apply_feedback
 
-from oracles import two_node_unary_optimum
+from oracles import central_difference_jacobian, two_node_unary_optimum
 
 SMALL_COV = np.diag([1e-4, 1e-4, 1e-4])
 
@@ -124,6 +125,14 @@ class TestOptimize:
         before = g.objective()
         g.optimize()
         assert g.objective() <= before + 1e-12
+
+    def test_nan_odometry_raises_solver_diverged(self):
+        g = PoseGraph()
+        g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=1.0)
+        g.add_odometry(PoseSE2(math.nan, 0, 0), SMALL_COV, stamp=2.0)
+        g.add_camera_estimate(0, unary(PoseSE2()))
+        with pytest.raises(SolverDiverged):
+            g.optimize()
 
     def test_fusion_beats_raw_odometry(self):
         # drifting chain with periodic absolute fixes: optimized trajectory
@@ -241,6 +250,52 @@ class TestSolveSchedule:
         g = build_chain(drifting_chain(0, n=20))
         with pytest.raises(ValueError):
             g.optimize(lag=0)
+
+
+class TestNormalEquations:
+    """The packed band and gradient against J^T W J and J^T W r, with J
+    taken by central differences of the stacked edge residuals."""
+
+    @staticmethod
+    def chain():
+        rng = np.random.default_rng(6)
+        g = PoseGraph()
+        for i in range(7):
+            d = PoseSE2(0.4 + rng.normal(0, 0.05), rng.normal(0, 0.05), 0.3 + rng.normal(0, 0.1))
+            g.add_odometry(d, np.diag([1e-2, 2e-2, 5e-3]), stamp=i + 1.0)
+        for nid in (1, 5, 5):
+            g.add_camera_estimate(nid, unary(PoseSE2(*rng.normal(0, 1.0, 3)), sigma=0.2))
+        # move the poses off the odometry so that every residual is nonzero
+        g._poses.view[:] += rng.normal(0, 0.05, (len(g.nodes), 3))
+        return g
+
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_band_and_gradient_match_finite_differences(self, first):
+        g = self.chain()
+        arrays, base = g._edge_arrays(first)
+        fixed = first - base
+        od, o_info, ui, um, u_info = arrays
+        poses = g._poses.view[base:].copy()
+        band, grad = g._normal_equations(poses, arrays, fixed)
+
+        def stacked(params):
+            return np.concatenate(g._residuals(params.reshape(-1, 3), od, ui, um)).ravel()
+
+        jac = central_difference_jacobian(stacked, poses.ravel())[:, 3 * fixed:]
+        w = scipy.linalg.block_diag(*o_info, *u_info)
+        hess = jac.T @ w @ jac
+        expected_grad = jac.T @ w @ stacked(poses.ravel())
+        n = len(hess)
+        expected = np.zeros((6, n))
+        for j in range(n):
+            for i in range(max(j - 5, 0), j + 1):
+                expected[5 + i - j, j] = hess[i, j]
+        scale = np.abs(hess).max()
+        assert len(grad) == n == 3 * (len(g.nodes) - first)
+        assert np.abs(band - expected).max() < 1e-8 * scale
+        assert np.abs(grad - expected_grad).max() < 1e-8 * np.abs(expected_grad).max()
+        # the chain couples only neighbouring nodes: nothing outside the band
+        assert np.abs(np.triu(hess, 6)).max() < 1e-8 * scale
 
 
 class TestFeedback:
