@@ -9,6 +9,7 @@ Run:  python3 demos/01_multiview_estimation.py
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -20,15 +21,11 @@ from camloc import (
     initialize_global,
     solve_multiview,
 )
-from camloc.scenario import default_camera_specs, config_from_dict
+from camloc.scenario import load_config
 from camloc.simulation import GroundTruthSample, simulate_frame
 from camloc.sync import FrameSet
 
-
-def build_rig():
-    from camloc.scenario import _camera_from_spec
-
-    return [_camera_from_spec(c) for c in default_camera_specs()]
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def frameset(pose, rig, model, noise, rng):
@@ -37,7 +34,7 @@ def frameset(pose, rig, model, noise, rng):
 
 
 def main():
-    rig = build_rig()
+    rig = load_config(SCENARIOS / "traj1.json").cameras
     model = default_robot_model()
     rng = np.random.default_rng(0)
     truth = PoseSE2(5.0, 4.0, math.radians(40))

@@ -27,11 +27,8 @@ from .geometry import (
     RigidTransform3,
     RobotModel,
     circular_weighted_mean,
-    keypoint_world,
-    project,
     reprojection_residuals,
     residual_jacobian,
-    se2_embed,
 )
 from .evaluation import (
     Trajectory,
@@ -43,7 +40,7 @@ from .evaluation import (
     waypoint_errors,
 )
 from .pipeline import RunResult, run_pipeline, simulate_detections, write_outputs
-from .posegraph import PoseGraph, RobotLocalizationSim, apply_feedback
+from .posegraph import PoseGraph
 from .scenario import (
     ScenarioConfig,
     camera_visibility_count,

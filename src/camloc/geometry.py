@@ -97,29 +97,13 @@ class RigidTransform3:
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1")
 
-    @classmethod
-    def identity(cls) -> "RigidTransform3":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform3") -> "RigidTransform3":
-        return RigidTransform3(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
     def inverse(self) -> "RigidTransform3":
         rt = self.rotation.T
         return RigidTransform3(rt, -rt @ self.translation)
-
-    def as_matrix(self) -> np.ndarray:
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
 
 
 @dataclass(frozen=True)
@@ -172,23 +156,6 @@ class RobotModel:
         return self.keypoints.shape[0]
 
 
-def se2_embed(pose: PoseSE2) -> RigidTransform3:
-    """Lift a ground-plane pose to a 3D rigid transform (rotation about z)."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return RigidTransform3(rot, np.array([pose.x, pose.y, 0.0]))
-
-
-def project(camera: CameraModel, point_world) -> np.ndarray:
-    """Pinhole projection of a world point to pixel coordinates."""
-    pc = camera.world_to_camera.apply(np.asarray(point_world, dtype=float))
-    if pc[2] <= 1e-9:
-        raise BehindCamera(f"depth {pc[2]:.3g} in camera {camera.camera_id}")
-    return np.array(
-        [camera.fx * pc[0] / pc[2] + camera.cx, camera.fy * pc[1] / pc[2] + camera.cy]
-    )
-
-
 def project_points(camera: CameraModel, pts_world: np.ndarray):
     """Vectorized projection. Returns (pixels (N,2), valid depth mask (N,))."""
     pc = camera.world_to_camera.apply(pts_world)
@@ -213,16 +180,12 @@ def visible_keypoints(camera: CameraModel, pts_world: np.ndarray) -> np.ndarray:
     return in_image(camera, *project_points(camera, pts_world))
 
 
-def keypoint_world(pose: PoseSE2, model: RobotModel, j: int) -> np.ndarray:
-    """World position of keypoint j with the robot at the given pose."""
-    if not 0 <= j < model.n_keypoints:
-        raise IndexError(f"keypoint index {j} out of range")
-    return se2_embed(pose).apply(model.keypoints[j])
-
-
 def keypoints_world(pose: PoseSE2, model: RobotModel) -> np.ndarray:
-    """World positions of all keypoints, shape (M, 3)."""
-    return se2_embed(pose).apply(model.keypoints)
+    """World positions of all keypoints, shape (M, 3): the body keypoints
+    rotated about z by theta and shifted by (x, y) on the ground plane."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return model.keypoints @ rot.T + np.array([pose.x, pose.y, 0.0])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .evaluation import (
     waypoint_errors,
 )
 from .geometry import PoseSE2
-from .posegraph import PoseGraph, RobotLocalizationSim, apply_feedback
+from .posegraph import PoseGraph
 from .scenario import ALL_MODES, ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
 from .sync import Synchronizer, message_to_json, nearest_stamp_index
@@ -78,7 +78,7 @@ def simulate_detections(config: ScenarioConfig, samples=None):
             simulate_frame(sample, config.cameras, config.robot_model, config.noise, rng)
         )
     messages.sort(key=lambda m: (m.stamp, m.camera_id))
-    return samples, messages
+    return messages
 
 
 def _odometry_covariance(noise, length, turn):
@@ -99,9 +99,8 @@ def _waypoint_windows(samples, labels):
     """(label, t_start, t_end) of each run of samples dwelling at a waypoint,
     labelled by the run's first sample."""
     windows = []
-    runs = itertools.groupby(samples, key=lambda s: s.is_static and s.waypoint_id is not None)
-    for at_waypoint, run in runs:
-        if at_waypoint:
+    for is_static, run in itertools.groupby(samples, key=lambda s: s.is_static):
+        if is_static:
             run = list(run)
             windows.append((labels[run[0].waypoint_id], run[0].stamp, run[-1].stamp))
     return windows
@@ -115,7 +114,7 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     """
     samples = script_trajectory(config.trajectory)
     if messages is None:
-        _, messages = simulate_detections(config, samples)
+        messages = simulate_detections(config, samples)
 
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
     framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()
@@ -135,9 +134,8 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     }
 
     rng_odo = _odometry_rng(config.seed)
-    initial_pose = samples[0].pose
-    belief = RobotLocalizationSim(initial_pose)
-    graph = PoseGraph(initial_pose=initial_pose, initial_stamp=samples[0].stamp)
+    robot_pose = samples[0].pose  # the robot's own dead-reckoned belief
+    graph = PoseGraph(initial_pose=robot_pose, initial_stamp=samples[0].stamp)
     camera_by_id = {c.camera_id: c for c in config.cameras}
 
     need_fused = "fused" in config.modes or config.feedback
@@ -161,7 +159,7 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
         if i > 0:
             true_delta = samples[i - 1].pose.inverse().compose(sample.pose)
             delta = simulate_odometry_step(true_delta, config.odometry_noise, rng_odo)
-            belief.integrate(delta)
+            robot_pose = robot_pose.compose(delta)
             odo_since_prior = odo_since_prior.compose(delta)
             pending = pending.compose(delta)
             pending_len += math.hypot(delta.x, delta.y)
@@ -177,10 +175,9 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                 pending_len = 0.0
                 pending_turn = 0.0
 
-        tracks["robot"].append((sample.stamp, belief.internal_pose))
+        tracks["robot"].append((sample.stamp, robot_pose))
 
-        at_waypoint = sample.is_static and sample.waypoint_id is not None
-        if not at_waypoint:
+        if not sample.is_static:
             static_key = None
             static_buffer = []
 
@@ -213,7 +210,7 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
             prior = gated.pose
             odo_since_prior = PoseSE2()
 
-            if at_waypoint:
+            if sample.is_static:
                 if static_key != sample.waypoint_id:
                     static_buffer = []
                     static_key = sample.waypoint_id
@@ -228,12 +225,12 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                     graph.add_camera_estimate(node_id, gated)
                     if config.feedback:
                         # feedback needs the fused pose now: solve the newest
-                        # nodes; the fused output gets the batch solve below
+                        # nodes and reset the static robot's belief to it; the
+                        # fused output gets the batch solve below
                         graph.optimize(config.solver, lag=FEEDBACK_LAG)
                         counters["pose_graph_solves"] += 1
-                        fused_here = replace(gated, pose=graph.nodes[node_id].pose)
-                        if apply_feedback(belief, fused_here, sample.is_static):
-                            counters["feedback_applications"] += 1
+                        robot_pose = graph.nodes[node_id].pose
+                        counters["feedback_applications"] += 1
 
     counters["stale_messages"] = sync.stale_count
     counters["stamp_mismatch_warnings"] = graph.stamp_mismatch_warnings

@@ -169,14 +169,16 @@ class PoseGraph:
         r_un = np.concatenate([etu, ethu[:, None]], axis=1)
         return r_odo, r_un
 
-    def _objective_from(self, poses, arrays) -> float:
+    def _objective_from(self, poses, arrays):
+        """Objective at ``poses`` and the residuals it was computed from."""
         od, o_info, ui, um, u_info = arrays
         r_odo, r_un = self._residuals(poses, od, ui, um)
-        return (float(np.einsum("ei,eij,ej->", r_odo, o_info, r_odo))
-                + float(np.einsum("ei,eij,ej->", r_un, u_info, r_un)))
+        obj = (float(np.einsum("ei,eij,ej->", r_odo, o_info, r_odo))
+               + float(np.einsum("ei,eij,ej->", r_un, u_info, r_un)))
+        return obj, (r_odo, r_un)
 
     def objective(self) -> float:
-        return self._objective_from(self._poses.view, self._edge_arrays()[0])
+        return self._objective_from(self._poses.view, self._edge_arrays()[0])[0]
 
     def optimize(self, config: SolverConfig | None = None, lag: int | None = None):
         """Minimize the sum of Mahalanobis residuals.
@@ -196,12 +198,12 @@ class PoseGraph:
         arrays, base = self._edge_arrays(first)
         fixed = first - base  # 1 for a window: its leading node is held fixed
         poses = self._poses.view[base:].copy()
-        obj = self._objective_from(poses, arrays)
+        obj, res = self._objective_from(poses, arrays)
         # warm starts leave the problem near-quadratic, so begin with
         # almost-undamped Gauss-Newton and let LM raise damping on demand
         lam = min(config.lm_lambda_init, 1e-8)
         for _ in range(config.max_iterations):
-            band, grad = self._normal_equations(poses, arrays, fixed)
+            band, grad = self._normal_equations(poses, arrays, fixed, res)
             if np.linalg.norm(grad) < 1e-12:
                 break
             improved = False
@@ -217,10 +219,10 @@ class PoseGraph:
                     trial = poses.copy()
                     trial[fixed:] += step.reshape(-1, 3)
                     trial[fixed:, 2] = wrap_angles(trial[fixed:, 2])
-                    t_obj = self._objective_from(trial, arrays)
+                    t_obj, t_res = self._objective_from(trial, arrays)
                     if t_obj < obj:
                         rel = (obj - t_obj) / max(obj, 1e-300)
-                        poses, obj = trial, t_obj
+                        poses, obj, res = trial, t_obj, t_res
                         lam = max(lam / config.lm_lambda_scale, 1e-12)
                         improved = True
                         break
@@ -236,13 +238,14 @@ class PoseGraph:
                 break
         self._poses.view[first:] = poses[fixed:]
 
-    def _normal_equations(self, poses, arrays, fixed):
+    def _normal_equations(self, poses, arrays, fixed, residuals):
         """Upper band (6, 3n) and gradient (3n,) of the normal equations in
-        the n free nodes, those after the ``fixed`` leading ones. The chain's
-        Hessian is block-tridiagonal in 3x3 blocks: entry (i, j), i <= j,
-        sits at band[5 + i - j, j], as scipy.linalg.solveh_banded reads it."""
+        the n free nodes, those after the ``fixed`` leading ones, given the
+        edge residuals at ``poses``. The chain's Hessian is block-tridiagonal
+        in 3x3 blocks: entry (i, j), i <= j, sits at band[5 + i - j, j], as
+        scipy.linalg.solveh_banded reads it."""
         od, o_info, ui, um, u_info = arrays
-        r_odo, r_un = self._residuals(poses, od, ui, um)
+        r_odo, r_un = residuals
 
         xi = poses[:-1]
         d = poses[1:, :2] - xi[:, :2]
@@ -285,23 +288,3 @@ class PoseGraph:
         band[2 + _BLOCK[0] - _BLOCK[1], 1:, _BLOCK[1]] = off[:, _BLOCK[0], _BLOCK[1]].T
         return band.reshape(6, -1), grad.ravel()
 
-
-class RobotLocalizationSim:
-    """Drifting dead-reckoning belief standing in for the robot's internal
-    localization; updated only by odometry integration or feedback resets."""
-
-    def __init__(self, initial_pose: PoseSE2):
-        self.internal_pose = initial_pose
-        self.feedback_count = 0
-
-    def integrate(self, delta: PoseSE2) -> None:
-        self.internal_pose = self.internal_pose.compose(delta)
-
-
-def apply_feedback(sim: RobotLocalizationSim, fused: PoseEstimate, is_static: bool) -> bool:
-    """Reset the internal belief to the fused pose, but only while static."""
-    if not is_static:
-        return False
-    sim.internal_pose = fused.pose
-    sim.feedback_count += 1
-    return True

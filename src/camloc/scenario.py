@@ -98,16 +98,24 @@ def _check_keys(spec, known, where):
             raise ConfigError(f"unknown config key {where + '.' * bool(where) + key!r}")
 
 
+# Optional keys: JSON key -> (field, type). An absent key keeps the default
+# of the dataclass or function the fields are passed to.
+_CAMERA_OPTIONAL = {"fx_px": ("fx", float), "fy_px": ("fy", float), "cx_px": ("cx", float),
+                    "cy_px": ("cy", float), "width_px": ("width", int), "height_px": ("height", int)}
+_TRAJECTORY_OPTIONAL = {"speed_mps": ("speed", float), "turn_rate_radps": ("turn_rate", float),
+                        "sample_dt_s": ("sample_dt", float)}
+_STRIDE = {"frame_stride": ("frame_stride", int)}
+_THETA = {"theta_rad": ("theta", float)}
+_DWELL = {"dwell_s": ("dwell", float)}
+
 _TOP_KEYS = ("seed", "modes", "feedback", "cameras", "robot_model", "trajectory",
              "noise", "odometry_noise", "sync", "solver", "gate")
-_CAMERA_KEYS = ("camera_id", "position_m", "yaw_rad", "pitch_down_rad", "fx_px", "fy_px",
-                "cx_px", "cy_px", "width_px", "height_px")
+_CAMERA_KEYS = ("camera_id", "position_m", "yaw_rad", "pitch_down_rad", *_CAMERA_OPTIONAL)
 _ROBOT_KEYS = ("keypoints_m", "body_width_m")
-_TRAJECTORY_KEYS = ("waypoints", "speed_mps", "turn_rate_radps", "sample_dt_s", "frame_stride")
-_WAYPOINT_KEYS = ("waypoint_id", "x_m", "y_m", "theta_rad", "dwell_s")
+_TRAJECTORY_KEYS = ("waypoints", *_TRAJECTORY_OPTIONAL, *_STRIDE)
+_WAYPOINT_KEYS = ("waypoint_id", "x_m", "y_m", *_THETA, *_DWELL)
 
-# Flat sections: JSON key -> (field, type). An absent key keeps the
-# dataclass default.
+# Flat sections, every key optional.
 _SECTIONS = {
     "noise": (NoiseModel, {
         "pixel_sigma_px": ("pixel_sigma", float),
@@ -142,11 +150,16 @@ _SECTIONS = {
 }
 
 
+def _present(spec, fields) -> dict:
+    """Keyword arguments for the optional keys that ``spec`` sets."""
+    return {attr: conv(spec[key]) for key, (attr, conv) in fields.items() if key in spec}
+
+
 def _section(doc, name):
     cls, fields = _SECTIONS[name]
     spec = doc.get(name, {})
     _check_keys(spec, fields, name)
-    return cls(**{attr: conv(spec[key]) for key, (attr, conv) in fields.items() if key in spec})
+    return cls(**_present(spec, fields))
 
 
 def _camera_from_spec(spec, where) -> CameraModel:
@@ -157,12 +170,7 @@ def _camera_from_spec(spec, where) -> CameraModel:
             position=_require(spec, "position_m", "camera"),
             yaw=float(_require(spec, "yaw_rad", "camera")),
             pitch_down=float(_require(spec, "pitch_down_rad", "camera")),
-            fx=float(spec.get("fx_px", 620.0)),
-            fy=float(spec.get("fy_px", 620.0)),
-            cx=float(spec.get("cx_px", 424.0)),
-            cy=float(spec.get("cy_px", 240.0)),
-            width=int(spec.get("width_px", 848)),
-            height=int(spec.get("height_px", 480)),
+            **_present(spec, _CAMERA_OPTIONAL),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid camera spec: {exc}") from exc
@@ -186,19 +194,10 @@ def _trajectory_from_spec(spec) -> TrajectoryScript:
     wps = []
     for i, w in enumerate(_require(spec, "waypoints", "trajectory")):
         _check_keys(w, _WAYPOINT_KEYS, f"trajectory.waypoints[{i}]")
-        wps.append(
-            Waypoint(
-                pose=PoseSE2(float(w["x_m"]), float(w["y_m"]), float(w.get("theta_rad", 0.0))),
-                dwell=float(w.get("dwell_s", 0.0)),
-            )
-        )
+        pose = PoseSE2(float(w["x_m"]), float(w["y_m"]), **_present(w, _THETA))
+        wps.append(Waypoint(pose=pose, **_present(w, _DWELL)))
     try:
-        return TrajectoryScript(
-            waypoints=wps,
-            speed=float(spec.get("speed_mps", 0.5)),
-            turn_rate=float(spec.get("turn_rate_radps", math.pi / 4)),
-            sample_dt=float(spec.get("sample_dt_s", 0.1)),
-        )
+        return TrajectoryScript(waypoints=wps, **_present(spec, _TRAJECTORY_OPTIONAL))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid trajectory: {exc}") from exc
 
@@ -222,8 +221,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             seed=int(doc.get("seed", 0)),
             modes=tuple(doc.get("modes", list(ALL_MODES))),
             feedback=bool(doc.get("feedback", False)),
-            frame_stride=int(traj_spec.get("frame_stride", 1)),
             raw=doc,
+            **_present(traj_spec, _STRIDE),
         )
     except ConfigError:
         raise

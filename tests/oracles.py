@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes expected values by a route different from the
-library code: dense grid search for solver optimality, central finite
-differences for Jacobians, random search for alignment, and closed-form
-normal equations for small graphs.
+library code: scalar pinhole projection for the vectorised kernel, dense
+grid search for solver optimality, central finite differences for
+Jacobians, random search for alignment, and closed-form normal equations
+for small graphs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from camloc.errors import BehindCamera
 
 try:
     from numba import njit
@@ -26,6 +29,27 @@ except ImportError:  # pragma: no cover
         if args and callable(args[0]):
             return args[0]
         return wrap
+
+
+# -- scalar projection ----------------------------------------------------
+
+
+def keypoint_world(pose, model, j):
+    """World position of keypoint j with the robot at the given pose: the
+    body point rotated about z by theta and shifted by (x, y)."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return model.keypoints[j] @ rot.T + np.array([pose.x, pose.y, 0.0])
+
+
+def project(camera, point_world):
+    """Pinhole projection of one world point to pixel coordinates."""
+    pc = camera.world_to_camera.apply(np.asarray(point_world, dtype=float))
+    if pc[2] <= 1e-9:
+        raise BehindCamera(f"depth {pc[2]:.3g} in camera {camera.camera_id}")
+    return np.array(
+        [camera.fx * pc[0] / pc[2] + camera.cx, camera.fy * pc[1] / pc[2] + camera.cy]
+    )
 
 
 # -- dense grid search over the pose objective ----------------------------

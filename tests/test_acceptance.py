@@ -16,7 +16,7 @@ from camloc import cli
 from camloc.errors import NoEligibleCamera
 from camloc.estimation import initialize_global, solve_multiview
 from camloc.evaluation import procrustes_align, translation_rmse, waypoint_errors
-from camloc.geometry import PoseSE2, angle_diff, keypoint_world, project, residual_jacobian
+from camloc.geometry import PoseSE2, angle_diff, residual_jacobian
 from camloc.pipeline import run_pipeline
 from camloc.scenario import (
     WAYPOINTS,
@@ -128,7 +128,7 @@ class TestAcceptance:
             pose = PoseSE2(rng.uniform(0, 10), rng.uniform(0, 8),
                            rng.uniform(-math.pi, math.pi))
             j = int(rng.integers(robot_model.n_keypoints))
-            pw = keypoint_world(pose, robot_model, j)
+            pw = oracles.keypoint_world(pose, robot_model, j)
             pc = cam.world_to_camera.apply(pw)
             if pc[2] < 0.5:
                 continue
@@ -137,7 +137,8 @@ class TestAcceptance:
             # residual = observed - projected, so its jacobian is the
             # negated projection jacobian
             fd = -oracles.central_difference_jacobian(
-                lambda p: project(cam, keypoint_world(PoseSE2(*p), robot_model, j)),
+                lambda p: oracles.project(
+                    cam, oracles.keypoint_world(PoseSE2(*p), robot_model, j)),
                 pose.as_array())
             rel = np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max())
             worst = max(worst, rel)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,10 +27,12 @@ from camloc.estimation import (
     single_view_candidate,
     solve_multiview,
 )
-from camloc.geometry import PoseSE2, angle_diff, flatten_observations, keypoints_world, project
-from camloc.scenario import make_camera
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations, keypoints_world
+from camloc.scenario import camera_visibility_count, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
 from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
+
+import oracles
 
 ZERO_NOISE = NoiseModel(pixel_sigma=0.0, dropout_prob=0.0, outlier_prob=0.0,
                         timestamp_jitter=0.0)
@@ -97,6 +100,34 @@ class TestSolveMultiview:
             if e_out > 2.0 * max(e_base, 1e-4):
                 worse += 1
         assert worse <= 3  # outliers must not dominate under the robust loss
+
+
+class TestLocalOptimality:
+    """Extra coverage beside acceptance criterion 03, which needs numba for
+    its dense grid: no nearby pose has a lower objective than the LM answer
+    under the independent reference objective."""
+
+    def test_no_lower_objective_near_the_answer(self, rig, robot_model):
+        rng = np.random.default_rng(31)
+        noise = NoiseModel(pixel_sigma=2.0, dropout_prob=0.0, outlier_prob=0.0,
+                           timestamp_jitter=0.0)
+        delta = SolverConfig().huber_delta
+        step = np.array([1e-3, 1e-3, math.radians(0.05)])
+        stencil = [np.array(o) * step for o in itertools.product((-1, 0, 1), repeat=3) if any(o)]
+        box = np.array([0.10, 0.10, math.radians(5.0)])
+        answers = 0
+        while answers < 200:
+            pose = PoseSE2(rng.uniform(1.0, 9.0), rng.uniform(1.0, 7.0),
+                           rng.uniform(-math.pi, math.pi))
+            if camera_visibility_count(pose, rig, robot_model) < 2:
+                continue
+            fs = make_frameset(pose, rig, robot_model, noise, rng)
+            answer = solve_multiview(fs, pose, rig, robot_model).pose.as_array()
+            obs = oracles.frameset_obs_arrays(fs, rig, robot_model)
+            best = oracles.reference_objective(answer, obs, delta)
+            for offset in stencil + list(rng.uniform(-box, box, (200, 3))):
+                assert best <= oracles.reference_objective(answer + offset, obs, delta)
+            answers += 1
 
 
 class TestEstimateCovariance:

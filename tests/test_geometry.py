@@ -11,23 +11,21 @@ from camloc.geometry import (
     RobotModel,
     angle_diff,
     circular_weighted_mean,
-    keypoint_world,
+    in_image,
     keypoints_world,
-    project,
     project_points,
     reprojection_residuals,
     residual_jacobian,
-    se2_embed,
     wrap_angle,
 )
 from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
 
-from oracles import central_difference_jacobian
+from oracles import central_difference_jacobian, project
 
 
 def _axis_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
     """Camera at the origin looking along world +z (identity extrinsic)."""
-    return CameraModel(0, fx, fy, cx, cy, 848, 480, RigidTransform3.identity())
+    return CameraModel(0, fx, fy, cx, cy, 848, 480, RigidTransform3(np.eye(3), np.zeros(3)))
 
 
 class TestAngles:
@@ -58,26 +56,6 @@ class TestPoseSE2:
         np.testing.assert_allclose(p.apply([1.0, 0.0]), [1.0, 3.0], atol=1e-12)
 
 
-class TestSE2Embed:
-    def test_identity(self):
-        t = se2_embed(PoseSE2())
-        np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(t.translation, 0.0, atol=1e-15)
-
-    def test_quarter_turn(self):
-        t = se2_embed(PoseSE2(1, 2, math.pi / 2))
-        np.testing.assert_allclose(t.translation, [1, 2, 0], atol=1e-15)
-        np.testing.assert_allclose(t.rotation @ [1, 0, 0], [0, 1, 0], atol=1e-12)
-
-    def test_homomorphism_against_matrix_product(self, rng):
-        for _ in range(100):
-            a = PoseSE2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
-            b = PoseSE2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
-            lhs = se2_embed(a.compose(b)).as_matrix()
-            rhs = se2_embed(a).as_matrix() @ se2_embed(b).as_matrix()
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 class TestRigidTransform3:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError):
@@ -92,23 +70,27 @@ class TestRigidTransform3:
         if np.linalg.det(q) < 0:
             q[:, 0] *= -1
         t = RigidTransform3(q, rng.normal(size=3))
-        r = t.compose(t.inverse())
-        np.testing.assert_allclose(r.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(r.translation, 0.0, atol=1e-12)
+        pts = rng.normal(size=(10, 3))
+        np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
 
 
 class TestProjection:
     def test_principal_point(self):
-        cam = _axis_camera()
-        np.testing.assert_allclose(project(cam, [0, 0, 2]), [424, 240])
+        pix, valid = project_points(_axis_camera(), np.array([[0, 0, 2.0]]))
+        assert valid.tolist() == [True]
+        np.testing.assert_allclose(pix, [[424, 240]])
 
     def test_pinhole_offset(self):
-        cam = _axis_camera()
-        np.testing.assert_allclose(project(cam, [0.5, 0, 2]), [574, 240])
+        pix, _ = project_points(_axis_camera(), np.array([[0.5, 0, 2.0]]))
+        np.testing.assert_allclose(pix, [[574, 240]])
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            project(_axis_camera(), [0, 0, -1])
+        # the point behind the camera projects inside the image once its
+        # depth is replaced, so only the depth mask keeps it out
+        cam = _axis_camera()
+        pix, valid = project_points(cam, np.array([[0, 0, -1.0]]))
+        assert 0 <= pix[0, 0] < cam.width and 0 <= pix[0, 1] < cam.height
+        assert in_image(cam, pix, valid).tolist() == [False]
 
     def test_project_points_marks_invalid_depth(self):
         cam = _axis_camera()
@@ -125,23 +107,20 @@ class TestKeypointWorld:
 
     def test_identity_pose(self):
         np.testing.assert_allclose(
-            keypoint_world(PoseSE2(), self.MODEL, 0), [0.1, 0.2, 0.3], atol=1e-15
+            keypoints_world(PoseSE2(), self.MODEL), self.MODEL.keypoints, atol=1e-15
         )
 
     def test_half_turn(self):
         np.testing.assert_allclose(
-            keypoint_world(PoseSE2(1, 0, math.pi), self.MODEL, 1), [0.9, 0, 0], atol=1e-12
+            keypoints_world(PoseSE2(1, 0, math.pi), self.MODEL)[1], [0.9, 0, 0], atol=1e-12
         )
 
     def test_z_preserved(self):
         np.testing.assert_allclose(
-            keypoint_world(PoseSE2(0, 0, math.pi / 2), self.MODEL, 2), [0, 0.1, 0.5],
+            keypoints_world(PoseSE2(0, 0, math.pi / 2), self.MODEL),
+            [[-0.2, 0.1, 0.3], [0, 0.1, 0], [0, 0.1, 0.5], [0, 0, 0.1]],
             atol=1e-12,
         )
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            keypoint_world(PoseSE2(), self.MODEL, 99)
 
 
 class TestRobotModelInvariants:

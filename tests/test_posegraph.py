@@ -7,7 +7,10 @@ import scipy.linalg
 from camloc.errors import GaugeFree, SolverDiverged, UnknownNode
 from camloc.estimation import PoseEstimate
 from camloc.geometry import PoseSE2, angle_diff
-from camloc.posegraph import PoseGraph, RobotLocalizationSim, apply_feedback
+from camloc.pipeline import run_pipeline
+from camloc.posegraph import PoseGraph
+from camloc.scenario import load_config
+from camloc.simulation import script_trajectory
 
 from oracles import central_difference_jacobian, two_node_unary_optimum
 
@@ -276,7 +279,7 @@ class TestNormalEquations:
         fixed = first - base
         od, o_info, ui, um, u_info = arrays
         poses = g._poses.view[base:].copy()
-        band, grad = g._normal_equations(poses, arrays, fixed)
+        band, grad = g._normal_equations(poses, arrays, fixed, g._residuals(poses, od, ui, um))
 
         def stacked(params):
             return np.concatenate(g._residuals(params.reshape(-1, 3), od, ui, um)).ravel()
@@ -299,12 +302,33 @@ class TestNormalEquations:
 
 
 class TestFeedback:
-    def test_feedback_only_while_static(self):
-        sim = RobotLocalizationSim(PoseSE2())
-        sim.integrate(PoseSE2(1.0, 0, 0))
-        fused = unary(PoseSE2(0.9, 0.05, 0.01))
-        assert not apply_feedback(sim, fused, is_static=False)
-        assert sim.internal_pose.x == pytest.approx(1.0)
-        assert apply_feedback(sim, fused, is_static=True)
-        assert sim.internal_pose == fused.pose
-        assert sim.feedback_count == 1
+    def test_feedback_only_while_static(self, scenario_dir, monkeypatch):
+        """Feedback resets the robot's belief only while it stands still: on
+        long_feedback, with feedback on and off, every robot-track step that
+        leaves a moving sample is the same odometry increment."""
+        windowed = []
+        optimize = PoseGraph.optimize
+
+        def counted(self, config=None, lag=None):
+            windowed.append(lag is not None)
+            return optimize(self, config, lag)
+
+        monkeypatch.setattr(PoseGraph, "optimize", counted)
+        path = scenario_dir / "long_feedback.json"
+        on = run_pipeline(load_config(path, {"seed": 7}))
+        off = run_pipeline(load_config(path, {"seed": 7, "feedback": "false"}))
+        assert 0 < on.counters["feedback_applications"] == sum(windowed)
+
+        samples = script_trajectory(load_config(path).trajectory)
+        p_on, p_off = on.mode_trajectories["robot"].poses, off.mode_trajectories["robot"].poses
+        assert len(p_on) == len(p_off) == len(samples)
+        # a sample's feedback lands after its track entry, so it shows in
+        # the step that leaves the sample
+        gaps = {True: [], False: []}  # by is_static of the step's first sample
+        for i in range(len(samples) - 1):
+            a = p_on[i].inverse().compose(p_on[i + 1])
+            b = p_off[i].inverse().compose(p_off[i + 1])
+            gap = max(abs(a.x - b.x), abs(a.y - b.y), abs(angle_diff(a.theta, b.theta)))
+            gaps[samples[i].is_static].append(gap)
+        assert max(gaps[False]) < 1e-9
+        assert max(gaps[True]) > 1e-3  # the feedback did move the belief

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camloc.geometry import PoseSE2, keypoints_world, project
+from camloc.geometry import PoseSE2, keypoints_world
 from camloc.simulation import (
     NoiseModel,
     OdometryNoise,
@@ -14,6 +14,8 @@ from camloc.simulation import (
     simulate_frame,
     simulate_odometry_step,
 )
+
+from oracles import project
 
 
 class TestDefaultRobotModel:
