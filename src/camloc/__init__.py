@@ -27,8 +27,6 @@ from .geometry import (
     RigidTransform3,
     RobotModel,
     circular_weighted_mean,
-    reprojection_residuals,
-    residual_jacobian,
 )
 from .evaluation import (
     Trajectory,

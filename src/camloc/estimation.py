@@ -96,8 +96,8 @@ class Candidate:
 
 
 def _residual_norms(res):
-    """Per-row residual norms (S, K) of residuals (S, K, 2)."""
-    return np.sqrt(np.add.reduce(res * res, axis=-1))
+    """Per-keypoint residual norms (S, K) of residuals (S, 2, K)."""
+    return np.sqrt(np.add.reduce(res * res, axis=1))
 
 
 def _huber_objective(norms, wts, delta) -> np.ndarray:
@@ -108,16 +108,10 @@ def _huber_objective(norms, wts, delta) -> np.ndarray:
 
 def _normal_equations(res, jac, norms, wts, delta):
     """Huber-reweighted Gauss-Newton system: (hessian (S, 3, 3), gradient (S, 3))."""
-    sw = np.sqrt(wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12)))
-    jw = (jac * sw[..., None, None]).reshape(len(res), -1, 3)
-    rw = (res * sw[..., None]).reshape(len(res), -1, 1)
-    jwt = jw.transpose(0, 2, 1)
-    return jwt @ jw, (jwt @ rw)[..., 0]
-
-
-def _damping(hess):
-    """LM damping matrices diag(max(diag(H), 1e-12)), scaled by lambda per trial."""
-    return np.eye(3) * np.maximum(np.diagonal(hess, axis1=1, axis2=2), 1e-12)[:, None, :]
+    n = len(res)
+    w = wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
+    jw = (jac * w[:, None, None]).reshape(n, 3, -1)
+    return jw @ jac.reshape(n, 3, -1).transpose(0, 2, 1), (jw @ res.reshape(n, -1, 1))[..., 0]
 
 
 def _small_gradient(grad):
@@ -125,19 +119,23 @@ def _small_gradient(grad):
     return np.sqrt(np.add.reduce(grad * grad, axis=1)) < 1e-14
 
 
-def _solve_steps(damp, grad):
-    """Solve the stacked 3x3 systems damp @ step = -grad.
+def _solve_steps(hess, lam, grad):
+    """Solve the stacked damped 3x3 systems (H + lam * D) @ step = -grad,
+    with D = diag(max(diag(H), 1e-12)).
 
     A singular system gets a NaN step, which no objective test accepts;
     the other rows keep their own solutions.
     """
+    damped = hess.copy()
+    damped.reshape(-1, 9)[:, ::4] += lam[:, None] * np.maximum(
+        np.diagonal(hess, axis1=1, axis2=2), 1e-12)
     try:
-        return -np.linalg.solve(damp, grad[..., None])[..., 0]
+        return -np.linalg.solve(damped, grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         steps = np.full_like(grad, np.nan)
-        for i in range(len(damp)):
+        for i in range(len(damped)):
             try:
-                steps[i] = -np.linalg.solve(damp[i], grad[i])
+                steps[i] = -np.linalg.solve(damped[i], grad[i])
             except np.linalg.LinAlgError:
                 pass
         return steps
@@ -156,39 +154,35 @@ def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
     delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
     params = np.array(starts, dtype=float).reshape(-1, 3)
     n = len(params)
-    res, jac, _ = reprojection_kernel(params, obs, jacobian=True)
+    res, jac, _ = reprojection_kernel(params, obs)
     norms = _residual_norms(res)
     obj = _huber_objective(norms, wts, delta)
     hess, grad = _normal_equations(res, jac, norms, wts, delta)
-    damping = _damping(hess)
     iters = np.ones(n, dtype=int)
     running = ~_small_gradient(grad)
     diverged = np.zeros(n, dtype=bool)
     lam = np.full(n, config.lm_lambda_init)
     while running.any():
-        trial = params + _solve_steps(hess + lam[:, None, None] * damping, grad)
+        trial = params + _solve_steps(hess, lam, grad)
         trial[:, 2] = wrap_angles(trial[:, 2])
-        res, jac, _ = reprojection_kernel(trial, obs, jacobian=True)
+        res, jac, _ = reprojection_kernel(trial, obs)
         norms = _residual_norms(res)
         t_obj = _huber_objective(norms, wts, delta)
         accept = running & (t_obj < obj)
-        rel = (obj[accept] - t_obj[accept]) / np.maximum(obj[accept], 1e-300)
-        params[accept] = trial[accept]
-        obj[accept] = t_obj[accept]
-        lam[accept] = np.maximum(lam[accept] / scale, 1e-12)
-        done = accept.copy()
-        done[accept] = (rel < config.convergence_tol) | (iters[accept] >= config.max_iterations)
-        running &= ~done
+        rel = (obj - t_obj) / np.maximum(obj, 1e-300)
+        np.copyto(params, trial, where=accept[:, None])
+        np.copyto(obj, t_obj, where=accept)
+        running &= ~(accept & ((rel < config.convergence_tol) | (iters >= config.max_iterations)))
         relinearize = accept & running
         if relinearize.any():
             iters += relinearize
             t_hess, t_grad = _normal_equations(res, jac, norms, wts, delta)
-            hess[relinearize] = t_hess[relinearize]
-            grad[relinearize] = t_grad[relinearize]
-            damping[relinearize] = _damping(t_hess[relinearize])
+            np.copyto(hess, t_hess, where=relinearize[:, None, None])
+            np.copyto(grad, t_grad, where=relinearize[:, None])
             running &= ~(relinearize & _small_gradient(grad))
         rejected = running & ~accept
-        lam[rejected] *= scale
+        lam = np.where(accept, np.maximum(lam / scale, 1e-12), lam)
+        lam = np.where(rejected, lam * scale, lam)
         # Infinite damping shrinks the step to nothing: no descent direction
         # improves the objective within machine precision, so this is a
         # stationary point, not divergence, unless the state is non-finite.
@@ -245,7 +239,7 @@ def _backproject_centroid(
     """Ground-plane position whose keypoint-centroid projects near the
     observed centroid pixel; used only to seed the multi-start solve."""
     w = np.maximum(obs.weight, 1e-6)
-    centroid = (obs.pixel * w[:, None]).sum(axis=0) / w.sum()
+    centroid = (obs.pixel * w).sum(axis=1) / w.sum()
     xn = (centroid[0] - camera.cx) / camera.fx
     yn = (centroid[1] - camera.cy) / camera.fy
     d_world = camera.world_to_camera.rotation.T @ np.array([xn, yn, 1.0])
@@ -261,11 +255,14 @@ def _backproject_centroid(
     return fallback[:2]
 
 
+# 8 equally spaced multi-start headings from -pi
+_HEADINGS = wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
+
+
 def _heading_starts(seed_xy) -> np.ndarray:
-    """The 8 multi-start initializations (8, 3): equally spaced headings
-    from -pi at one ground-plane position."""
-    theta = wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
-    return np.column_stack([np.full(8, seed_xy[0]), np.full(8, seed_xy[1]), theta])
+    """The 8 multi-start initializations (8, 3): the _HEADINGS at one
+    ground-plane position."""
+    return np.column_stack([np.full(8, seed_xy[0]), np.full(8, seed_xy[1]), _HEADINGS])
 
 
 def single_view_candidate(

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroWeights, BehindCamera, UnknownCamera, UnknownKeypoint
-from .sync import DetectionMessage, KeypointObservation
+from .errors import AllZeroWeights, UnknownCamera, UnknownKeypoint
 
 _TWO_PI = 2.0 * math.pi
 MIN_DEPTH = 0.05  # m; projection depth clamp, see reprojection_kernel
@@ -101,10 +100,6 @@ class RigidTransform3:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def inverse(self) -> "RigidTransform3":
-        rt = self.rotation.T
-        return RigidTransform3(rt, -rt @ self.translation)
-
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -124,14 +119,17 @@ class CameraModel:
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point outside the image")
+        # optical center: the world point that world_to_camera maps to 0
+        rot, tr = self.world_to_camera.rotation, self.world_to_camera.translation
+        object.__setattr__(self, "_center", -rot.T @ tr)
 
     def center_world(self) -> np.ndarray:
         """Camera optical center in world coordinates."""
-        return self.world_to_camera.inverse().translation
+        return self._center
 
     def ground_position(self) -> np.ndarray:
         """Camera center projected to the ground plane."""
-        return self.center_world()[:2]
+        return self._center[:2]
 
 
 @dataclass(frozen=True)
@@ -190,22 +188,25 @@ def keypoints_world(pose: PoseSE2, model: RobotModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatObservations:
-    """Detections flattened once per solve, one row per detected keypoint.
+    """Detections flattened once per solve, one column per detected keypoint.
 
-    The camera-frame point of row k with the robot at (x, y, theta) is
-    ``r0 * (bx + x) + r1 * (by + y) + base`` where (bx, by) is the body
-    keypoint rotated by theta, so the keypoint height and the camera
-    translation are folded into ``base`` ahead of every evaluation.
+    With the robot at (x, y, theta), the camera-frame point of column k is
+    linear in (cos theta, sin theta, x, y, 1). For a camera rotation with
+    columns R0, R1, R2, a translation t and a body keypoint (bx, by, bz):
+
+        pc = cos * (bx R0 + by R1) + sin * (bx R1 - by R0)
+             + x R0 + y R1 + (bz R2 + t)
+
+    ``linear_map`` holds these five coefficient vectors as its rows, with
+    the x and y components scaled by fx and fy. One matmul then gives
+    (fx X, fy Y, Z), and its first two components divided by Z are the
+    pixel offset from the principal point. The columns are component-major:
+    column j * K + k is component j of keypoint k.
     """
 
-    r0: np.ndarray  # (K, 3) first column of the camera rotation
-    r1: np.ndarray  # (K, 3) second column of the camera rotation
-    base: np.ndarray  # (K, 3) kp_z * R[:, 2] + t
-    focal: np.ndarray  # (K, 2) fx, fy
-    center: np.ndarray  # (K, 2) cx, cy
-    kx: np.ndarray  # (K,) body-frame keypoint x
-    ky: np.ndarray  # (K,) body-frame keypoint y
-    pixel: np.ndarray  # (K, 2) observed pixel
+    linear_map: np.ndarray  # (5, 3K) coefficients of (cos, sin, x, y, 1)
+    center: np.ndarray  # (2, K) cx, cy
+    pixel: np.ndarray  # (2, K) observed pixel
     weight: np.ndarray  # (K,) detection confidence
     n_cameras: int
 
@@ -233,19 +234,18 @@ def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
         raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
                               f"{model.n_keypoints}-keypoint robot model")
     rot = np.array([c.world_to_camera.rotation for c in cams]).reshape(-1, 3, 3)
-    columns = rot.transpose(2, 0, 1)[:, cam_row]  # (3, K, 3): rotation column j of row k
-    trans = np.array([c.world_to_camera.translation for c in cams]).reshape(-1, 3)[cam_row]
-    intrinsics = np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).reshape(-1, 4)[cam_row]
-    kp = model.keypoints[idx]
+    trans = np.array([c.world_to_camera.translation for c in cams]).reshape(-1, 3, 1)
+    intrinsics = np.array([(c.fx, c.fy, 1.0, c.cx, c.cy) for c in cams]).reshape(-1, 5)
+    # [R | t] with its x and y rows scaled by fx and fy, per camera
+    extrinsic = np.concatenate([rot, trans], axis=2) * intrinsics[:, :3, None]
+    cam_row = np.array(cam_row, dtype=int)
+    r0, r1, r2, t = extrinsic[cam_row].transpose(2, 1, 0)  # (3, K) each
+    bx, by, bz = model.keypoints[idx].T
+    linear_map = np.stack([bx * r0 + by * r1, bx * r1 - by * r0, r0, r1, bz * r2 + t])
     return FlatObservations(
-        r0=columns[0],
-        r1=columns[1],
-        base=kp[:, 2:] * columns[2] + trans,
-        focal=intrinsics[:, :2],
-        center=intrinsics[:, 2:],
-        kx=kp[:, 0],
-        ky=kp[:, 1],
-        pixel=np.array(pixel, dtype=float).reshape(-1, 2),
+        linear_map=linear_map.reshape(5, -1),
+        center=intrinsics[cam_row, 3:].T.copy(),
+        pixel=np.array(pixel, dtype=float).reshape(-1, 2).T.copy(),
         weight=np.array(weight, dtype=float),
         n_cameras=len(cams),
     )
@@ -266,71 +266,42 @@ def frameset_observations(frameset, cameras, model: RobotModel) -> FlatObservati
     return flatten_observations(pairs, model)
 
 
-def reprojection_kernel(params, obs: FlatObservations, jacobian: bool = False):
-    """Reprojection residuals of S robot poses against K flattened rows.
+# Rows applied to FlatObservations.linear_map: the camera-frame point,
+# (cos, sin, x, y, 1), and its derivatives in x, y and theta, (0, 0, 1, 0, 0),
+# (0, 0, 0, 1, 0) and (-sin, cos, 0, 0, 0). The pose-dependent entries are
+# filled per pose.
+_POINT_AND_DERIVATIVES = np.array([[0.0, 0.0, 0.0, 0.0, 1.0],
+                                   [0.0, 0.0, 1.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0, 1.0, 0.0],
+                                   [0.0, 0.0, 0.0, 0.0, 0.0]])
 
-    params: (S, 3) rows of (x, y, theta). Returns (residuals (S, K, 2),
-    Jacobian (S, K, 2, 3) w.r.t. (x, y, theta) or None, depth (S, K)).
-    The residual is observed pixel minus projection. Depth is the camera-
-    frame z before the projection clamps it at MIN_DEPTH, which keeps the
-    residual and its gradient finite when a trial pose puts a keypoint
-    behind a camera.
+
+def reprojection_kernel(params, obs: FlatObservations):
+    """Reprojection residuals of S robot poses against K flattened keypoints.
+
+    params: (S, 3) rows of (x, y, theta). Returns (residuals (S, 2, K),
+    Jacobian (S, 3, 2, K) w.r.t. (x, y, theta), depth (S, K)). The residual
+    is observed pixel minus projection. Depth is the camera-frame z before
+    the projection clamps it at MIN_DEPTH, which keeps the residual and its
+    gradient finite when a trial pose puts a keypoint behind a camera.
     """
     params = np.asarray(params, dtype=float)
-    theta = params[:, 2:3]
-    c, s = np.cos(theta), np.sin(theta)
-    bx = c * obs.kx - s * obs.ky  # (S, K) body keypoint rotated into the world
-    by = s * obs.kx + c * obs.ky
-    pc = (bx + params[:, 0:1])[..., None] * obs.r0 + (by + params[:, 1:2])[..., None] * obs.r1
-    pc += obs.base
-    depth = pc[..., 2]
-    z = np.maximum(depth, MIN_DEPTH)[..., None]
-    res = obs.pixel - (obs.focal * pc[..., :2] / z + obs.center)
-    if not jacobian:
-        return res, None, depth
-    # residual = -projection and d(f * p / z) = f / z * (dp - p / z * dz), with
-    # d pc / d(x, y, theta) = r0, r1 and the rotated body lever arm
-    f_z = obs.focal / z
-    p_z = pc[..., :2] / z
-    d_theta = bx[..., None] * obs.r1 - by[..., None] * obs.r0
-    jac = np.empty(res.shape + (3,))
-    for col, d_pc in enumerate((obs.r0, obs.r1, d_theta)):
-        jac[..., col] = f_z * (p_z * d_pc[..., 2:] - d_pc[..., :2])
+    n = len(params)
+    c, s = np.cos(params[:, 2]), np.sin(params[:, 2])
+    rows = np.repeat(_POINT_AND_DERIVATIVES[None], n, axis=0)
+    rows[:, 0, 0] = rows[:, 3, 1] = c
+    rows[:, 0, 1] = s
+    rows[:, 3, 0] = -s
+    rows[:, 0, 2:4] = params[:, :2]
+    point_and_derivatives = (rows @ obs.linear_map).reshape(n, 4, 3, obs.n_rows)
+    pc, d_pc = point_and_derivatives[:, 0], point_and_derivatives[:, 1:]
+    depth = pc[:, 2]
+    z = np.maximum(depth, MIN_DEPTH)[:, None]
+    offset = pc[:, :2] / z  # projection minus principal point
+    res = obs.pixel - (offset + obs.center)
+    # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z
+    jac = (offset[:, None] * d_pc[:, :, 2:] - d_pc[:, :, :2]) / z[:, None]
     return res, jac, depth
-
-
-def reprojection_residuals(pose: PoseSE2, cameras, frameset, model: RobotModel):
-    """Stacked reprojection residuals over a frame-set.
-
-    Returns (residuals (K, 2), weights (K,)) with one row per detected
-    keypoint: observed pixel minus projected model keypoint. The weighted
-    squared norm of the stack is the multi-view least-squares objective.
-    Evaluated by the solver's kernel, so depth is clamped at MIN_DEPTH as
-    in the solve; raises BehindCamera when a keypoint lies behind its camera.
-    """
-    obs = frameset_observations(frameset, cameras, model)
-    res, _, depth = reprojection_kernel(pose.as_array()[None], obs)
-    if np.any(depth <= 1e-9):
-        raise BehindCamera(f"depth {depth.min():.3g} behind a camera")
-    return res[0], obs.weight
-
-
-def residual_jacobian(
-    pose: PoseSE2, camera: CameraModel, model: RobotModel, j: int
-) -> np.ndarray:
-    """2x3 derivative of the reprojection residual w.r.t. (x, y, theta).
-
-    Chain rule through the ground-plane embedding, the camera extrinsic and
-    the pinhole division, evaluated by the solver's own kernel. The residual
-    is observation minus projection, so the result is the negated
-    projection derivative.
-    """
-    message = DetectionMessage(camera.camera_id, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
-    obs = flatten_observations([(camera, message)], model)
-    _, jac, depth = reprojection_kernel(pose.as_array()[None], obs, jacobian=True)
-    if depth[0, 0] <= 1e-9:
-        raise BehindCamera(f"depth {depth[0, 0]:.3g} in camera {camera.camera_id}")
-    return jac[0, 0]
 
 
 def circular_weighted_mean(angles, weights) -> float:

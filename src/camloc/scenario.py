@@ -194,7 +194,8 @@ def _trajectory_from_spec(spec) -> TrajectoryScript:
     wps = []
     for i, w in enumerate(_require(spec, "waypoints", "trajectory")):
         _check_keys(w, _WAYPOINT_KEYS, f"trajectory.waypoints[{i}]")
-        pose = PoseSE2(float(w["x_m"]), float(w["y_m"]), **_present(w, _THETA))
+        pose = PoseSE2(float(_require(w, "x_m", "waypoint")),
+                       float(_require(w, "y_m", "waypoint")), **_present(w, _THETA))
         wps.append(Waypoint(pose=pose, **_present(w, _DWELL)))
     try:
         return TrajectoryScript(waypoints=wps, **_present(spec, _TRAJECTORY_OPTIONAL))

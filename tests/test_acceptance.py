@@ -16,7 +16,7 @@ from camloc import cli
 from camloc.errors import NoEligibleCamera
 from camloc.estimation import initialize_global, solve_multiview
 from camloc.evaluation import procrustes_align, translation_rmse, waypoint_errors
-from camloc.geometry import PoseSE2, angle_diff, residual_jacobian
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations, reprojection_kernel
 from camloc.pipeline import run_pipeline
 from camloc.scenario import (
     WAYPOINTS,
@@ -32,7 +32,7 @@ from camloc.simulation import (
     script_trajectory,
     simulate_frame,
 )
-from camloc.sync import FrameSet, SyncConfig, Synchronizer
+from camloc.sync import DetectionMessage, FrameSet, KeypointObservation, SyncConfig, Synchronizer
 
 import oracles
 
@@ -133,7 +133,10 @@ class TestAcceptance:
             if pc[2] < 0.5:
                 continue
             n += 1
-            analytic = residual_jacobian(pose, cam, robot_model, j)
+            msg = DetectionMessage(0, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
+            obs = flatten_observations([(cam, msg)], robot_model)
+            _, jac, _ = reprojection_kernel(pose.as_array()[None], obs)
+            analytic = jac[0, :, :, 0].T  # (2, 3): pixel row by pose column
             # residual = observed - projected, so its jacobian is the
             # negated projection jacobian
             fd = -oracles.central_difference_jacobian(

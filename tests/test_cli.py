@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -135,6 +136,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(repr(key))):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["x_m", "y_m"])
+    def test_waypoint_without_coordinate_named(self, scenario_dir, key):
+        doc = json.loads((scenario_dir / "traj1.json").read_text())
+        del doc["trajectory"]["waypoints"][2][key]
+        with pytest.raises(ConfigError, match=re.escape(f"missing {key!r} in waypoint")):
+            config_from_dict(doc)
+
     def test_section_must_be_an_object(self, scenario_dir):
         doc = json.loads((scenario_dir / "traj1.json").read_text())
         doc["solver"] = 50
@@ -165,6 +173,16 @@ class TestRun:
             cli.main(["run", "--scenario", str(small_scenario), "--out", str(out),
                       "--seed", "9"])
         assert read_outputs(a) == read_outputs(b)
+
+    def test_detection_stream_pinned(self, scenario_dir, tmp_path):
+        # The simulated stream depends only on the scenario and the seed, so a
+        # change to estimation or fusion leaves these bytes alone; a change to
+        # the simulator's draws updates the digest openly.
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(scenario_dir / "traj1.json"),
+                         "--out", str(out), "--seed", "7"]) == 0
+        digest = hashlib.sha256((out / "detections.jsonl").read_bytes()).hexdigest()
+        assert digest == "5ad84708590ec13bf9d00ae9b0cdd8f2cce75b05aaced79e004fc3f2e6e3730f"
 
     def test_zero_pixel_noise_raw_mode_exact(self, small_scenario, tmp_path):
         out = tmp_path / "out"

@@ -5,22 +5,24 @@ import pytest
 
 from camloc.errors import AllZeroWeights, BehindCamera, UnknownCamera, UnknownKeypoint
 from camloc.geometry import (
+    MIN_DEPTH,
     CameraModel,
     PoseSE2,
     RigidTransform3,
     RobotModel,
     angle_diff,
     circular_weighted_mean,
+    flatten_observations,
+    frameset_observations,
     in_image,
     keypoints_world,
     project_points,
-    reprojection_residuals,
-    residual_jacobian,
+    reprojection_kernel,
     wrap_angle,
 )
 from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
 
-from oracles import central_difference_jacobian, project
+from oracles import central_difference_jacobian, keypoint_world, project
 
 
 def _axis_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
@@ -65,13 +67,18 @@ class TestRigidTransform3:
         with pytest.raises(ValueError):
             RigidTransform3(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
-    def test_compose_inverse(self, rng):
-        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        if np.linalg.det(q) < 0:
-            q[:, 0] *= -1
-        t = RigidTransform3(q, rng.normal(size=3))
-        pts = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
+
+class TestCameraModel:
+    def test_center_maps_to_camera_origin(self, rng):
+        for _ in range(10):
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            if np.linalg.det(q) < 0:
+                q[:, 0] *= -1
+            cam = CameraModel(0, 600.0, 600.0, 424.0, 240.0, 848, 480,
+                              RigidTransform3(q, rng.normal(size=3)))
+            center = cam.center_world()
+            np.testing.assert_allclose(cam.world_to_camera.apply(center), 0.0, atol=1e-12)
+            np.testing.assert_array_equal(cam.ground_position(), center[:2])
 
 
 class TestProjection:
@@ -152,11 +159,27 @@ def _noise_free_frameset(pose, cameras, model):
     return FrameSet(anchor_stamp=0.0, per_camera=per_camera)
 
 
+def _residuals(pose, cameras, fs, model):
+    """The kernel's residuals of one pose over a frame-set, one (2,) row per
+    detected keypoint, and the detection weights."""
+    obs = frameset_observations(fs, cameras, model)
+    res, _, _ = reprojection_kernel(pose.as_array()[None], obs)
+    return res[0].T, obs.weight
+
+
+def _keypoint_jacobian(pose, camera, model, j):
+    """The kernel's 2x3 residual Jacobian and depth of keypoint j in one camera."""
+    message = DetectionMessage(camera.camera_id, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
+    obs = flatten_observations([(camera, message)], model)
+    _, jac, depth = reprojection_kernel(pose.as_array()[None], obs)
+    return jac[0, :, :, 0].T, depth[0, 0]
+
+
 class TestReprojectionResiduals:
     def test_exact_pose_gives_zero_residuals(self, rig, robot_model):
         pose = PoseSE2(5.0, 4.0, 0.7)
         fs = _noise_free_frameset(pose, rig, robot_model)
-        res, w = reprojection_residuals(pose, rig, fs, robot_model)
+        res, w = _residuals(pose, rig, fs, robot_model)
         assert res.shape[0] > 0
         assert np.abs(res).max() < 1e-9
         np.testing.assert_allclose(w, 1.0)
@@ -169,7 +192,7 @@ class TestReprojectionResiduals:
         k0 = msg.keypoints[0]
         shifted = (KeypointObservation(k0.index, k0.pixel + [1.0, 0.0], 1.0),) + msg.keypoints[1:]
         fs.per_camera[cam_id] = DetectionMessage(cam_id, 0.0, shifted)
-        res, w = reprojection_residuals(pose, rig, fs, robot_model)
+        res, w = _residuals(pose, rig, fs, robot_model)
         objective = float(np.sum(w * np.sum(res**2, axis=1)))
         assert objective == pytest.approx(1.0, abs=1e-9)
 
@@ -178,7 +201,7 @@ class TestReprojectionResiduals:
         fs = _noise_free_frameset(PoseSE2(5.01, 4.0, 0.3), rig, robot_model)
 
         def objective(p):
-            res, w = reprojection_residuals(PoseSE2(*p), rig, fs, robot_model)
+            res, w = _residuals(PoseSE2(*p), rig, fs, robot_model)
             return float(np.sum(w * np.sum(res**2, axis=1)))
 
         p0 = pose.as_array()
@@ -195,7 +218,7 @@ class TestReprojectionResiduals:
             },
         )
         with pytest.raises(UnknownCamera):
-            reprojection_residuals(PoseSE2(), rig, fs, robot_model)
+            frameset_observations(fs, rig, robot_model)
 
     def test_unknown_keypoint(self, rig, robot_model):
         cam_id = rig[0].camera_id
@@ -206,19 +229,19 @@ class TestReprojectionResiduals:
             },
         )
         with pytest.raises(UnknownKeypoint):
-            reprojection_residuals(PoseSE2(5, 4, 0), rig, fs, robot_model)
+            frameset_observations(fs, rig, robot_model)
 
     def test_objective_invariant_to_detection_order(self, rig, robot_model, rng):
         pose = PoseSE2(5.0, 4.0, 0.3)
         fs = _noise_free_frameset(PoseSE2(5.02, 3.97, 0.33), rig, robot_model)
-        res, w = reprojection_residuals(pose, rig, fs, robot_model)
+        res, w = _residuals(pose, rig, fs, robot_model)
         obj = float(np.sum(w * np.sum(res**2, axis=1)))
         for cam_id, msg in list(fs.per_camera.items()):
             perm = rng.permutation(len(msg.keypoints))
             fs.per_camera[cam_id] = DetectionMessage(
                 cam_id, msg.stamp, tuple(msg.keypoints[i] for i in perm)
             )
-        res2, w2 = reprojection_residuals(pose, rig, fs, robot_model)
+        res2, w2 = _residuals(pose, rig, fs, robot_model)
         obj2 = float(np.sum(w2 * np.sum(res2**2, axis=1)))
         assert obj2 == pytest.approx(obj, rel=1e-12)
 
@@ -236,9 +259,8 @@ class TestResidualJacobian:
                 pt = keypoints_world(PoseSE2(*p), robot_model)[j]
                 return -project(cam, pt)
 
-            try:
-                analytic = residual_jacobian(pose, cam, robot_model, j)
-            except BehindCamera:
+            analytic, depth = _keypoint_jacobian(pose, cam, robot_model, j)
+            if depth <= 1e-9:  # behind the camera: the oracle has no projection
                 continue
             numeric = central_difference_jacobian(residual, pose.as_array())
             scale = max(1.0, np.abs(numeric).max())
@@ -250,12 +272,62 @@ class TestResidualJacobian:
             keypoints=np.array([[0, 0, 0.1], [0, 0, 0.2], [0, 0, 0.3], [0, 0, 0.4]]),
             body_width=0.35,
         )
-        jac = residual_jacobian(PoseSE2(3, 3, 0.5), single_camera, model, 1)
+        jac, _ = _keypoint_jacobian(PoseSE2(3, 3, 0.5), single_camera, model, 1)
         np.testing.assert_allclose(jac[:, 2], 0.0, atol=1e-12)
 
-    def test_behind_camera_raises(self, single_camera, robot_model):
-        with pytest.raises(BehindCamera):
-            residual_jacobian(PoseSE2(-5, -5, 0), single_camera, robot_model, 0)
+    def test_behind_camera_reports_negative_depth(self, single_camera, robot_model):
+        pose = PoseSE2(-5, -5, 0)
+        jac, depth = _keypoint_jacobian(pose, single_camera, robot_model, 0)
+        true_depth = single_camera.world_to_camera.apply(keypoint_world(pose, robot_model, 0))[2]
+        assert true_depth < 0
+        assert depth == pytest.approx(true_depth, abs=1e-12)
+        assert np.isfinite(jac).all()
+
+
+class TestReprojectionKernel:
+    def test_batch_of_poses_matches_oracle(self, rig, robot_model):
+        """S = 3 poses against one 4-camera frame-set: the true pose, a
+        perturbed one, and one that puts a camera's keypoints behind it."""
+        truth = PoseSE2(5.0, 4.0, 0.7)
+        fs = _noise_free_frameset(truth, rig, robot_model)
+        assert len(fs.per_camera) == 4
+        cams = {c.camera_id: c for c in rig}
+        cam0 = cams[min(fs.per_camera)]
+        forward = cam0.world_to_camera.rotation[2, :2]
+        behind = cam0.ground_position() - 5.0 * forward / np.linalg.norm(forward)
+        params = np.array([truth.as_array(), [5.1, 3.9, 0.9], [behind[0], behind[1], -2.0]])
+        obs = frameset_observations(fs, rig, robot_model)
+        res, jac, depth = reprojection_kernel(params, obs)
+        n = obs.n_rows
+        assert res.shape == (3, 2, n) and jac.shape == (3, 3, 2, n) and depth.shape == (3, n)
+        # columns follow camera id, then detection order
+        columns = [(cams[cid], kp) for cid in sorted(fs.per_camera)
+                   for kp in fs.per_camera[cid].keypoints]
+        assert len(columns) == n
+        in_front = [0, 0, 0]
+        for s, p in enumerate(params):
+            for k, (cam, kp) in enumerate(columns):
+                pc = cam.world_to_camera.apply(keypoint_world(PoseSE2(*p), robot_model, kp.index))
+                assert depth[s, k] == pytest.approx(pc[2], abs=1e-12)
+                if pc[2] <= MIN_DEPTH:
+                    assert np.isfinite(res[s, :, k]).all() and np.isfinite(jac[s, ..., k]).all()
+                    continue
+                in_front[s] += 1
+
+                def projection(q, cam=cam, j=kp.index):
+                    return project(cam, keypoint_world(PoseSE2(*q), robot_model, j))
+
+                np.testing.assert_allclose(res[s, :, k], kp.pixel - projection(p), rtol=0,
+                                           atol=1e-9)
+                fd = -central_difference_jacobian(projection, p)
+                block = jac[s, :, :, k].T
+                assert np.abs(block - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
+        assert in_front[0] == in_front[1] == n
+        assert 0 < in_front[2] < n and depth[2].min() < 0
+        for s in range(3):  # a pose alone gives its batch row bit for bit
+            alone = reprojection_kernel(params[s:s + 1], obs)
+            for whole, single in zip((res, jac, depth), alone):
+                np.testing.assert_array_equal(single[0], whole[s])
 
 
 class TestCircularWeightedMean:
