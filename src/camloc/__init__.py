@@ -58,6 +58,6 @@ from .simulation import (
     simulate_frame,
     simulate_odometry_step,
 )
-from .sync import DetectionMessage, FrameSet, KeypointObservation, SyncConfig, Synchronizer
+from .sync import DetectionMessage, FrameSet, SyncConfig, Synchronizer
 
 __version__ = "0.1.0"

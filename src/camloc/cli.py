@@ -5,7 +5,7 @@ Subcommands:
   gen     write the bundled scenario files
   replay  re-run estimation on a recorded detection stream
 
-Exit codes: 0 success, 2 configuration error, 3 solver divergence.
+Exit codes: 0 success, 2 configuration or stream error, 3 pose-graph divergence.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SolverDiverged
-from .pipeline import run_pipeline, write_outputs
+from .pipeline import run_pipeline, simulate_detections, write_outputs
 from .scenario import generate_scenarios, load_config
-from .sync import message_from_json
+from .sync import message_from_json, message_to_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,10 +45,17 @@ def _load_stream(path):
             continue
         try:
             messages.append(message_from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{path}:{lineno}: malformed detection message: {exc}") from exc
     messages.sort(key=lambda m: (m.stamp, m.camera_id))
     return messages
+
+
+def _report(rmse, out):
+    for mode in sorted(rmse):
+        print(f"{mode}: rmse {rmse[mode]:.4f} m")
+    print(f"outputs written to {out}")
+    return EXIT_OK
 
 
 def _cmd_run(args):
@@ -56,12 +63,13 @@ def _cmd_run(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = load_config(args.scenario, overrides)
-    result = run_pipeline(config)
+    messages = simulate_detections(config)
+    result = run_pipeline(config, messages)
     rmse = write_outputs(result, config, args.out)
-    for mode in sorted(rmse):
-        print(f"{mode}: rmse {rmse[mode]:.4f} m")
-    print(f"outputs written to {args.out}")
-    return EXIT_OK
+    if messages:
+        stream = "\n".join(message_to_json(m) for m in messages) + "\n"
+        (Path(args.out) / "detections.jsonl").write_text(stream)
+    return _report(rmse, args.out)
 
 
 def _cmd_gen(args):
@@ -75,11 +83,7 @@ def _cmd_replay(args):
     config = load_config(args.scenario)
     messages = _load_stream(args.stream)
     result = run_pipeline(config, messages=messages)
-    rmse = write_outputs(result, config, args.out, write_stream=False)
-    for mode in sorted(rmse):
-        print(f"{mode}: rmse {rmse[mode]:.4f} m")
-    print(f"outputs written to {args.out}")
-    return EXIT_OK
+    return _report(write_outputs(result, config, args.out), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

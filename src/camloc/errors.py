@@ -5,10 +5,6 @@ class CamlocError(Exception):
     """Base class for all camloc errors."""
 
 
-class BehindCamera(CamlocError):
-    """Point has non-positive depth in the camera frame."""
-
-
 class UnknownCamera(CamlocError):
     pass
 

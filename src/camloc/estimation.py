@@ -36,6 +36,11 @@ from .geometry import (
 )
 from .sync import DetectionMessage, FrameSet
 
+# Keypoints one camera needs to seed relocalization on its own.
+MIN_SEED_KEYPOINTS = 4
+# Longest stamp span of the estimates that average_estimates accepts.
+AVERAGE_SPAN = 2.0  # s
+
 
 @dataclass
 class SolverConfig:
@@ -279,10 +284,9 @@ def single_view_candidate(
     multi-modal from a single view, which the multi-start resolves.
     """
     config = config or SolverConfig()
-    if len(message.keypoints) < 4:
-        raise InsufficientKeypoints(
-            f"{len(message.keypoints)} keypoints from camera {message.camera_id} (need 4)"
-        )
+    if len(message.keypoints) < MIN_SEED_KEYPOINTS:
+        raise InsufficientKeypoints(f"{len(message.keypoints)} keypoints from camera "
+                                    f"{message.camera_id} (need {MIN_SEED_KEYPOINTS})")
     obs = flatten_observations([(camera, message)], model)
     starts = _heading_starts(_backproject_centroid(obs, camera, model))
     params, obj, _, diverged = _levenberg_marquardt(starts, obs, config)
@@ -326,7 +330,7 @@ def initialize_global(
     candidates = []
     for cam_id in sorted(frameset.per_camera):
         msg = frameset.per_camera[cam_id]
-        if len(msg.keypoints) < 4:
+        if len(msg.keypoints) < MIN_SEED_KEYPOINTS:
             continue
         if cam_id not in cams:
             raise UnknownCamera(f"camera {cam_id} not in rig")
@@ -335,7 +339,7 @@ def initialize_global(
         except SolverDiverged:
             continue
     if not candidates:
-        raise NoEligibleCamera("no camera message with >= 4 keypoints")
+        raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints")
     init = interpolate_candidates(candidates)
     return solve_multiview(frameset, init, cameras, model, config)
 
@@ -384,8 +388,8 @@ def average_estimates(estimates) -> PoseEstimate:
     if not estimates:
         raise EmptyInput("no estimates to average")
     stamps = [e.stamp for e in estimates]
-    if max(stamps) - min(stamps) > 2.0:
-        raise ValueError("estimates span more than 2 s")
+    if max(stamps) - min(stamps) > AVERAGE_SPAN:
+        raise ValueError(f"estimates span more than {AVERAGE_SPAN:g} s")
     info_pos = np.zeros((2, 2))
     weighted_pos = np.zeros(2)
     theta_info = []

@@ -220,15 +220,11 @@ def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
 
     Raises UnknownKeypoint for a keypoint index outside the robot model.
     """
-    cams, index, pixel, weight, cam_row = [], [], [], [], []
-    for camera, message in pairs:
-        for k in message.keypoints:
-            index.append(k.index)
-            pixel.append(k.pixel)
-            weight.append(k.confidence)
-        cam_row += [len(cams)] * len(message.keypoints)
-        cams.append(camera)
-    idx = np.array(index, dtype=int)
+    if not pairs:  # an empty frame-set has zero columns
+        return FlatObservations(np.zeros((5, 0)), np.zeros((2, 0)), np.zeros((2, 0)),
+                                np.zeros(0), 0)
+    cams, messages = zip(*pairs)
+    idx = np.concatenate([m.keypoints for m in messages])
     bad = (idx < 0) | (idx >= model.n_keypoints)
     if bad.any():
         raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
@@ -238,15 +234,15 @@ def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
     intrinsics = np.array([(c.fx, c.fy, 1.0, c.cx, c.cy) for c in cams]).reshape(-1, 5)
     # [R | t] with its x and y rows scaled by fx and fy, per camera
     extrinsic = np.concatenate([rot, trans], axis=2) * intrinsics[:, :3, None]
-    cam_row = np.array(cam_row, dtype=int)
+    cam_row = np.repeat(np.arange(len(cams)), [len(m.keypoints) for m in messages])
     r0, r1, r2, t = extrinsic[cam_row].transpose(2, 1, 0)  # (3, K) each
     bx, by, bz = model.keypoints[idx].T
     linear_map = np.stack([bx * r0 + by * r1, bx * r1 - by * r0, r0, r1, bz * r2 + t])
     return FlatObservations(
         linear_map=linear_map.reshape(5, -1),
         center=intrinsics[cam_row, 3:].T.copy(),
-        pixel=np.array(pixel, dtype=float).reshape(-1, 2).T.copy(),
-        weight=np.array(weight, dtype=float),
+        pixel=np.concatenate([m.pixels for m in messages]).T.copy(),
+        weight=np.concatenate([m.confidence for m in messages]),
         n_cameras=len(cams),
     )
 

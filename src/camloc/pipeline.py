@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientObservations, InsufficientOverlap, NoEligibleCamera
-from .errors import UnknownCamera, UnknownKeypoint
+from .errors import SolverDiverged, UnknownCamera, UnknownKeypoint
 from .estimation import (
+    AVERAGE_SPAN,
     average_estimates,
     gate_single_view,
     initialize_global,
@@ -36,7 +37,7 @@ from .geometry import PoseSE2
 from .posegraph import PoseGraph
 from .scenario import ALL_MODES, ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
-from .sync import Synchronizer, message_to_json, nearest_stamp_index
+from .sync import Synchronizer, nearest_stamp_index
 
 # Pose-graph node creation thresholds.
 NODE_TRANS_STEP = 0.05  # m
@@ -55,7 +56,6 @@ class RunResult:
     waypoint_windows: list  # (waypoint_id, t_start, t_end)
     camera_visibility: dict  # waypoint_id -> n_cameras
     counters: dict = field(default_factory=dict)
-    messages: list = field(default_factory=list)
 
 
 def _detection_rng(seed):
@@ -107,14 +107,16 @@ def _waypoint_windows(samples, labels):
 
 
 def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
-    """Run the full estimation pipeline on a scenario.
-
-    If messages is None they are simulated; otherwise the given recorded
-    stream is used and only odometry is regenerated from the seed.
+    """Run the full estimation pipeline on a recorded or simulated detection
+    stream; odometry is always regenerated from the seed. Without messages,
+    the stream is simulated only if some output solves frame-sets.
     """
     samples = script_trajectory(config.trajectory)
+    need_fused = "fused" in config.modes or config.feedback
+    need_estimates = any(m in config.modes
+                         for m in ("raw", "gated_1frame", "averaged_5frames"))
     if messages is None:
-        messages = simulate_detections(config, samples)
+        messages = simulate_detections(config, samples) if need_estimates or need_fused else []
 
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
     framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()
@@ -138,10 +140,6 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     graph = PoseGraph(initial_pose=robot_pose, initial_stamp=samples[0].stamp)
     camera_by_id = {c.camera_id: c for c in config.cameras}
 
-    need_fused = "fused" in config.modes or config.feedback
-    need_estimates = any(
-        m in config.modes for m in ("raw", "gated_1frame", "averaged_5frames")
-    )
     if need_fused:
         # anchor node so the first dwell's estimates have a home
         cov = _odometry_covariance(config.odometry_noise, 0.0, 0.0)
@@ -193,7 +191,8 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                     est = solve_multiview(
                         fs, predicted, config.cameras, config.robot_model, config.solver
                     )
-            except (NoEligibleCamera, InsufficientObservations, UnknownCamera, UnknownKeypoint):
+            except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
+                    UnknownCamera, UnknownKeypoint):
                 counters["skipped_framesets"] += 1
                 continue
             counters["solver_iterations"] += est.n_iterations
@@ -214,6 +213,10 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                 if static_key != sample.waypoint_id:
                     static_buffer = []
                     static_key = sample.waypoint_id
+                # average only estimates within AVERAGE_SPAN of each other; a
+                # stamp far off the trajectory must not fail the whole run
+                static_buffer = [e for e in static_buffer
+                                 if abs(gated.stamp - e.stamp) <= AVERAGE_SPAN]
                 static_buffer.append(gated)
                 if len(static_buffer) == 5:
                     avg = average_estimates(static_buffer)
@@ -264,7 +267,6 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
         waypoint_windows=_waypoint_windows(samples, labels),
         camera_visibility=visibility,
         counters=counters,
-        messages=messages,
     )
 
 
@@ -275,9 +277,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_outputs(result: RunResult, config: ScenarioConfig, output_dir, write_stream=True):
-    """Write waypoint_stats.csv, trajectory_error.csv, run_meta.json and,
-    for simulated runs, the detections JSONL stream."""
+def write_outputs(result: RunResult, config: ScenarioConfig, output_dir):
+    """Write waypoint_stats.csv, trajectory_error.csv and run_meta.json."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -310,10 +311,6 @@ def write_outputs(result: RunResult, config: ScenarioConfig, output_dir, write_s
         for stamp, dist, err in series:
             err_lines.append(f"{int(round(stamp * 1e9))},{_fmt(dist)},{_fmt(err)},{mode}")
     (out / "trajectory_error.csv").write_text("\n".join(err_lines) + "\n")
-
-    if write_stream and result.messages:
-        stream = "\n".join(message_to_json(m) for m in result.messages) + "\n"
-        (out / "detections.jsonl").write_text(stream)
 
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     meta = {

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimation import GateThresholds, SolverConfig
+from .estimation import MIN_SEED_KEYPOINTS, GateThresholds, SolverConfig
 from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, visible_keypoints
 from .geometry import keypoints_world
 from .simulation import (
@@ -255,10 +255,10 @@ def _apply_override(doc, dotted_key, value):
         node[parts[-1]] = value
 
 
-def camera_visibility_count(pose: PoseSE2, cameras, model: RobotModel, min_keypoints: int = 4) -> int:
-    """Number of cameras seeing at least min_keypoints of the robot."""
+def camera_visibility_count(pose: PoseSE2, cameras, model: RobotModel) -> int:
+    """Number of cameras that see MIN_SEED_KEYPOINTS or more robot keypoints."""
     pts = keypoints_world(pose, model)
-    return sum(int(visible_keypoints(cam, pts).sum()) >= min_keypoints for cam in cameras)
+    return sum(int(visible_keypoints(cam, pts).sum()) >= MIN_SEED_KEYPOINTS for cam in cameras)
 
 
 # -- bundled scenarios ----------------------------------------------------

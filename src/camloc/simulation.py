@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PoseSE2, RobotModel, angle_diff, in_image, keypoints_world, project_points
-from .sync import DetectionMessage, KeypointObservation, ns_to_stamp, stamp_to_ns
+from .sync import DetectionMessage, ns_to_stamp, stamp_to_ns
 
 
 @dataclass
@@ -191,7 +191,7 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     messages = []
     for camera in sorted(cameras, key=lambda c: c.camera_id):
         pix, valid = project_points(camera, pts)
-        observations = []
+        ids, pixels, confidence = [], [], []
         for j in np.nonzero(in_image(camera, pix, valid))[0]:
             if rng.random() < noise.dropout_prob:
                 continue
@@ -208,15 +208,17 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 radius = rng.uniform(0.0, noise.outlier_spread)
                 p = p + radius * np.array([math.cos(ang), math.sin(ang)])
-            observations.append(KeypointObservation(int(j), p, conf))
-        if not observations:
+            ids.append(j)
+            pixels.append(p)
+            confidence.append(conf)
+        if not ids:
             continue
         jitter = 0.0
         if noise.timestamp_jitter > 0:
             jitter = float(np.clip(rng.normal(0.0, noise.timestamp_jitter),
                                    -3 * noise.timestamp_jitter, 3 * noise.timestamp_jitter))
         stamp = ns_to_stamp(stamp_to_ns(sample.stamp + jitter))
-        messages.append(DetectionMessage(camera.camera_id, stamp, tuple(observations)))
+        messages.append(DetectionMessage(camera.camera_id, stamp, ids, pixels, confidence))
     return messages
 
 

@@ -8,38 +8,37 @@ common window, and emits completed sets in strictly increasing anchor order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class KeypointObservation:
-    index: int
-    pixel: np.ndarray  # (u, v) in pixels, sub-pixel
-    confidence: float
-
-    def __post_init__(self):
-        pixel = np.asarray(self.pixel, dtype=float).reshape(2)
-        object.__setattr__(self, "pixel", pixel)
-        if not (math.isfinite(pixel[0]) and math.isfinite(pixel[1])):
-            raise ValueError(f"non-finite pixel {pixel.tolist()}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence outside [0, 1]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionMessage:
+    """One camera's detections at one stamp: row i of the three arrays
+    holds one keypoint's id, sub-pixel (u, v) and confidence."""
+
     camera_id: int
     stamp: float  # seconds
-    keypoints: tuple
+    keypoints: np.ndarray  # (n,) keypoint ids
+    pixels: np.ndarray  # (n, 2) (u, v) in pixels
+    confidence: np.ndarray  # (n,) in [0, 1]
 
     def __post_init__(self):
-        kps = tuple(self.keypoints)
-        object.__setattr__(self, "keypoints", kps)
-        ids = [k.index for k in kps]
-        if len(set(ids)) != len(ids):
+        ids = np.asarray(self.keypoints, dtype=int).reshape(-1)
+        pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
+        conf = np.asarray(self.confidence, dtype=float).reshape(-1)
+        object.__setattr__(self, "keypoints", ids)
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "confidence", conf)
+        if not len(ids) == len(pixels) == len(conf):
+            raise ValueError("keypoints, pixels and confidence differ in length")
+        if not np.isfinite(pixels).all():
+            bad = pixels[~np.isfinite(pixels).all(axis=1)][0]
+            raise ValueError(f"non-finite pixel {bad.tolist()}")
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+            raise ValueError("confidence outside [0, 1]")
+        if len(set(ids.tolist())) != len(ids):
             raise ValueError("duplicate keypoint indices in message")
 
 
@@ -47,14 +46,6 @@ class DetectionMessage:
 class FrameSet:
     anchor_stamp: float
     per_camera: dict = field(default_factory=dict)  # camera_id -> DetectionMessage
-
-    @property
-    def n_cameras(self) -> int:
-        return len(self.per_camera)
-
-    @property
-    def n_keypoints(self) -> int:
-        return sum(len(m.keypoints) for m in self.per_camera.values())
 
 
 @dataclass
@@ -177,16 +168,21 @@ def message_to_json(message: DetectionMessage) -> str:
         "camera_id": int(message.camera_id),
         "stamp_ns": stamp_to_ns(message.stamp),
         "keypoints": [
-            {
-                "id": int(k.index),
-                "u": float(k.pixel[0]),
-                "v": float(k.pixel[1]),
-                "conf": float(k.confidence),
-            }
-            for k in message.keypoints
+            {"id": j, "u": u, "v": v, "conf": c}
+            for j, (u, v), c in zip(message.keypoints.tolist(), message.pixels.tolist(),
+                                    message.confidence.tolist())
         ],
     }
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _wire_int(value, name) -> int:
+    """An integer wire field, which must hold an integral 64-bit value:
+    Infinity or 1.7 raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -2**63 <= value < 2**63 or not float(value).is_integer()):
+        raise ValueError(f"{name} {value!r} is not a 64-bit integer")
+    return int(value)
 
 
 def message_from_json(line: str) -> DetectionMessage:
@@ -196,12 +192,13 @@ def message_from_json(line: str) -> DetectionMessage:
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("type") != "detections":
         raise ValueError(f"unexpected message type {payload.get('type')!r}")
-    kps = tuple(
-        KeypointObservation(int(k["id"]), np.array([k["u"], k["v"]]), float(k["conf"]))
-        for k in payload["keypoints"]
-    )
+    kps = payload["keypoints"]
+    if not isinstance(kps, list):
+        raise ValueError(f"keypoints must be a JSON list, got {type(kps).__name__}")
     return DetectionMessage(
-        camera_id=int(payload["camera_id"]),
-        stamp=ns_to_stamp(int(payload["stamp_ns"])),
-        keypoints=kps,
+        camera_id=_wire_int(payload["camera_id"], "camera_id"),
+        stamp=ns_to_stamp(_wire_int(payload["stamp_ns"], "stamp_ns")),
+        keypoints=[_wire_int(k["id"], "keypoint id") for k in kps],
+        pixels=[(k["u"], k["v"]) for k in kps],
+        confidence=[k["conf"] for k in kps],
     )

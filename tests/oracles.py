@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from camloc.errors import BehindCamera
 
 try:
     from numba import njit
@@ -32,6 +31,10 @@ except ImportError:  # pragma: no cover
 
 
 # -- scalar projection ----------------------------------------------------
+
+
+class BehindCamera(Exception):
+    """Point has non-positive depth in the camera frame."""
 
 
 def keypoint_world(pose, model, j):
@@ -167,16 +170,17 @@ def frameset_obs_arrays(frameset, cameras, model):
     rot, trans, fx, fy, cx, cy, kp, pix, w = [], [], [], [], [], [], [], [], []
     for cam_id in sorted(frameset.per_camera):
         cam = cams[cam_id]
-        for k in frameset.per_camera[cam_id].keypoints:
+        msg = frameset.per_camera[cam_id]
+        for j, pixel, conf in zip(msg.keypoints, msg.pixels, msg.confidence):
             rot.append(cam.world_to_camera.rotation)
             trans.append(cam.world_to_camera.translation)
             fx.append(cam.fx)
             fy.append(cam.fy)
             cx.append(cam.cx)
             cy.append(cam.cy)
-            kp.append(model.keypoints[k.index])
-            pix.append(k.pixel)
-            w.append(k.confidence)
+            kp.append(model.keypoints[j])
+            pix.append(pixel)
+            w.append(conf)
     return {
         "rot": np.array(rot),
         "trans": np.array(trans),

@@ -32,7 +32,7 @@ from camloc.simulation import (
     script_trajectory,
     simulate_frame,
 )
-from camloc.sync import DetectionMessage, FrameSet, KeypointObservation, SyncConfig, Synchronizer
+from camloc.sync import DetectionMessage, FrameSet, SyncConfig, Synchronizer
 
 import oracles
 
@@ -100,7 +100,7 @@ class TestAcceptance:
         framesets = []
         for s in samples:
             fs = frameset_at(s, rig, robot_model, ZERO_NOISE, rng)
-            if fs.n_cameras >= 2:
+            if len(fs.per_camera) >= 2:
                 framesets.append((s, fs))
         assert len(framesets) >= 500
         framesets = framesets[:500]
@@ -133,7 +133,7 @@ class TestAcceptance:
             if pc[2] < 0.5:
                 continue
             n += 1
-            msg = DetectionMessage(0, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
+            msg = DetectionMessage(0, 0.0, [j], [(0.0, 0.0)], [1.0])
             obs = flatten_observations([(cam, msg)], robot_model)
             _, jac, _ = reprojection_kernel(pose.as_array()[None], obs)
             analytic = jac[0, :, :, 0].T  # (2, 3): pixel row by pose column
@@ -265,9 +265,7 @@ class TestAcceptance:
 
     def test_criterion_09_synchronizer_fuzz(self):
         def _msg(cam, t):
-            from camloc.sync import DetectionMessage, KeypointObservation
-
-            return DetectionMessage(cam, t, (KeypointObservation(0, [1.0, 2.0], 0.9),))
+            return DetectionMessage(cam, t, [0], [[1.0, 2.0]], [0.9])
 
         rng = np.random.default_rng(5)
         t0 = time.perf_counter()

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from camloc import cli
+from camloc import cli, pipeline
 from camloc.errors import ConfigError, SolverDiverged
+from camloc.pipeline import run_pipeline
 from camloc.posegraph import PoseGraph
 from camloc.scenario import config_from_dict, generate_scenarios, load_config
 
@@ -246,8 +252,16 @@ class TestReplay:
             assert replay_files[name] == run_files[name]
         assert "detections.jsonl" not in replay_files
 
-    @pytest.mark.parametrize("line", ["not json", "[]", "1", '"x"', "null"],
-                             ids=["not_json", "list", "number", "string", "null"])
+    @pytest.mark.parametrize("line", [
+        "not json", "[]", "1", '"x"', "null",
+        '{"type":"detections","camera_id":0,"stamp_ns":Infinity,"keypoints":[]}',
+        '{"type":"detections","camera_id":Infinity,"stamp_ns":5,"keypoints":[]}',
+        '{"type":"detections","camera_id":0,"stamp_ns":5,'
+        '"keypoints":[{"id":Infinity,"u":1.0,"v":2.0,"conf":0.9}]}',
+        '{"type":"detections","camera_id":0,"stamp_ns":5,'
+        '"keypoints":[{"id":1.7,"u":1.0,"v":2.0,"conf":0.9}]}',
+    ], ids=["not_json", "list", "number", "string", "null", "infinite_stamp",
+            "infinite_camera", "infinite_id", "fractional_id"])
     def test_malformed_line_reports_location(self, small_scenario, tmp_path, capsys, line):
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"type":"detections","camera_id":0,"stamp_ns":0,"keypoints":[]}\n'
@@ -267,11 +281,10 @@ class TestReplay:
         assert rc == 2
         assert f"{stream}:2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda msg: msg.update(camera_id=7),
-        lambda msg: msg["keypoints"][0].update(id=42),
-    ], ids=["unknown_camera", "unknown_keypoint"])
-    def test_bad_id_costs_one_frameset(self, small_scenario, tmp_path, corrupt):
+    @staticmethod
+    def _replay_one_corrupted(small_scenario, tmp_path, corrupt):
+        """Replay a recorded stream clean and with one solvable message of its
+        second half corrupted; returns the run_meta counters of both."""
         out = tmp_path / "run"
         cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)])
         lines = (out / "detections.jsonl").read_text().splitlines()
@@ -292,9 +305,36 @@ class TestReplay:
             counters[name] = meta["counters"]
         assert set(read_outputs(tmp_path / "bad")) == {
             "waypoint_stats.csv", "trajectory_error.csv", "run_meta.json"}
+        return counters["clean"], counters["bad"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda msg: msg.update(camera_id=7),
+        lambda msg: msg["keypoints"][0].update(id=42),
+    ], ids=["unknown_camera", "unknown_keypoint"])
+    def test_bad_id_costs_one_frameset(self, small_scenario, tmp_path, corrupt):
+        clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
         # the bad message was placed, and only its frame-set was skipped
-        assert counters["bad"]["stale_messages"] == counters["clean"]["stale_messages"]
-        assert counters["bad"]["skipped_framesets"] == counters["clean"]["skipped_framesets"] + 1
+        assert bad["stale_messages"] == clean["stale_messages"]
+        assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
+
+    def test_far_stamp_leaves_static_averaging_alone(self, small_scenario, tmp_path):
+        # stamped 11 days before the run, the message forms a frame-set of
+        # its own at the first waypoint, too far off to average with the rest
+        def corrupt(msg):
+            msg["stamp_ns"] = -10**15
+
+        clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
+        assert bad["stale_messages"] == clean["stale_messages"]
+
+    def test_diverged_solve_costs_one_frameset(self, small_scenario, tmp_path):
+        # a pixel of 1e200 makes the squared residual overflow, so the solve
+        # of that frame-set ends in a non-finite state and diverges
+        def corrupt(msg):
+            msg["keypoints"][0]["u"] = 1e200
+
+        clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
+        assert bad["stale_messages"] == clean["stale_messages"]
+        assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
 
     def test_empty_stream_succeeds(self, small_scenario, tmp_path):
         stream = tmp_path / "empty.jsonl"
@@ -302,3 +342,115 @@ class TestReplay:
         rc = cli.main(["replay", "--stream", str(stream),
                        "--scenario", str(small_scenario), "--out", str(tmp_path / "o")])
         assert rc == 0
+
+
+# any JSON value, NaN and the infinities included, as a corrupt field may hold;
+# the edge values come first so that a short run meets them: non-integral and
+# out-of-range integers, a pixel whose square overflows, a stamp days away
+_JSON_VALUES = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.7, 2**63, True,
+                     1e200, -10**15, 10**15]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                   max_size=3),
+        max_leaves=4,
+    ),
+)
+RECORDING_LINES = 60
+FUZZ_EXAMPLES = 200
+_MESSAGE_FIELDS = ("type", "camera_id", "stamp_ns", "keypoints")
+_KEYPOINT_FIELDS = ("id", "u", "v", "conf")
+_LINE = st.integers(0, 10**6)  # taken modulo the stream's line count
+_FIELD_EDITS = st.lists(st.tuples(
+    _LINE, _LINE, st.sampled_from(_MESSAGE_FIELDS + _KEYPOINT_FIELDS), _JSON_VALUES),
+    max_size=2)
+_LINE_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "duplicate"]), _LINE, st.just(0)),
+    st.tuples(st.sampled_from(["swap", "truncate"]), _LINE, _LINE),
+), max_size=3)
+
+
+def _corrupt_stream(lines, field_edits, line_edits):
+    """Apply field replacements to the parsed messages, then drop, duplicate,
+    swap and truncate whole lines."""
+    messages = [json.loads(line) for line in lines]
+    for i, k, name, value in field_edits:
+        msg = messages[i % len(messages)]
+        kps = msg["keypoints"]
+        if name in _MESSAGE_FIELDS:
+            msg[name] = value
+        elif isinstance(kps, list) and kps and isinstance(kps[k % len(kps)], dict):
+            kps[k % len(kps)][name] = value
+    lines = [json.dumps(m) for m in messages]
+    for op, i, j in line_edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i][:j % max(len(lines[i]), 1)]
+    return lines
+
+
+class TestCorruptedStreamFuzz:
+    """A corrupted recording replays to exit 0, with bad frame-sets counted
+    and skipped, or to exit 2 naming the bad line; never to a traceback."""
+
+    @pytest.fixture(scope="class")
+    def recording(self, small_scenario, tmp_path_factory):
+        out = tmp_path_factory.mktemp("recording")
+        assert cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)]) == 0
+        return (out / "detections.jsonl").read_text().splitlines()[:RECORDING_LINES]
+
+    @settings(derandomize=True, deadline=None, max_examples=FUZZ_EXAMPLES,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field_edits=_FIELD_EDITS, line_edits=_LINE_EDITS)
+    def test_replay_exits_0_or_2(self, small_scenario, recording, tmp_path_factory,
+                                 field_edits, line_edits):
+        work = tmp_path_factory.getbasetemp() / "fuzz"
+        work.mkdir(exist_ok=True)
+        stream = work / "stream.jsonl"
+        lines = _corrupt_stream(recording, field_edits, line_edits)
+        stream.write_text("".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["replay", "--stream", str(stream), "--scenario", str(small_scenario),
+                           "--out", str(work / "out")])
+        assert rc in (0, 2), err.getvalue()
+        if rc == 2:
+            assert f"{stream}:" in err.getvalue()
+
+
+class TestSimulationOnlyWhenRead:
+    """A robot-only run without feedback reads no detection, so run_pipeline
+    simulates none; camloc run still records the stream."""
+
+    def test_robot_only_run_simulates_nothing(self, scenario_dir, monkeypatch):
+        path = scenario_dir / "long_feedback.json"
+        every_mode = run_pipeline(load_config(path, {"seed": 7, "feedback": "false"}))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate_frame called")
+
+        monkeypatch.setattr(pipeline, "simulate_frame", no_simulation)
+        robot_only = run_pipeline(load_config(
+            path, {"seed": 7, "feedback": "false", "modes": '["robot"]'}))
+        assert set(robot_only.mode_trajectories) == {"robot"}
+        ours, theirs = robot_only.mode_trajectories["robot"], every_mode.mode_trajectories["robot"]
+        assert ours.stamps.tobytes() == theirs.stamps.tobytes()
+        assert (np.array([p.as_array() for p in ours.poses]).tobytes()
+                == np.array([p.as_array() for p in theirs.poses]).tobytes())
+
+    def test_robot_only_cli_run_records_the_stream(self, small_scenario, tmp_path):
+        for name, extra in (("all", []), ("robot", ["--override", 'modes=["robot"]'])):
+            assert cli.main(["run", "--scenario", str(small_scenario),
+                             "--out", str(tmp_path / name)] + extra) == 0
+        assert ((tmp_path / "robot" / "detections.jsonl").read_bytes()
+                == (tmp_path / "all" / "detections.jsonl").read_bytes())

@@ -30,7 +30,7 @@ from camloc.estimation import (
 from camloc.geometry import PoseSE2, angle_diff, flatten_observations, keypoints_world
 from camloc.scenario import camera_visibility_count, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
-from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
+from camloc.sync import DetectionMessage, FrameSet
 
 import oracles
 
@@ -53,14 +53,13 @@ class TestSolveMultiview:
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-6
         assert est.rms_residual < 1e-6
         assert est.n_cameras == 4
-        assert est.n_keypoints == fs.n_keypoints
+        assert est.n_keypoints == sum(len(m.keypoints) for m in fs.per_camera.values())
 
     def test_insufficient_observations(self, rig, robot_model):
-        msg = DetectionMessage(0, 0.0, (KeypointObservation(0, [10, 10], 1.0),
-                                        KeypointObservation(1, [20, 20], 1.0)))
-        fs = FrameSet(anchor_stamp=0.0, per_camera={0: msg})
-        with pytest.raises(InsufficientObservations):
-            solve_multiview(fs, PoseSE2(5, 4, 0), rig, robot_model)
+        msg = DetectionMessage(0, 0.0, [0, 1], [[10, 10], [20, 20]], [1.0, 1.0])
+        for fs in (FrameSet(anchor_stamp=0.0, per_camera={0: msg}), FrameSet(anchor_stamp=0.0)):
+            with pytest.raises(InsufficientObservations):
+                solve_multiview(fs, PoseSE2(5, 4, 0), rig, robot_model)
 
     def test_weight_scaling_leaves_argmin_unchanged(self, rig, robot_model):
         truth = PoseSE2(4.5, 3.5, -0.4)
@@ -71,9 +70,8 @@ class TestSolveMultiview:
         est1 = solve_multiview(fs, truth, rig, robot_model)
         scaled = {}
         for cam_id, msg in fs.per_camera.items():
-            kps = tuple(KeypointObservation(k.index, k.pixel, k.confidence * 0.5)
-                        for k in msg.keypoints)
-            scaled[cam_id] = DetectionMessage(cam_id, msg.stamp, kps)
+            scaled[cam_id] = DetectionMessage(cam_id, msg.stamp, msg.keypoints, msg.pixels,
+                                              msg.confidence * 0.5)
         fs2 = FrameSet(anchor_stamp=0.0, per_camera=scaled)
         est2 = solve_multiview(fs2, truth, rig, robot_model)
         assert math.hypot(est2.pose.x - est1.pose.x, est2.pose.y - est1.pose.y) < 1e-8
@@ -90,10 +88,10 @@ class TestSolveMultiview:
             base = solve_multiview(fs, truth, rig, robot_model)
             cam_id = sorted(fs.per_camera)[0]
             msg = fs.per_camera[cam_id]
-            k0 = msg.keypoints[0]
-            corrupted = (KeypointObservation(k0.index, k0.pixel + [50.0, 0.0],
-                                             k0.confidence),) + msg.keypoints[1:]
-            fs.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, corrupted)
+            corrupted = msg.pixels.copy()
+            corrupted[0, 0] += 50.0
+            fs.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, msg.keypoints,
+                                                     corrupted, msg.confidence)
             out = solve_multiview(fs, truth, rig, robot_model)
             e_base = math.hypot(base.pose.x - truth.x, base.pose.y - truth.y)
             e_out = math.hypot(out.pose.x - truth.x, out.pose.y - truth.y)
@@ -161,8 +159,8 @@ class TestSingleViewCandidate:
         assert abs(angle_diff(cand.pose.theta, truth.theta)) < 1e-5
 
     def test_requires_four_keypoints(self, rig, robot_model):
-        msg = DetectionMessage(0, 0.0, tuple(
-            KeypointObservation(i, [100.0 + i, 100.0], 1.0) for i in range(3)))
+        msg = DetectionMessage(0, 0.0, range(3), [[100.0 + i, 100.0] for i in range(3)],
+                               np.ones(3))
         with pytest.raises(InsufficientKeypoints):
             single_view_candidate(msg, rig[0], robot_model)
 
@@ -290,8 +288,8 @@ class TestInitializeGlobal:
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
 
     def test_no_eligible_camera(self, rig, robot_model):
-        msg = DetectionMessage(0, 0.0, tuple(
-            KeypointObservation(i, [100.0 + i, 100.0], 1.0) for i in range(3)))
+        msg = DetectionMessage(0, 0.0, range(3), [[100.0 + i, 100.0] for i in range(3)],
+                               np.ones(3))
         fs = FrameSet(anchor_stamp=0.0, per_camera={0: msg})
         with pytest.raises(NoEligibleCamera):
             initialize_global(fs, rig, robot_model)
@@ -320,7 +318,8 @@ class TestUnknownInputIds:
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_unknown_camera(self, frameset, rig, robot_model, solver):
         msg = frameset.per_camera.pop(self._widest(frameset))
-        frameset.per_camera[99] = DetectionMessage(99, msg.stamp, msg.keypoints)
+        frameset.per_camera[99] = DetectionMessage(99, msg.stamp, msg.keypoints, msg.pixels,
+                                                   msg.confidence)
         with pytest.raises(UnknownCamera):
             self.SOLVERS[solver](frameset, rig, robot_model)
 
@@ -328,9 +327,10 @@ class TestUnknownInputIds:
     def test_unknown_keypoint(self, frameset, rig, robot_model, solver):
         cam_id = self._widest(frameset)
         msg = frameset.per_camera[cam_id]
-        k0 = msg.keypoints[0]
-        bad = (KeypointObservation(42, k0.pixel, k0.confidence),) + msg.keypoints[1:]
-        frameset.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, bad)
+        bad = msg.keypoints.copy()
+        bad[0] = 42
+        frameset.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, bad, msg.pixels,
+                                                       msg.confidence)
         with pytest.raises(UnknownKeypoint):
             self.SOLVERS[solver](frameset, rig, robot_model)
 

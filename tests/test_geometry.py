@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camloc.errors import AllZeroWeights, BehindCamera, UnknownCamera, UnknownKeypoint
+from camloc.errors import AllZeroWeights, UnknownCamera, UnknownKeypoint
 from camloc.geometry import (
     MIN_DEPTH,
     CameraModel,
@@ -20,9 +20,9 @@ from camloc.geometry import (
     reprojection_kernel,
     wrap_angle,
 )
-from camloc.sync import DetectionMessage, FrameSet, KeypointObservation
+from camloc.sync import DetectionMessage, FrameSet
 
-from oracles import central_difference_jacobian, keypoint_world, project
+from oracles import BehindCamera, central_difference_jacobian, keypoint_world, project
 
 
 def _axis_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
@@ -146,16 +146,18 @@ def _noise_free_frameset(pose, cameras, model):
     per_camera = {}
     pts = keypoints_world(pose, model)
     for cam in cameras:
-        obs = []
+        ids, pixels = [], []
         for j in range(model.n_keypoints):
             try:
                 pix = project(cam, pts[j])
             except BehindCamera:
                 continue
             if 0 <= pix[0] < cam.width and 0 <= pix[1] < cam.height:
-                obs.append(KeypointObservation(j, pix, 1.0))
-        if obs:
-            per_camera[cam.camera_id] = DetectionMessage(cam.camera_id, 0.0, tuple(obs))
+                ids.append(j)
+                pixels.append(pix)
+        if ids:
+            per_camera[cam.camera_id] = DetectionMessage(cam.camera_id, 0.0, ids, pixels,
+                                                         np.ones(len(ids)))
     return FrameSet(anchor_stamp=0.0, per_camera=per_camera)
 
 
@@ -169,7 +171,7 @@ def _residuals(pose, cameras, fs, model):
 
 def _keypoint_jacobian(pose, camera, model, j):
     """The kernel's 2x3 residual Jacobian and depth of keypoint j in one camera."""
-    message = DetectionMessage(camera.camera_id, 0.0, (KeypointObservation(j, (0.0, 0.0), 1.0),))
+    message = DetectionMessage(camera.camera_id, 0.0, [j], [(0.0, 0.0)], [1.0])
     obs = flatten_observations([(camera, message)], model)
     _, jac, depth = reprojection_kernel(pose.as_array()[None], obs)
     return jac[0, :, :, 0].T, depth[0, 0]
@@ -189,9 +191,10 @@ class TestReprojectionResiduals:
         fs = _noise_free_frameset(pose, rig, robot_model)
         cam_id = sorted(fs.per_camera)[0]
         msg = fs.per_camera[cam_id]
-        k0 = msg.keypoints[0]
-        shifted = (KeypointObservation(k0.index, k0.pixel + [1.0, 0.0], 1.0),) + msg.keypoints[1:]
-        fs.per_camera[cam_id] = DetectionMessage(cam_id, 0.0, shifted)
+        shifted = msg.pixels.copy()
+        shifted[0, 0] += 1.0
+        fs.per_camera[cam_id] = DetectionMessage(cam_id, 0.0, msg.keypoints, shifted,
+                                                 msg.confidence)
         res, w = _residuals(pose, rig, fs, robot_model)
         objective = float(np.sum(w * np.sum(res**2, axis=1)))
         assert objective == pytest.approx(1.0, abs=1e-9)
@@ -214,7 +217,7 @@ class TestReprojectionResiduals:
         fs = FrameSet(
             anchor_stamp=0.0,
             per_camera={
-                99: DetectionMessage(99, 0.0, (KeypointObservation(0, [0, 0], 1.0),))
+                99: DetectionMessage(99, 0.0, [0], [[0, 0]], [1.0])
             },
         )
         with pytest.raises(UnknownCamera):
@@ -225,7 +228,7 @@ class TestReprojectionResiduals:
         fs = FrameSet(
             anchor_stamp=0.0,
             per_camera={
-                cam_id: DetectionMessage(cam_id, 0.0, (KeypointObservation(42, [0, 0], 1.0),))
+                cam_id: DetectionMessage(cam_id, 0.0, [42], [[0, 0]], [1.0])
             },
         )
         with pytest.raises(UnknownKeypoint):
@@ -239,7 +242,7 @@ class TestReprojectionResiduals:
         for cam_id, msg in list(fs.per_camera.items()):
             perm = rng.permutation(len(msg.keypoints))
             fs.per_camera[cam_id] = DetectionMessage(
-                cam_id, msg.stamp, tuple(msg.keypoints[i] for i in perm)
+                cam_id, msg.stamp, msg.keypoints[perm], msg.pixels[perm], msg.confidence[perm]
             )
         res2, w2 = _residuals(pose, rig, fs, robot_model)
         obj2 = float(np.sum(w2 * np.sum(res2**2, axis=1)))
@@ -301,23 +304,23 @@ class TestReprojectionKernel:
         n = obs.n_rows
         assert res.shape == (3, 2, n) and jac.shape == (3, 3, 2, n) and depth.shape == (3, n)
         # columns follow camera id, then detection order
-        columns = [(cams[cid], kp) for cid in sorted(fs.per_camera)
-                   for kp in fs.per_camera[cid].keypoints]
+        columns = [(cams[cid], j, pixel) for cid in sorted(fs.per_camera)
+                   for j, pixel in zip(fs.per_camera[cid].keypoints, fs.per_camera[cid].pixels)]
         assert len(columns) == n
         in_front = [0, 0, 0]
         for s, p in enumerate(params):
-            for k, (cam, kp) in enumerate(columns):
-                pc = cam.world_to_camera.apply(keypoint_world(PoseSE2(*p), robot_model, kp.index))
+            for k, (cam, j, pixel) in enumerate(columns):
+                pc = cam.world_to_camera.apply(keypoint_world(PoseSE2(*p), robot_model, j))
                 assert depth[s, k] == pytest.approx(pc[2], abs=1e-12)
                 if pc[2] <= MIN_DEPTH:
                     assert np.isfinite(res[s, :, k]).all() and np.isfinite(jac[s, ..., k]).all()
                     continue
                 in_front[s] += 1
 
-                def projection(q, cam=cam, j=kp.index):
+                def projection(q, cam=cam, j=j):
                     return project(cam, keypoint_world(PoseSE2(*q), robot_model, j))
 
-                np.testing.assert_allclose(res[s, :, k], kp.pixel - projection(p), rtol=0,
+                np.testing.assert_allclose(res[s, :, k], pixel - projection(p), rtol=0,
                                            atol=1e-9)
                 fd = -central_difference_jacobian(projection, p)
                 block = jac[s, :, :, k].T

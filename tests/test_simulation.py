@@ -99,9 +99,9 @@ class TestSimulateFrame:
         pts = keypoints_world(pose, robot_model)
         for m in msgs:
             assert m.stamp == 1.0
-            for k in m.keypoints:
-                assert k.confidence == 1.0
-                np.testing.assert_allclose(k.pixel, project(cams[m.camera_id], pts[k.index]))
+            assert (m.confidence == 1.0).all()
+            for j, pixel in zip(m.keypoints, m.pixels):
+                np.testing.assert_allclose(pixel, project(cams[m.camera_id], pts[j]))
 
     def test_total_dropout(self, rig, robot_model, rng):
         from camloc.simulation import GroundTruthSample
@@ -123,12 +123,12 @@ class TestSimulateFrame:
         for _ in range(50):
             for m in simulate_frame(GroundTruthSample(0.0, pose, True, 0), rig,
                                     robot_model, noise, rng):
-                for k in m.keypoints:
-                    exact = project(cams[m.camera_id], pts[k.index])
-                    offset = float(np.linalg.norm(k.pixel - exact))
+                for j, pixel, conf in zip(m.keypoints, m.pixels, m.confidence):
+                    exact = project(cams[m.camera_id], pts[j])
+                    offset = float(np.linalg.norm(pixel - exact))
                     assert offset <= 6.0 * noise.pixel_sigma + 1e-9
-                    assert noise.confidence_floor <= k.confidence <= 1.0
-                    records.append((offset, k.confidence))
+                    assert noise.confidence_floor <= conf <= 1.0
+                    records.append((offset, conf))
         records.sort()
         # confidence non-increasing in noise magnitude (up to the floor)
         for (o1, c1), (o2, c2) in zip(records, records[1:]):
@@ -142,9 +142,8 @@ class TestSimulateFrame:
         for _ in range(2):
             rng = np.random.default_rng(77)
             msgs = simulate_frame(sample, rig, robot_model, NoiseModel(), rng)
-            runs.append([(m.camera_id, m.stamp,
-                          [(k.index, tuple(k.pixel), k.confidence) for k in m.keypoints])
-                         for m in msgs])
+            runs.append([(m.camera_id, m.stamp, m.keypoints.tolist(), m.pixels.tolist(),
+                          m.confidence.tolist()) for m in msgs])
         assert runs[0] == runs[1]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from camloc.sync import (
     DetectionMessage,
     FrameSet,
-    KeypointObservation,
     SyncConfig,
     Synchronizer,
     message_from_json,
@@ -20,19 +19,33 @@ from camloc.sync import (
 
 
 def _msg(camera_id, stamp, n_kp=1):
-    kps = tuple(KeypointObservation(i, [10.0 * i, 20.0], 0.9) for i in range(n_kp))
-    return DetectionMessage(camera_id, stamp, kps)
+    return DetectionMessage(camera_id, stamp, range(n_kp),
+                            [[10.0 * i, 20.0] for i in range(n_kp)], [0.9] * n_kp)
 
 
 class TestMessageInvariants:
+    def test_arrays(self):
+        msg = _msg(0, 0.0, n_kp=3)
+        assert msg.keypoints.dtype.kind == "i" and msg.keypoints.shape == (3,)
+        assert msg.pixels.shape == (3, 2) and msg.confidence.shape == (3,)
+        empty = DetectionMessage(0, 0.0, [], [], [])
+        assert empty.pixels.shape == (0, 2) and len(empty.keypoints) == 0
+
     def test_duplicate_keypoint_indices_rejected(self):
-        kps = (KeypointObservation(0, [1, 2], 0.5), KeypointObservation(0, [3, 4], 0.5))
-        with pytest.raises(ValueError):
-            DetectionMessage(0, 0.0, kps)
+        with pytest.raises(ValueError, match="duplicate"):
+            DetectionMessage(0, 0.0, [0, 0], [[1, 2], [3, 4]], [0.5, 0.5])
 
     def test_confidence_range(self):
-        with pytest.raises(ValueError):
-            KeypointObservation(0, [1, 2], 1.5)
+        with pytest.raises(ValueError, match="confidence"):
+            DetectionMessage(0, 0.0, [0], [[1, 2]], [1.5])
+
+    def test_non_finite_pixel(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DetectionMessage(0, 0.0, [0, 1], [[1, 2], [np.inf, 4]], [0.5, 0.5])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="length"):
+            DetectionMessage(0, 0.0, [0, 1], [[1, 2], [3, 4]], [0.5])
 
 
 class TestIngest:
@@ -43,7 +56,7 @@ class TestIngest:
             out.extend(sync.ingest(_msg(cam, t)))
         assert len(out) == 1
         fs = out[0]
-        assert fs.n_cameras == 4
+        assert len(fs.per_camera) == 4
         assert fs.anchor_stamp == 0.0  # anchor is the first member's stamp
 
     def test_forced_close_on_repeated_camera(self):
@@ -158,19 +171,35 @@ class TestWireFormat:
 
     def test_round_trip_bit_exact(self, rng):
         for _ in range(50):
-            kps = tuple(
-                KeypointObservation(i, rng.uniform(0, 848, 2), float(rng.uniform(0, 1)))
-                for i in range(int(rng.integers(1, 9)))
-            )
+            n = int(rng.integers(1, 9))
             stamp = ns_to_stamp(int(rng.integers(0, 10**12)))
-            msg = DetectionMessage(int(rng.integers(0, 8)), stamp, kps)
+            msg = DetectionMessage(int(rng.integers(0, 8)), stamp, rng.permutation(n),
+                                   rng.uniform(0, 848, (n, 2)), rng.uniform(0, 1, n))
             line = message_to_json(msg)
             back = message_from_json(line)
             assert message_to_json(back) == line
             assert back.stamp == msg.stamp
+            for name in ("keypoints", "pixels", "confidence"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(msg, name))
 
     def test_ns_quantization_round_trip(self):
         assert ns_to_stamp(stamp_to_ns(1.234567891)) == pytest.approx(1.234567891, abs=1e-12)
+
+    @pytest.mark.parametrize("field,value", [
+        ("camera_id", 1.7), ("camera_id", float("inf")), ("stamp_ns", float("nan")),
+        ("stamp_ns", 2**63), ("camera_id", True), ("camera_id", "3"), ("id", 1.5),
+    ])
+    def test_non_integral_integer_field_rejected(self, field, value):
+        payload = {"type": "detections", "camera_id": 0, "stamp_ns": 0,
+                   "keypoints": [{"id": 0, "u": 1.0, "v": 2.0, "conf": 0.5}]}
+        (payload["keypoints"][0] if field == "id" else payload)[field] = value
+        with pytest.raises(ValueError, match="64-bit integer"):
+            message_from_json(json.dumps(payload))
+
+    def test_integral_float_accepted(self):
+        msg = message_from_json('{"type":"detections","camera_id":2.0,"stamp_ns":1e9,'
+                                '"keypoints":[{"id":3.0,"u":1,"v":2,"conf":1}]}')
+        assert (msg.camera_id, msg.stamp, msg.keypoints.tolist()) == (2, 1.0, [3])
 
     def test_malformed_type_rejected(self):
         with pytest.raises(ValueError):
