@@ -5,6 +5,8 @@ pixel noise moves the estimate mostly along the viewing ray. The gate
 compares a fresh single-view estimate against the previous pose, and when
 the jump along the ray (or in heading) is implausible it keeps the prior
 depth and heading, accepting only the well-observed lateral component.
+The estimate's own covariance, sigma^2 * H^-1 of its solve, is already
+long along the ray.
 
 Run:  python3 demos/02_single_camera_gating.py
 """
@@ -35,7 +37,7 @@ def main():
                        timestamp_jitter=0)
 
     # 1. anisotropy: error along the viewing ray vs. across it
-    depth_sq, lat_sq = [], []
+    depth_sq, lat_sq, depth_var = [], [], []
     for seed in range(300):
         rng = np.random.default_rng(seed)
         msg = simulate_frame(GroundTruthSample(0.0, truth, True, 0), [cam],
@@ -46,9 +48,11 @@ def main():
         view /= np.linalg.norm(view)
         depth_sq.append(float(err @ view) ** 2)
         lat_sq.append(float(err @ np.array([-view[1], view[0]])) ** 2)
+        depth_var.append(float(view @ cand.covariance[:2, :2] @ view))
     print("single camera at 6 m, 2 px noise, 300 frames:")
     print(f"  rms error along viewing ray : {1000 * math.sqrt(np.mean(depth_sq)):5.1f} mm")
     print(f"  rms error across viewing ray: {1000 * math.sqrt(np.mean(lat_sq)):5.1f} mm")
+    print(f"  predicted sd along the ray  : {1000 * math.sqrt(np.mean(depth_var)):5.1f} mm")
 
     # 2. the gate on an implausible jump (camera on the +x axis at 5 m)
     cam2 = make_camera(0, (5.0, 0.0, 2.5), math.pi, math.radians(30.0))
@@ -66,11 +70,12 @@ def main():
           f"{math.degrees(raw.pose.theta):5.1f} deg)")
     print(f"  gated estimate: ({gated.pose.x:5.2f}, {gated.pose.y:5.2f}, "
           f"{math.degrees(gated.pose.theta):5.1f} deg)  gated={gated.gated}")
-    view = prev.xy - cam2.ground_position()
+    view = raw.pose.xy - cam2.ground_position()
     view /= np.linalg.norm(view)
-    before = float(view @ raw.covariance[:2, :2] @ view)
-    after = float(view @ gated.covariance[:2, :2] @ view)
-    print(f"  covariance along the ray inflated x{after / before:.1f}")
+    lateral = np.array([-view[1], view[0]])
+    along = math.sqrt(view @ raw.covariance[:2, :2] @ view)
+    across = math.sqrt(lateral @ raw.covariance[:2, :2] @ lateral)
+    print(f"  lone-camera sd along the ray / across it: {along / across:.1f}")
 
 
 if __name__ == "__main__":

@@ -7,15 +7,12 @@ and a calibrated synthetic sensor network for end-to-end validation.
 """
 
 from .estimation import (
-    Candidate,
     GateThresholds,
     PoseEstimate,
     SolverConfig,
     average_estimates,
-    estimate_covariance,
     gate_single_view,
     initialize_global,
-    interpolate_candidates,
     single_view_candidate,
     solve_multiview,
 )

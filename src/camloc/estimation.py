@@ -3,8 +3,12 @@
 Implements the weighted nonlinear least-squares pose solve (Levenberg-
 Marquardt with a Huber-robustified pixel residual), per-camera candidate
 generation with ground-plane multi-start for prior-free initialization,
-the single-camera bearing-only outlier gate, residual-based covariance,
-and information-weighted averaging of consecutive estimates.
+the single-camera bearing-only outlier gate, and information-weighted
+averaging. Every solve's covariance is sigma^2 * H^-1 from its own
+Gauss-Newton Hessian H, with sigma^2 the residual variance (cf. Triggs et
+al., "Bundle Adjustment - A Modern Synthesis", 2000), and that one
+covariance weights every blend: of the per-camera candidates that seed
+relocalization, of consecutive static estimates, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ from .sync import DetectionMessage, FrameSet
 MIN_SEED_KEYPOINTS = 4
 # Longest stamp span of the estimates that average_estimates accepts.
 AVERAGE_SPAN = 2.0  # s
+# Floor of the residual sd that scales a covariance: noiseless detections
+# leave an objective of 0.
+R_MIN = 0.5  # px
 
 
 @dataclass
@@ -90,16 +97,6 @@ class PoseEstimate:
         np.linalg.cholesky(cov)  # raises if not positive-definite
 
 
-@dataclass
-class Candidate:
-    """Single-camera ground-plane pose candidate."""
-
-    pose: PoseSE2
-    rms_residual: float
-    mean_confidence: float
-    camera_id: int
-
-
 def _residual_norms(res):
     """Per-keypoint residual norms (S, K) of residuals (S, 2, K)."""
     return np.sqrt(np.add.reduce(res * res, axis=1))
@@ -146,6 +143,7 @@ def _solve_steps(hess, lam, grad):
         return steps
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
     """Minimize the Huber objective from each row of starts (S, 3).
 
@@ -153,8 +151,10 @@ def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
     only stacks the arithmetic, so a start's result does not depend on the
     other starts. Each trial pose is evaluated with its Jacobian, which
     becomes the next linearization when the step is accepted. Returns
-    (params (S, 3), objective (S,), iterations (S,), diverged (S,)); a
-    diverged start ended in a non-finite state.
+    (params (S, 3), objective (S,), iterations (S,), diverged (S,),
+    hessian (S, 3, 3)); the Hessian is the Gauss-Newton one of the last
+    linearization. A diverged start ended in a non-finite state; the
+    overflow on its way there is detected here, not reported by numpy.
     """
     delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
     params = np.array(starts, dtype=float).reshape(-1, 3)
@@ -195,20 +195,25 @@ def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
         if stuck.any():
             running &= ~stuck
             diverged |= stuck & ~(np.isfinite(obj) & np.isfinite(params).all(axis=1))
-    return params, obj, iters, diverged
+    return params, obj, iters, diverged, hess
 
 
-def estimate_covariance(rms_residual: float, n_cameras: int, n_keypoints: int) -> np.ndarray:
-    """Diagonal covariance scaled by residual and shrunk by camera count."""
-    if n_cameras < 1:
-        raise ValueError("n_cameras must be >= 1")
-    k_t = 0.01  # m per px of residual
-    k_theta = math.radians(0.6)  # rad per px of residual
-    r_min = 0.5  # px floor keeping the covariance positive-definite
-    r = max(rms_residual, r_min)
-    sigma_xy = k_t * r / n_cameras
-    sigma_theta = k_theta * r / n_cameras
-    return np.diag([sigma_xy**2, sigma_xy**2, sigma_theta**2])
+def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
+    """sigma^2 * H^-1 of one solve, with sigma^2 = objective / (2K - 3) the
+    residual variance of its K keypoints, floored at R_MIN^2.
+
+    Raises InsufficientObservations when H is not positive definite, as when
+    every detection has confidence 0: the detections leave the pose
+    unconstrained.
+    """
+    sigma2 = max(objective / (2 * n_rows - 3), R_MIN**2)
+    try:
+        cov = sigma2 * np.linalg.inv(hess)
+        np.linalg.cholesky(cov)  # H^-1 is positive definite iff H is
+    except np.linalg.LinAlgError:
+        raise InsufficientObservations(
+            f"{n_rows} keypoint observations leave the pose unconstrained") from None
+    return cov
 
 
 def solve_multiview(
@@ -223,14 +228,13 @@ def solve_multiview(
     obs = frameset_observations(frameset, cameras, model)
     if obs.n_rows < 3:
         raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
-    params, obj, iters, diverged = _levenberg_marquardt(init.as_array()[None], obs, config)
+    params, obj, iters, diverged, hess = _levenberg_marquardt(init.as_array()[None], obs, config)
     if diverged[0]:
         raise SolverDiverged(f"non-finite state at objective {obj[0]:.3g}")
-    rms = math.sqrt(obj[0] / obs.n_rows)
     return PoseEstimate(
         pose=PoseSE2(*params[0]),
-        covariance=estimate_covariance(rms, obs.n_cameras, obs.n_rows),
-        rms_residual=rms,
+        covariance=_solve_covariance(hess[0], obj[0], obs.n_rows),
+        rms_residual=math.sqrt(obj[0] / obs.n_rows),
         n_cameras=obs.n_cameras,
         n_keypoints=obs.n_rows,
         stamp=frameset.anchor_stamp,
@@ -275,13 +279,15 @@ def single_view_candidate(
     camera: CameraModel,
     model: RobotModel,
     config: SolverConfig | None = None,
-) -> Candidate:
+) -> PoseEstimate:
     """Ground-plane pose candidate from one camera's detections.
 
     Runs the 3-DoF solve from 8 equally spaced heading initializations at
     the back-projected keypoint centroid, as one batch, and keeps the
     lowest-residual solution; the narrow robot body makes the heading
-    multi-modal from a single view, which the multi-start resolves.
+    multi-modal from a single view, which the multi-start resolves. The
+    candidate carries the covariance of its own solve, long along the
+    camera's viewing ray.
     """
     config = config or SolverConfig()
     if len(message.keypoints) < MIN_SEED_KEYPOINTS:
@@ -289,32 +295,19 @@ def single_view_candidate(
                                     f"{message.camera_id} (need {MIN_SEED_KEYPOINTS})")
     obs = flatten_observations([(camera, message)], model)
     starts = _heading_starts(_backproject_centroid(obs, camera, model))
-    params, obj, _, diverged = _levenberg_marquardt(starts, obs, config)
+    params, obj, iters, diverged, hess = _levenberg_marquardt(starts, obs, config)
     kept = np.flatnonzero(~diverged)
     if not kept.size:
         raise SolverDiverged("all candidate starts diverged")
     best = kept[np.argmin(obj[kept])]  # the first start on ties
-    rms = math.sqrt(obj[best] / obs.n_rows)
-    return Candidate(pose=PoseSE2(*params[best]), rms_residual=rms,
-                     mean_confidence=float(np.mean(obs.weight)), camera_id=message.camera_id)
-
-
-def interpolate_candidates(candidates) -> PoseSE2:
-    """Blend per-camera candidates: weighted position mean, circular heading
-    mean, with weights confidence / residual so poor fits cannot dominate."""
-    if not candidates:
-        raise ValueError("no candidates to interpolate")
-    weights = np.array(
-        [max(c.mean_confidence / max(c.rms_residual, 1e-6), 1e-6) for c in candidates]
-    )
-    xs = np.array([c.pose.x for c in candidates])
-    ys = np.array([c.pose.y for c in candidates])
-    thetas = [c.pose.theta for c in candidates]
-    wsum = weights.sum()
-    return PoseSE2(
-        float(np.dot(weights, xs) / wsum),
-        float(np.dot(weights, ys) / wsum),
-        circular_weighted_mean(thetas, weights),
+    return PoseEstimate(
+        pose=PoseSE2(*params[best]),
+        covariance=_solve_covariance(hess[best], obj[best], obs.n_rows),
+        rms_residual=math.sqrt(obj[best] / obs.n_rows),
+        n_cameras=1,
+        n_keypoints=obs.n_rows,
+        stamp=message.stamp,
+        n_iterations=int(iters[best]),
     )
 
 
@@ -324,7 +317,12 @@ def initialize_global(
     model: RobotModel,
     config: SolverConfig | None = None,
 ) -> PoseEstimate:
-    """Prior-free (kidnapped robot) initialization from a frame-set."""
+    """Prior-free (kidnapped robot) initialization from a frame-set.
+
+    Each camera with enough keypoints gives a candidate; a camera whose
+    solve diverges or leaves the pose unconstrained is skipped. The final
+    multi-view solve starts from the candidates' information-weighted mean.
+    """
     config = config or SolverConfig()
     cams = {c.camera_id: c for c in cameras}
     candidates = []
@@ -336,11 +334,12 @@ def initialize_global(
             raise UnknownCamera(f"camera {cam_id} not in rig")
         try:
             candidates.append(single_view_candidate(msg, cams[cam_id], model, config))
-        except SolverDiverged:
+        except (SolverDiverged, InsufficientObservations):
             continue
     if not candidates:
-        raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints")
-    init = interpolate_candidates(candidates)
+        raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints "
+                               "gave a candidate")
+    init = average_estimates(candidates).pose
     return solve_multiview(frameset, init, cameras, model, config)
 
 
@@ -354,8 +353,8 @@ def gate_single_view(
 
     Implausible jumps in heading or camera distance are rejected by keeping
     the prior heading and applying only the translation component orthogonal
-    to the camera's viewing direction; the covariance is inflated along the
-    viewing direction to reflect the unobserved depth.
+    to the camera's viewing direction. The estimate keeps its covariance,
+    which the lone camera's Hessian already makes long along its ray.
     """
     thresholds = thresholds or GateThresholds()
     if raw.n_cameras != 1:
@@ -372,15 +371,7 @@ def gate_single_view(
     lateral = np.array([-view[1], view[0]])
     shift = raw.pose.xy - prev.xy
     new_xy = prev.xy + lateral * float(np.dot(shift, lateral))
-    cov = raw.covariance.copy()
-    c2 = cov[:2, :2]
-    cov[:2, :2] = c2 + 3.0 * float(view @ c2 @ view) * np.outer(view, view)
-    return replace(
-        raw,
-        pose=PoseSE2(new_xy[0], new_xy[1], prev.theta),
-        covariance=cov,
-        gated=True,
-    )
+    return replace(raw, pose=PoseSE2(new_xy[0], new_xy[1], prev.theta), gated=True)
 
 
 def average_estimates(estimates) -> PoseEstimate:

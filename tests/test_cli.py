@@ -282,18 +282,25 @@ class TestReplay:
         assert f"{stream}:2" in capsys.readouterr().err
 
     @staticmethod
-    def _replay_one_corrupted(small_scenario, tmp_path, corrupt):
+    def _replay_one_corrupted(small_scenario, tmp_path, corrupt, whole_frame=False):
         """Replay a recorded stream clean and with one solvable message of its
-        second half corrupted; returns the run_meta counters of both."""
+        second half corrupted, or with every message of that message's frame
+        corrupted; returns the run_meta counters of both."""
         out = tmp_path / "run"
         cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)])
         lines = (out / "detections.jsonl").read_text().splitlines()
         # a message in the second half that could be solved on its own
         k = next(k for k in range(len(lines) // 2, len(lines))
                  if len(json.loads(lines[k])["keypoints"]) >= 4)
-        msg = json.loads(lines[k])
-        corrupt(msg)
-        lines[k] = json.dumps(msg)
+        targets = [k]
+        if whole_frame:  # frames are 0.1 s apart, with a few ms of jitter
+            stamp = json.loads(lines[k])["stamp_ns"]
+            targets = [j for j, line in enumerate(lines)
+                       if abs(json.loads(line)["stamp_ns"] - stamp) < 50_000_000]
+        for j in targets:
+            msg = json.loads(lines[j])
+            corrupt(msg)
+            lines[j] = json.dumps(msg)
         bad_stream = tmp_path / "bad.jsonl"
         bad_stream.write_text("\n".join(lines) + "\n")
         counters = {}
@@ -314,6 +321,18 @@ class TestReplay:
     def test_bad_id_costs_one_frameset(self, small_scenario, tmp_path, corrupt):
         clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
         # the bad message was placed, and only its frame-set was skipped
+        assert bad["stale_messages"] == clean["stale_messages"]
+        assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
+
+    def test_uninformative_frameset_costs_one_frameset(self, small_scenario, tmp_path):
+        # confidence 0 is valid on the wire, but a frame-set of nothing else
+        # leaves the pose unconstrained: it is skipped, not trusted
+        def corrupt(msg):
+            for kp in msg["keypoints"]:
+                kp["conf"] = 0.0
+
+        clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt,
+                                                whole_frame=True)
         assert bad["stale_messages"] == clean["stale_messages"]
         assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
 

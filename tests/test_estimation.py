@@ -15,20 +15,17 @@ from camloc.errors import (
     UnknownKeypoint,
 )
 from camloc.estimation import (
-    Candidate,
     GateThresholds,
     PoseEstimate,
     SolverConfig,
     average_estimates,
-    estimate_covariance,
     gate_single_view,
     initialize_global,
-    interpolate_candidates,
     single_view_candidate,
     solve_multiview,
 )
-from camloc.geometry import PoseSE2, angle_diff, flatten_observations, keypoints_world
-from camloc.scenario import camera_visibility_count, make_camera
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations, frameset_observations
+from camloc.scenario import WAYPOINTS, camera_visibility_count, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
 from camloc.sync import DetectionMessage, FrameSet
 
@@ -41,6 +38,16 @@ ZERO_NOISE = NoiseModel(pixel_sigma=0.0, dropout_prob=0.0, outlier_prob=0.0,
 def make_frameset(pose, rig, model, noise, rng, stamp=0.0):
     msgs = simulate_frame(GroundTruthSample(stamp, pose, True, 0), rig, model, noise, rng)
     return FrameSet(anchor_stamp=stamp, per_camera={m.camera_id: m for m in msgs})
+
+
+def zero_confidence(fs, cam_ids):
+    """A copy of the frame-set whose given cameras report confidence 0."""
+    per_camera = dict(fs.per_camera)
+    for cam_id in cam_ids:
+        msg = per_camera[cam_id]
+        per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, msg.keypoints, msg.pixels,
+                                              np.zeros(len(msg.keypoints)))
+    return FrameSet(anchor_stamp=fs.anchor_stamp, per_camera=per_camera)
 
 
 class TestSolveMultiview:
@@ -60,6 +67,14 @@ class TestSolveMultiview:
         for fs in (FrameSet(anchor_stamp=0.0, per_camera={0: msg}), FrameSet(anchor_stamp=0.0)):
             with pytest.raises(InsufficientObservations):
                 solve_multiview(fs, PoseSE2(5, 4, 0), rig, robot_model)
+
+    def test_zero_confidence_is_uninformative(self, rig, robot_model, rng):
+        # valid on the wire, but every keypoint has weight 0: the Hessian is
+        # singular and the solve must not return its prior as an answer
+        fs = make_frameset(PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model, ZERO_NOISE, rng)
+        fs = zero_confidence(fs, fs.per_camera)
+        with pytest.raises(InsufficientObservations):
+            solve_multiview(fs, PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model)
 
     def test_weight_scaling_leaves_argmin_unchanged(self, rig, robot_model):
         truth = PoseSE2(4.5, 3.5, -0.4)
@@ -128,24 +143,78 @@ class TestLocalOptimality:
             answers += 1
 
 
-class TestEstimateCovariance:
-    def test_two_camera_scale(self):
-        cov = estimate_covariance(2.0, 2, 16)
-        assert math.sqrt(cov[0, 0]) == pytest.approx(0.01)
+class TestSolveCovariance:
+    """Every solve's covariance is sigma^2 * H^-1 of its own Gauss-Newton
+    Hessian, with sigma^2 = objective / (2K - 3) floored at R_MIN^2."""
 
-    def test_shrinks_with_more_cameras(self):
-        cov4 = estimate_covariance(2.0, 4, 32)
-        assert math.sqrt(cov4[0, 0]) == pytest.approx(0.005)
-        assert cov4[0, 0] < estimate_covariance(2.0, 2, 16)[0, 0]
+    @staticmethod
+    def _solve(fs, truth, rig, model):
+        obs = frameset_observations(fs, rig, model)
+        est = solve_multiview(fs, truth, rig, model)
+        _, obj, _, _, hess = estimation._levenberg_marquardt(truth.as_array()[None], obs,
+                                                            SolverConfig())
+        return est, obs, obj[0], hess[0]
 
-    def test_zero_residual_floored(self):
-        cov = estimate_covariance(0.0, 1, 8)
-        np.linalg.cholesky(cov)
-        assert math.sqrt(cov[0, 0]) == pytest.approx(0.01 * 0.5)
+    def test_residual_variance_scale(self, rig, robot_model):
+        truth = PoseSE2(5.0, 4.0, 0.3)
+        noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0, timestamp_jitter=0.0)
+        fs = make_frameset(truth, rig, robot_model, noise, np.random.default_rng(3))
+        est, obs, obj, hess = self._solve(fs, truth, rig, robot_model)
+        sigma2 = obj / (2 * obs.n_rows - 3)
+        assert sigma2 > estimation.R_MIN**2
+        np.testing.assert_allclose(est.covariance, sigma2 * np.linalg.inv(hess), rtol=1e-9)
 
-    def test_invalid_camera_count(self):
-        with pytest.raises(ValueError):
-            estimate_covariance(1.0, 0, 8)
+    def test_zero_residual_floored(self, rig, robot_model, rng):
+        truth = PoseSE2(5.0, 4.0, 0.3)
+        fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
+        est, _, obj, hess = self._solve(fs, truth, rig, robot_model)
+        assert obj < 1e-12
+        np.linalg.cholesky(est.covariance)
+        np.testing.assert_allclose(est.covariance, estimation.R_MIN**2 * np.linalg.inv(hess),
+                                   rtol=1e-9)
+
+    def test_shrinks_with_more_cameras(self, rig, robot_model, rng):
+        truth = PoseSE2(5.0, 4.0, 0.3)
+        fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
+        assert len(fs.per_camera) == 4
+        four = solve_multiview(fs, truth, rig, robot_model).covariance
+        cam_id = sorted(fs.per_camera)[0]
+        one = solve_multiview(FrameSet(anchor_stamp=0.0,
+                                       per_camera={cam_id: fs.per_camera[cam_id]}),
+                              truth, rig, robot_model).covariance
+        # the 4-camera covariance is smaller in every direction
+        assert np.linalg.eigvalsh(one - four).min() > 0
+
+    @pytest.mark.parametrize("waypoint,lone", [(1, True), (6, True), (3, False), (7, False)])
+    def test_monte_carlo_calibration(self, rig, robot_model, waypoint, lone):
+        """Over 300 solves with pixel noise only, the predicted sd along the
+        viewing ray, across it and in heading is within 25% of the spread of
+        the answers; a lone camera's major axis lies along its ray."""
+        truth = PoseSE2(*WAYPOINTS[waypoint])
+        noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0, timestamp_jitter=0.0)
+        rng = np.random.default_rng(waypoint)
+        errors, covariances = [], []
+        for _ in range(300):
+            fs = make_frameset(truth, rig, robot_model, noise, rng)
+            if lone:  # the observing camera's message alone
+                cam_id = max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
+                fs = FrameSet(anchor_stamp=0.0, per_camera={cam_id: fs.per_camera[cam_id]})
+            est = solve_multiview(fs, truth, rig, robot_model)
+            errors.append([*(est.pose.xy - truth.xy), angle_diff(est.pose.theta, truth.theta)])
+            covariances.append(est.covariance)
+        errors, cov = np.array(errors), np.mean(covariances, axis=0)
+        # the lone camera's ray; with four cameras, camera 0's
+        camera = next(c for c in rig if c.camera_id == min(fs.per_camera))
+        ray = truth.xy - camera.ground_position()
+        ray /= np.linalg.norm(ray)
+        across = np.array([-ray[1], ray[0]])
+        for direction in (ray, across):
+            predicted = math.sqrt(direction @ cov[:2, :2] @ direction)
+            assert 0.75 <= predicted / np.std(errors[:, :2] @ direction) <= 1.25
+        assert 0.75 <= math.sqrt(cov[2, 2]) / np.std(errors[:, 2]) <= 1.25
+        if lone:
+            major = np.linalg.eigh(cov[:2, :2])[1][:, -1]
+            assert abs(major @ ray) >= 0.9
 
 
 class TestSingleViewCandidate:
@@ -185,6 +254,26 @@ class TestSingleViewCandidate:
         assert math.sqrt(np.mean(depth_sq)) >= 2.0 * math.sqrt(np.mean(lat_sq))
 
 
+class TestInterpolateCandidates:
+    """The blend of single-view candidates that seeds `initialize_global`'s final solve."""
+
+    def test_single_candidate_identity(self, rig, robot_model, rng):
+        fs = make_frameset(PoseSE2(4.0, 3.0, 0.9), rig, robot_model, ZERO_NOISE, rng)
+        cam_id = sorted(fs.per_camera)[0]
+        cam = next(c for c in rig if c.camera_id == cam_id)
+        cand = single_view_candidate(fs.per_camera[cam_id], cam, robot_model)
+        out = average_estimates([cand]).pose
+        assert out.x == pytest.approx(cand.pose.x, abs=1e-12)
+        assert out.y == pytest.approx(cand.pose.y, abs=1e-12)
+        assert abs(angle_diff(out.theta, cand.pose.theta)) < 1e-12
+
+    def test_empty_rejected(self):
+        from camloc.errors import EmptyInput
+
+        with pytest.raises(EmptyInput):
+            average_estimates([])
+
+
 class TestBatchedMultiStart:
     """single_view_candidate runs its 8 heading starts as one LM batch; each
     start must end exactly where it ends when solved alone."""
@@ -211,17 +300,24 @@ class TestBatchedMultiStart:
         for msg in self._single_camera_messages(rig, robot_model):
             cam = cams[msg.camera_id]
             obs, starts = self._starts(msg, cam, robot_model)
-            params, obj, iters, diverged = estimation._levenberg_marquardt(starts, obs, config)
-            assert params.shape == (8, 3) and not diverged.any()
+            params, obj, iters, diverged, hess = estimation._levenberg_marquardt(
+                starts, obs, config)
+            assert params.shape == (8, 3) and hess.shape == (8, 3, 3) and not diverged.any()
             for i in range(8):
-                p1, o1, it1, d1 = estimation._levenberg_marquardt(starts[i:i + 1], obs, config)
+                p1, o1, it1, d1, h1 = estimation._levenberg_marquardt(
+                    starts[i:i + 1], obs, config)
                 assert np.abs(p1[0] - params[i]).max() <= 1e-12
                 assert abs(o1[0] - obj[i]) <= 1e-12
                 assert it1[0] == iters[i] and not d1[0]
+                np.testing.assert_allclose(h1[0], hess[i], rtol=1e-9)
             cand = single_view_candidate(msg, cam, robot_model, config)
             first_best = int(np.flatnonzero(obj == obj.min())[0])
             assert cand.pose == PoseSE2(*params[first_best])
             assert cand.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
+            assert (cand.n_cameras, cand.n_keypoints, cand.stamp) == (1, obs.n_rows, msg.stamp)
+            sigma2 = max(obj[first_best] / (2 * obs.n_rows - 3), estimation.R_MIN**2)
+            np.testing.assert_allclose(cand.covariance,
+                                       sigma2 * np.linalg.inv(hess[first_best]), rtol=1e-9)
 
     def test_diverged_start_leaves_the_others(self, rig, robot_model, monkeypatch):
         msg = self._single_camera_messages(rig, robot_model, n=1)[0]
@@ -231,12 +327,13 @@ class TestBatchedMultiStart:
         clean = estimation._levenberg_marquardt(starts, obs, config)
         broken = starts.copy()
         broken[3] = np.nan  # a non-finite start can only diverge
-        params, obj, iters, diverged = estimation._levenberg_marquardt(broken, obs, config)
+        params, obj, iters, diverged, hess = estimation._levenberg_marquardt(broken, obs, config)
         keep = np.arange(8) != 3
         assert diverged.tolist() == (~keep).tolist()
         np.testing.assert_array_equal(params[keep], clean[0][keep])
         np.testing.assert_array_equal(obj[keep], clean[1][keep])
         np.testing.assert_array_equal(iters[keep], clean[2][keep])
+        np.testing.assert_array_equal(hess[keep], clean[4][keep])
 
         monkeypatch.setattr(estimation, "_heading_starts", lambda seed_xy: broken)
         cand = single_view_candidate(msg, cam, robot_model, config)
@@ -249,40 +346,28 @@ class TestBatchedMultiStart:
             single_view_candidate(msg, cam, robot_model, config)
 
 
-class TestInterpolateCandidates:
-    def _cand(self, pose, rms=1.0, conf=1.0, cam=0):
-        return Candidate(pose=pose, rms_residual=rms, mean_confidence=conf, camera_id=cam)
-
-    def test_single_candidate_identity(self):
-        pose = PoseSE2(1.0, 2.0, 0.5)
-        out = interpolate_candidates([self._cand(pose)])
-        assert out == pose
-
-    def test_symmetric_mean_with_wraparound(self):
-        a = self._cand(PoseSE2(1, 0, math.radians(170)))
-        b = self._cand(PoseSE2(0, 1, math.radians(-170)))
-        out = interpolate_candidates([a, b])
-        assert out.x == pytest.approx(0.5)
-        assert out.y == pytest.approx(0.5)
-        assert abs(out.theta) == pytest.approx(math.pi)
-
-    def test_negligible_weight_neutrality(self):
-        a = self._cand(PoseSE2(0, 0, 0))
-        b = self._cand(PoseSE2(1, 1, 0.2))
-        c = self._cand(PoseSE2(50, 50, 3.0), conf=1e-12, rms=1e6)
-        with_c = interpolate_candidates([a, b, c])
-        without_c = interpolate_candidates([a, b])
-        assert math.hypot(with_c.x - without_c.x, with_c.y - without_c.y) < 1e-4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_candidates([])
-
-
 class TestInitializeGlobal:
     def test_noiseless_kidnapped_recovery(self, rig, robot_model, rng):
         truth = PoseSE2(5.5, 4.5, -1.2)
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
+        est = initialize_global(fs, rig, robot_model)
+        assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-5
+        assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
+
+    def test_zero_confidence_frameset_skipped(self, rig, robot_model, rng):
+        fs = make_frameset(PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model, ZERO_NOISE, rng)
+        fs = zero_confidence(fs, fs.per_camera)
+        with pytest.raises(NoEligibleCamera):
+            initialize_global(fs, rig, robot_model)
+
+    def test_zero_confidence_camera_skipped(self, rig, robot_model, rng):
+        truth = PoseSE2(5.5, 4.5, -1.2)
+        fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
+        silent = max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
+        fs = zero_confidence(fs, [silent])
+        with pytest.raises(InsufficientObservations):
+            single_view_candidate(fs.per_camera[silent],
+                                  next(c for c in rig if c.camera_id == silent), robot_model)
         est = initialize_global(fs, rig, robot_model)
         assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-5
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
@@ -368,15 +453,15 @@ class TestGateSingleView:
         with pytest.raises(ValueError):
             gate_single_view(PoseSE2(), raw, cam)
 
-    def test_covariance_inflated_along_viewing_direction(self):
+    def test_gated_estimate_keeps_its_covariance(self):
+        # a lone camera's own covariance is already long along its ray
         cam = self._camera_at(5.0, 0.0)
         prev = PoseSE2(0.0, 0.0, 0.0)
-        raw = self._estimate(PoseSE2(0.8, 0.0, 0.0))
+        raw = replace(self._estimate(PoseSE2(0.8, 0.0, 0.0)),
+                      covariance=np.diag([16e-4, 1e-4, 1e-4]))
         out = gate_single_view(prev, raw, cam, GateThresholds())
-        view = np.array([-1.0, 0.0])  # prev as seen from the camera at (5, 0)
-        before = float(view @ raw.covariance[:2, :2] @ view)
-        after = float(view @ out.covariance[:2, :2] @ view)
-        assert after == pytest.approx(4.0 * before)
+        assert out.gated
+        np.testing.assert_array_equal(out.covariance, raw.covariance)
 
     def test_gate_dominance_on_depth_perturbation(self, rng):
         # whenever the raw depth error exceeds d_depth and the prior is
@@ -425,6 +510,23 @@ class TestAverageEstimates:
         avg = average_estimates([a, b])
         # weights 1/sigma^2 -> 4:1 toward the tighter estimate
         assert avg.pose.x == pytest.approx(0.2)
+
+    def test_symmetric_mean_with_wraparound(self):
+        a = self._estimate(PoseSE2(1, 0, math.radians(170)))
+        b = self._estimate(PoseSE2(0, 1, math.radians(-170)))
+        out = average_estimates([a, b])
+        assert out.pose.x == pytest.approx(0.5)
+        assert out.pose.y == pytest.approx(0.5)
+        assert abs(out.pose.theta) == pytest.approx(math.pi)
+
+    def test_negligible_weight_neutrality(self):
+        a = self._estimate(PoseSE2(0, 0, 0))
+        b = self._estimate(PoseSE2(1, 1, 0.2))
+        c = self._estimate(PoseSE2(50, 50, 3.0), sigma=1e4)
+        with_c = average_estimates([a, b, c]).pose
+        without_c = average_estimates([a, b]).pose
+        assert math.hypot(with_c.x - without_c.x, with_c.y - without_c.y) < 1e-4
+        assert abs(angle_diff(with_c.theta, without_c.theta)) < 1e-4
 
     def test_span_beyond_two_seconds_rejected(self):
         ests = [self._estimate(PoseSE2(), stamp=0.0), self._estimate(PoseSE2(), stamp=2.5)]
