@@ -216,6 +216,25 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
     return cov
 
 
+def _best_solve(obs: FlatObservations, starts, stamp: float, config: SolverConfig):
+    """Run LM from each start and keep the lowest objective among the starts
+    that did not diverge, the first start on ties, as a PoseEstimate."""
+    params, obj, iters, diverged, hess = _levenberg_marquardt(starts, obs, config)
+    kept = np.flatnonzero(~diverged)
+    if not kept.size:
+        raise SolverDiverged(f"all {len(obj)} LM starts ended in a non-finite state")
+    best = kept[np.argmin(obj[kept])]
+    return PoseEstimate(
+        pose=PoseSE2(*params[best]),
+        covariance=_solve_covariance(hess[best], obj[best], obs.n_rows),
+        rms_residual=math.sqrt(obj[best] / obs.n_rows),
+        n_cameras=obs.n_cameras,
+        n_keypoints=obs.n_rows,
+        stamp=stamp,
+        n_iterations=int(iters[best]),
+    )
+
+
 def solve_multiview(
     frameset: FrameSet,
     init: PoseSE2,
@@ -228,18 +247,7 @@ def solve_multiview(
     obs = frameset_observations(frameset, cameras, model)
     if obs.n_rows < 3:
         raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
-    params, obj, iters, diverged, hess = _levenberg_marquardt(init.as_array()[None], obs, config)
-    if diverged[0]:
-        raise SolverDiverged(f"non-finite state at objective {obj[0]:.3g}")
-    return PoseEstimate(
-        pose=PoseSE2(*params[0]),
-        covariance=_solve_covariance(hess[0], obj[0], obs.n_rows),
-        rms_residual=math.sqrt(obj[0] / obs.n_rows),
-        n_cameras=obs.n_cameras,
-        n_keypoints=obs.n_rows,
-        stamp=frameset.anchor_stamp,
-        n_iterations=int(iters[0]),
-    )
+    return _best_solve(obs, init.as_array()[None], frameset.anchor_stamp, config)
 
 
 def _backproject_centroid(
@@ -295,20 +303,7 @@ def single_view_candidate(
                                     f"{message.camera_id} (need {MIN_SEED_KEYPOINTS})")
     obs = flatten_observations([(camera, message)], model)
     starts = _heading_starts(_backproject_centroid(obs, camera, model))
-    params, obj, iters, diverged, hess = _levenberg_marquardt(starts, obs, config)
-    kept = np.flatnonzero(~diverged)
-    if not kept.size:
-        raise SolverDiverged("all candidate starts diverged")
-    best = kept[np.argmin(obj[kept])]  # the first start on ties
-    return PoseEstimate(
-        pose=PoseSE2(*params[best]),
-        covariance=_solve_covariance(hess[best], obj[best], obs.n_rows),
-        rms_residual=math.sqrt(obj[best] / obs.n_rows),
-        n_cameras=1,
-        n_keypoints=obs.n_rows,
-        stamp=message.stamp,
-        n_iterations=int(iters[best]),
-    )
+    return _best_solve(obs, starts, message.stamp, config)
 
 
 def initialize_global(

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .evaluation import (
 )
 from .geometry import PoseSE2
 from .posegraph import PoseGraph
-from .scenario import ALL_MODES, ScenarioConfig, camera_visibility_count
+from .scenario import ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
 from .sync import Synchronizer, nearest_stamp_index
 
@@ -88,21 +89,20 @@ def _odometry_covariance(noise, length, turn):
     return np.diag([var_t, var_t, var_r])
 
 
-def _waypoint_labels(config: ScenarioConfig):
-    """Output label of each waypoint, in trajectory order."""
-    specs = config.raw.get("trajectory", {}).get("waypoints", [])
-    labels = [int(w.get("waypoint_id", i)) for i, w in enumerate(specs)]
-    return labels or list(range(len(config.trajectory.waypoints)))
+def _dwell(sample):
+    """The waypoint index a sample dwells at, None while moving: consecutive
+    samples with one key form one dwell."""
+    return sample.waypoint_id if sample.is_static else None
 
 
-def _waypoint_windows(samples, labels):
-    """(label, t_start, t_end) of each run of samples dwelling at a waypoint,
-    labelled by the run's first sample."""
+def _waypoint_windows(samples, waypoints):
+    """(label, t_start, t_end) of each dwell, from its first to its last
+    sample."""
     windows = []
-    for is_static, run in itertools.groupby(samples, key=lambda s: s.is_static):
-        if is_static:
+    for key, run in itertools.groupby(samples, key=_dwell):
+        if key is not None:
             run = list(run)
-            windows.append((labels[run[0].waypoint_id], run[0].stamp, run[-1].stamp))
+            windows.append((waypoints[key].label, run[0].stamp, run[-1].stamp))
     return windows
 
 
@@ -110,6 +110,12 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     """Run the full estimation pipeline on a recorded or simulated detection
     stream; odometry is always regenerated from the seed. Without messages,
     the stream is simulated only if some output solves frame-sets.
+
+    Three passes: every sample's odometry increment; the frame-set solves,
+    each started from the last accepted pose moved by the odometry since;
+    then the robot's dead-reckoned track and the pose graph, which takes the
+    static estimates and, with feedback, resets the robot's belief to the
+    fused pose. Feedback never changes a solve.
     """
     samples = script_trajectory(config.trajectory)
     need_fused = "fused" in config.modes or config.feedback
@@ -120,129 +126,114 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
 
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
     framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()
-
-    # Associate each frame-set with the nearest ground-truth sample.
-    fs_by_sample = {}
+    # Anchors strictly increase, so the nearest samples never decrease.
     nearest = nearest_stamp_index([s.stamp for s in samples], [fs.anchor_stamp for fs in framesets])
-    for idx, fs in zip(nearest.tolist(), framesets):
-        fs_by_sample.setdefault(idx, []).append(fs)
+
+    # Pass 1: steps[i - 1] is the odometry increment from sample i - 1 to i.
+    rng_odo = _odometry_rng(config.seed)
+    steps = [simulate_odometry_step(a.pose.inverse().compose(b.pose), config.odometry_noise,
+                                    rng_odo) for a, b in zip(samples, samples[1:])]
+
+    # Pass 2: the frame-set solves, in stream order.
+    camera_by_id = {c.camera_id: c for c in config.cameras}
+    solves = []  # (sample index, raw estimate, gated estimate)
+    skipped = 0
+    prior = None  # last accepted estimate pose
+    odo_since_prior, odo_upto = PoseSE2(), 0  # the steps after prior, up to sample odo_upto
+    for i, fs in zip(nearest.tolist(), framesets):
+        # solve only when some requested output needs this frame-set
+        if not (need_estimates or need_fused and samples[i].is_static):
+            continue
+        for step in steps[odo_upto:i]:
+            odo_since_prior = odo_since_prior.compose(step)
+        odo_upto = i
+        predicted = None if prior is None else prior.compose(odo_since_prior)
+        try:
+            if predicted is None:
+                est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
+            else:
+                est = solve_multiview(fs, predicted, config.cameras, config.robot_model,
+                                      config.solver)
+        except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
+                UnknownCamera, UnknownKeypoint):
+            skipped += 1
+            continue
+        gated = est
+        if est.n_cameras == 1 and predicted is not None:
+            camera = camera_by_id[next(iter(fs.per_camera))]
+            gated = gate_single_view(predicted, est, camera, config.gate)
+        solves.append((i, est, gated))
+        prior, odo_since_prior = gated.pose, PoseSE2()
+
+    # Each dwell averages its gated estimates in fives. Only estimates within
+    # AVERAGE_SPAN of each other are averaged: a stamp far off the
+    # trajectory must not fail the whole run.
+    static = [(i, gated) for i, _, gated in solves if samples[i].is_static]
+    averaged = []
+    for _, run in itertools.groupby(static, key=lambda s: _dwell(samples[s[0]])):
+        buffer = []
+        for _, est in run:
+            buffer = [e for e in buffer if abs(est.stamp - e.stamp) <= AVERAGE_SPAN] + [est]
+            if len(buffer) == 5:
+                avg = average_estimates(buffer)
+                averaged.append((avg.stamp, avg.pose))
+                buffer = []
 
     counters = {
-        "gated_estimates": 0,
-        "solver_iterations": 0,
-        "skipped_framesets": 0,
+        "gated_estimates": sum(gated.gated for _, _, gated in solves),
+        "solver_iterations": sum(est.n_iterations for _, est, _ in solves),
+        "skipped_framesets": skipped,
         "feedback_applications": 0,
         "pose_graph_solves": 0,
     }
-
-    rng_odo = _odometry_rng(config.seed)
+    # Pass 3: the robot's track and the pose graph, sample by sample.
     robot_pose = samples[0].pose  # the robot's own dead-reckoned belief
+    robot = []
     graph = PoseGraph(initial_pose=robot_pose, initial_stamp=samples[0].stamp)
-    camera_by_id = {c.camera_id: c for c in config.cameras}
-
+    fixes = deque(static if need_fused else [])  # the graph's absolute constraints
     if need_fused:
         # anchor node so the first dwell's estimates have a home
         cov = _odometry_covariance(config.odometry_noise, 0.0, 0.0)
         graph.add_odometry(PoseSE2(), cov, stamp=samples[0].stamp + 1e-6)
-    prior = None  # last accepted estimate pose
-    odo_since_prior = PoseSE2()
-    pending = PoseSE2()
-    pending_len = 0.0
-    pending_turn = 0.0
-    static_buffer = []
-    static_key = None
-    tracks = {mode: [] for mode in ALL_MODES if mode != "fused"}
-
+    pending, pending_len, pending_turn = PoseSE2(), 0.0, 0.0
     for i, sample in enumerate(samples):
         if i > 0:
-            true_delta = samples[i - 1].pose.inverse().compose(sample.pose)
-            delta = simulate_odometry_step(true_delta, config.odometry_noise, rng_odo)
+            delta = steps[i - 1]
             robot_pose = robot_pose.compose(delta)
-            odo_since_prior = odo_since_prior.compose(delta)
             pending = pending.compose(delta)
             pending_len += math.hypot(delta.x, delta.y)
             pending_turn += abs(delta.theta)
-            if need_fused and (
-                sample.is_static
-                or pending_len >= NODE_TRANS_STEP
-                or pending_turn >= NODE_ROT_STEP
-            ):
+            if need_fused and (sample.is_static or pending_len >= NODE_TRANS_STEP
+                               or pending_turn >= NODE_ROT_STEP):
                 cov = _odometry_covariance(config.odometry_noise, pending_len, pending_turn)
                 graph.add_odometry(pending, cov, stamp=sample.stamp)
-                pending = PoseSE2()
-                pending_len = 0.0
-                pending_turn = 0.0
+                pending, pending_len, pending_turn = PoseSE2(), 0.0, 0.0
+        robot.append((sample.stamp, robot_pose))
 
-        tracks["robot"].append((sample.stamp, robot_pose))
-
-        if not sample.is_static:
-            static_key = None
-            static_buffer = []
-
-        for fs in fs_by_sample.get(i, []):
-            # solve only when some requested output needs this frame-set
-            if not need_estimates and not (need_fused and sample.is_static):
-                continue
-            predicted = None if prior is None else prior.compose(odo_since_prior)
-            try:
-                if predicted is None:
-                    est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
-                else:
-                    est = solve_multiview(
-                        fs, predicted, config.cameras, config.robot_model, config.solver
-                    )
-            except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
-                    UnknownCamera, UnknownKeypoint):
-                counters["skipped_framesets"] += 1
-                continue
-            counters["solver_iterations"] += est.n_iterations
-
-            gated = est
-            if est.n_cameras == 1 and predicted is not None:
-                camera = camera_by_id[next(iter(fs.per_camera))]
-                gated = gate_single_view(predicted, est, camera, config.gate)
-                if gated.gated:
-                    counters["gated_estimates"] += 1
-
-            tracks["raw"].append((fs.anchor_stamp, est.pose))
-            tracks["gated_1frame"].append((fs.anchor_stamp, gated.pose))
-            prior = gated.pose
-            odo_since_prior = PoseSE2()
-
-            if sample.is_static:
-                if static_key != sample.waypoint_id:
-                    static_buffer = []
-                    static_key = sample.waypoint_id
-                # average only estimates within AVERAGE_SPAN of each other; a
-                # stamp far off the trajectory must not fail the whole run
-                static_buffer = [e for e in static_buffer
-                                 if abs(gated.stamp - e.stamp) <= AVERAGE_SPAN]
-                static_buffer.append(gated)
-                if len(static_buffer) == 5:
-                    avg = average_estimates(static_buffer)
-                    tracks["averaged_5frames"].append((avg.stamp, avg.pose))
-                    static_buffer = []
-
-                if need_fused:
-                    node_id = graph.nearest_node(fs.anchor_stamp)
-                    graph.add_camera_estimate(node_id, gated)
-                    if config.feedback:
-                        # feedback needs the fused pose now: solve the newest
-                        # nodes and reset the static robot's belief to it; the
-                        # fused output gets the batch solve below
-                        graph.optimize(config.solver, lag=FEEDBACK_LAG)
-                        counters["pose_graph_solves"] += 1
-                        robot_pose = graph.nodes[node_id].pose
-                        counters["feedback_applications"] += 1
+        while fixes and fixes[0][0] == i:
+            _, fix = fixes.popleft()
+            node_id = graph.nearest_node(fix.stamp)
+            graph.add_camera_estimate(node_id, fix)
+            if config.feedback:
+                # feedback needs the fused pose now: solve the newest nodes
+                # and reset the static robot's belief to it; the fused
+                # output gets the batch solve below
+                graph.optimize(config.solver, lag=FEEDBACK_LAG)
+                counters["pose_graph_solves"] += 1
+                robot_pose = graph.nodes[node_id].pose
+                counters["feedback_applications"] += 1
 
     counters["stale_messages"] = sync.stale_count
     counters["stamp_mismatch_warnings"] = graph.stamp_mismatch_warnings
 
-    mode_trajectories = {
-        mode: Trajectory.from_samples(track)
-        for mode, track in tracks.items()
-        if mode in config.modes
+    tracks = {
+        "robot": robot,
+        "raw": [(est.stamp, est.pose) for _, est, _ in solves],
+        "gated_1frame": [(gated.stamp, gated.pose) for _, _, gated in solves],
+        "averaged_5frames": averaged,
     }
+    mode_trajectories = {mode: Trajectory.from_samples(track)
+                         for mode, track in tracks.items() if mode in config.modes}
     if "fused" in config.modes:
         if graph.unary_edges:
             graph.optimize(config.solver)
@@ -253,18 +244,17 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
             # gauge-free, so omit it and leave a trace in the counters
             counters["fused_gauge_free"] = 1
 
-    labels = _waypoint_labels(config)
+    waypoints = config.trajectory.waypoints
     visibility = {}
-    for label, waypoint in zip(labels, config.trajectory.waypoints):
-        if label not in visibility:
-            visibility[label] = camera_visibility_count(
-                waypoint.pose, config.cameras, config.robot_model
-            )
+    for wp in waypoints:
+        if wp.label not in visibility:
+            visibility[wp.label] = camera_visibility_count(wp.pose, config.cameras,
+                                                           config.robot_model)
 
     return RunResult(
         ground_truth=Trajectory.from_samples([(s.stamp, s.pose) for s in samples]),
         mode_trajectories=mode_trajectories,
-        waypoint_windows=_waypoint_windows(samples, labels),
+        waypoint_windows=_waypoint_windows(samples, waypoints),
         camera_visibility=visibility,
         counters=counters,
     )

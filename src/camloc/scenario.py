@@ -21,7 +21,7 @@ from .simulation import (
     Waypoint,
     default_robot_model,
 )
-from .sync import SyncConfig
+from .sync import SyncConfig, wire_int
 
 ALL_MODES = ("robot", "raw", "gated_1frame", "averaged_5frames", "fused")
 
@@ -193,10 +193,12 @@ def _trajectory_from_spec(spec) -> TrajectoryScript:
     _check_keys(spec, _TRAJECTORY_KEYS, "trajectory")
     wps = []
     for i, w in enumerate(_require(spec, "waypoints", "trajectory")):
-        _check_keys(w, _WAYPOINT_KEYS, f"trajectory.waypoints[{i}]")
+        where = f"trajectory.waypoints[{i}]"
+        _check_keys(w, _WAYPOINT_KEYS, where)
         pose = PoseSE2(float(_require(w, "x_m", "waypoint")),
                        float(_require(w, "y_m", "waypoint")), **_present(w, _THETA))
-        wps.append(Waypoint(pose=pose, **_present(w, _DWELL)))
+        label = wire_int(w.get("waypoint_id", i), f"{where}.waypoint_id")
+        wps.append(Waypoint(pose=pose, label=label, **_present(w, _DWELL)))
     try:
         return TrajectoryScript(waypoints=wps, **_present(spec, _TRAJECTORY_OPTIONAL))
     except (TypeError, ValueError) as exc:

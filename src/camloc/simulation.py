@@ -9,7 +9,7 @@ seeded generator; identical seeds give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,7 @@ class OdometryNoise:
 class Waypoint:
     pose: PoseSE2
     dwell: float = 0.0  # seconds
+    label: int | None = None  # output waypoint_id; None means the waypoint's index
 
 
 @dataclass
@@ -76,6 +77,8 @@ class TrajectoryScript:
             raise ValueError("waypoint list must be non-empty")
         if self.speed <= 0 or self.sample_dt <= 0 or self.turn_rate <= 0:
             raise ValueError("speed, turn_rate and sample_dt must be positive")
+        self.waypoints = [wp if wp.label is not None else replace(wp, label=i)
+                          for i, wp in enumerate(self.waypoints)]
 
 
 @dataclass(frozen=True)

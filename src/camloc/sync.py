@@ -176,9 +176,9 @@ def message_to_json(message: DetectionMessage) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _wire_int(value, name) -> int:
-    """An integer wire field, which must hold an integral 64-bit value:
-    Infinity or 1.7 raises ValueError."""
+def wire_int(value, name) -> int:
+    """An integer field of a message or a scenario, which must hold an
+    integral 64-bit value: Infinity, 1.7, true or "1" raises ValueError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not -2**63 <= value < 2**63 or not float(value).is_integer()):
         raise ValueError(f"{name} {value!r} is not a 64-bit integer")
@@ -196,9 +196,9 @@ def message_from_json(line: str) -> DetectionMessage:
     if not isinstance(kps, list):
         raise ValueError(f"keypoints must be a JSON list, got {type(kps).__name__}")
     return DetectionMessage(
-        camera_id=_wire_int(payload["camera_id"], "camera_id"),
-        stamp=ns_to_stamp(_wire_int(payload["stamp_ns"], "stamp_ns")),
-        keypoints=[_wire_int(k["id"], "keypoint id") for k in kps],
+        camera_id=wire_int(payload["camera_id"], "camera_id"),
+        stamp=ns_to_stamp(wire_int(payload["stamp_ns"], "stamp_ns")),
+        keypoints=[wire_int(k["id"], "keypoint id") for k in kps],
         pixels=[(k["u"], k["v"]) for k in kps],
         confidence=[k["conf"] for k in kps],
     )

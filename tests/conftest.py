@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from pathlib import Path
@@ -17,6 +18,18 @@ def scenario_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scenarios")
     generate_scenarios(out)
     return out
+
+
+@pytest.fixture(scope="session")
+def small_scenario(tmp_path_factory, scenario_dir):
+    """traj3 truncated to two waypoints so CLI runs stay fast."""
+    doc = json.loads((scenario_dir / "traj3.json").read_text())
+    doc["trajectory"]["waypoints"] = doc["trajectory"]["waypoints"][:2]
+    for wp in doc["trajectory"]["waypoints"]:
+        wp["dwell_s"] = 1.0
+    path = tmp_path_factory.mktemp("scen") / "small.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -32,18 +32,6 @@ ZERO_ODOMETRY_NOISE = [
 ]
 
 
-@pytest.fixture(scope="module")
-def small_scenario(tmp_path_factory, scenario_dir):
-    """traj3 truncated to two waypoints so CLI runs stay fast."""
-    doc = json.loads((scenario_dir / "traj3.json").read_text())
-    doc["trajectory"]["waypoints"] = doc["trajectory"]["waypoints"][:2]
-    for wp in doc["trajectory"]["waypoints"]:
-        wp["dwell_s"] = 1.0
-    path = tmp_path_factory.mktemp("scen") / "small.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def read_outputs(out_dir):
     out = Path(out_dir)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -149,11 +137,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"missing {key!r} in waypoint")):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("label", ["x", None, 1.7, True])
+    def test_waypoint_label_must_be_an_integer(self, small_scenario, tmp_path, capsys, label):
+        doc = json.loads(small_scenario.read_text())
+        doc["trajectory"]["waypoints"][1]["waypoint_id"] = label
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "trajectory.waypoints[1].waypoint_id" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_section_must_be_an_object(self, scenario_dir):
         doc = json.loads((scenario_dir / "traj1.json").read_text())
         doc["solver"] = 50
         with pytest.raises(ConfigError, match="solver must be a JSON object"):
             config_from_dict(doc)
+
+
+class TestWaypointWindows:
+    def test_shared_pose_dwells_stay_apart(self, small_scenario):
+        """Two consecutive waypoints at one pose and heading are two dwells,
+        each reported under its own label."""
+        doc = json.loads(small_scenario.read_text())
+        first, last = doc["trajectory"]["waypoints"]
+        doc["trajectory"]["waypoints"] = [first, {**first, "waypoint_id": 8}, last]
+        doc["modes"], doc["feedback"] = ["robot"], False
+        result = run_pipeline(config_from_dict(doc))
+        windows = result.waypoint_windows
+        assert [w[0] for w in windows] == [first["waypoint_id"], 8, last["waypoint_id"]]
+        assert windows[0][2] < windows[1][1] <= windows[1][2] < windows[2][1]
+        assert result.camera_visibility[8] == result.camera_visibility[first["waypoint_id"]]
 
 
 class TestRun:

@@ -332,3 +332,13 @@ class TestFeedback:
             gaps[samples[i].is_static].append(gap)
         assert max(gaps[False]) < 1e-9
         assert max(gaps[True]) > 1e-3  # the feedback did move the belief
+
+        # Feedback moves only the robot's belief: no solve reads it, so every
+        # estimate track and solve counter is bit-identical.
+        for mode in ("raw", "gated_1frame", "averaged_5frames"):
+            a, b = on.mode_trajectories[mode], off.mode_trajectories[mode]
+            assert len(a) > 0 and a.stamps.tobytes() == b.stamps.tobytes(), mode
+            assert (np.array([p.as_array() for p in a.poses]).tobytes()
+                    == np.array([p.as_array() for p in b.poses]).tobytes()), mode
+        for key in ("solver_iterations", "skipped_framesets", "gated_estimates"):
+            assert on.counters[key] == off.counters[key], key

@@ -78,6 +78,12 @@ class TestScriptTrajectory:
         stamps = [s.stamp for s in script_trajectory(script)]
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
 
+    def test_unlabelled_waypoints_labelled_by_index(self):
+        script = TrajectoryScript(waypoints=[Waypoint(PoseSE2(0, 0, 0)),
+                                             Waypoint(PoseSE2(1, 0, 0), label=7),
+                                             Waypoint(PoseSE2(2, 0, 0))])
+        assert [wp.label for wp in script.waypoints] == [0, 7, 2]
+
 
 class TestSimulateFrame:
     def test_outside_every_frustum(self, rig, robot_model, rng):

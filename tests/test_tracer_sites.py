@@ -1,0 +1,50 @@
+"""The benchmark's tracer (bench/tracer.py, loaded read-only) still finds
+every layer it wraps. It patches camloc functions at the module attributes
+their callers resolve, so a refactor that calls one through another module
+leaves that layer's metrics at 0 while the tracer still installs cleanly."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from camloc import cli
+
+TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
+# The single-camera gate is reached on no bundled scenario (ROADMAP item 1).
+NOT_REACHED = {"estimation.gate_single_view"}
+
+
+def _load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sites(tracer):
+    """(owner, attribute) of every patched site."""
+    sites = [(importlib.import_module(mod), name.split(".", 1)[1])
+             for name, mods in tracer.FUNCTION_SITES.items() for mod in mods]
+    sites += [(getattr(importlib.import_module(mod), cls), attr)
+              for mod, cls, attr in tracer.METHOD_SITES.values()]
+    return sites
+
+
+def test_every_traced_layer_records_spans(small_scenario, tmp_path, monkeypatch):
+    tracer_mod = _load_tracer(monkeypatch)
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr in _sites(tracer_mod)]
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["run", "--scenario", str(small_scenario), "--out", str(tmp_path),
+                       "--override", "feedback=true"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    for owner, attr, original in originals:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"
+    recorded = {span.name for span in tracer.spans}
+    expected = set(tracer_mod.FUNCTION_SITES) | set(tracer_mod.METHOD_SITES)
+    assert expected - NOT_REACHED - recorded == set()
