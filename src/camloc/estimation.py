@@ -58,13 +58,13 @@ class SolverConfig:
     huber_delta: float = 5.0  # px
 
     def __post_init__(self):
-        if min(
+        if not all(v > 0 for v in (
             self.max_iterations,
             self.convergence_tol,
             self.lm_lambda_init,
             self.lm_lambda_scale,
             self.huber_delta,
-        ) <= 0:
+        )):
             raise ValueError("all solver constants must be positive")
 
 
@@ -74,7 +74,7 @@ class GateThresholds:
     d_depth: float = 0.30  # m
 
     def __post_init__(self):
-        if self.d_theta <= 0 or self.d_depth <= 0:
+        if not (self.d_theta > 0 and self.d_depth > 0):
             raise ValueError("gate thresholds must be positive")
 
 

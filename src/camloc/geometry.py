@@ -115,7 +115,7 @@ class CameraModel:
     world_to_camera: RigidTransform3
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point outside the image")
@@ -144,10 +144,10 @@ class RobotModel:
         object.__setattr__(self, "keypoints", kps)
         if kps.shape[0] < 4:
             raise ValueError("robot model needs at least 4 keypoints")
-        if np.abs(kps).max() > 1.0:
-            raise ValueError("keypoints exceed the 1 m body bounding box")
-        if self.body_width <= 0:
-            raise ValueError("body_width must be positive")
+        if not (np.abs(kps) <= 1.0).all():
+            raise ValueError("keypoints must be finite and inside the 1 m body bounding box")
+        if not 0 < self.body_width < math.inf:
+            raise ValueError("body_width must be finite and positive")
 
     @property
     def n_keypoints(self) -> int:

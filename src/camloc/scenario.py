@@ -21,7 +21,7 @@ from .simulation import (
     Waypoint,
     default_robot_model,
 )
-from .sync import SyncConfig, wire_int
+from .sync import SyncConfig, wire_bool, wire_float, wire_int
 
 ALL_MODES = ("robot", "raw", "gated_1frame", "averaged_5frames", "fused")
 
@@ -54,183 +54,177 @@ def make_camera(camera_id, position, yaw, pitch_down, fx=620.0, fy=620.0,
     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
     cameras: list
-    robot_model: RobotModel
+    robot_model: RobotModel = field(default_factory=default_robot_model)
     trajectory: TrajectoryScript
-    noise: NoiseModel
-    odometry_noise: OdometryNoise
-    sync: SyncConfig
-    solver: SolverConfig
-    gate: GateThresholds
-    seed: int
-    modes: tuple
-    feedback: bool
-    frame_stride: int = 1
+    noise: NoiseModel = field(default_factory=NoiseModel)
+    odometry_noise: OdometryNoise = field(default_factory=OdometryNoise)
+    sync: SyncConfig = field(default_factory=SyncConfig)
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    gate: GateThresholds = field(default_factory=GateThresholds)
+    seed: int = 0
+    modes: tuple = ALL_MODES
+    feedback: bool = False
+    frame_stride: int
     raw: dict = field(default_factory=dict)  # resolved JSON document
 
     def __post_init__(self):
+        self.modes = tuple(self.modes)
         if not self.cameras:
             raise ConfigError("scenario needs at least one camera")
+        ids = [cam.camera_id for cam in self.cameras]
+        for i, cam_id in enumerate(ids):
+            if ids.index(cam_id) < i:
+                raise ConfigError(f"cameras[{i}].camera_id {cam_id} repeats "
+                                  f"cameras[{ids.index(cam_id)}].camera_id")
         if not self.modes:
             raise ConfigError("modes must be non-empty")
-        for m in self.modes:
-            if m not in ALL_MODES:
-                raise ConfigError(f"unknown mode {m!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
         if self.frame_stride < 1:
-            raise ConfigError("frame_stride must be >= 1")
+            raise ConfigError("trajectory.frame_stride must be >= 1")
 
 
-def _require(d, key, where):
-    if key not in d:
-        raise ConfigError(f"missing {key!r} in {where}")
-    return d[key]
+# The JSON schema. A converter takes a JSON value and its dotted path and
+# returns a field's value, or raises ValueError naming that path. Each JSON
+# object has one table: JSON key -> (field, converter, required).
 
 
-def _check_keys(spec, known, where):
-    """Reject a section that is not a JSON object or holds a key outside
-    ``known``, naming the key by its dotted path."""
+def _fields(spec, table, where) -> dict:
+    """Keyword arguments converted from the JSON object ``spec`` by
+    ``table``, whose dotted path is ``where``. A field of None spreads the
+    converter's dict of keyword arguments into the result."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where or 'scenario'} must be a JSON object")
+    prefix = f"{where}." if where else ""
     for key in spec:
-        if key not in known:
-            raise ConfigError(f"unknown config key {where + '.' * bool(where) + key!r}")
+        if key not in table:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+    kwargs = {}
+    for key, (name, convert, required) in table.items():
+        path = prefix + key
+        if key not in spec:
+            if required:
+                raise ConfigError(f"missing {path!r}")
+            continue
+        try:
+            value = convert(spec[key], path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        kwargs.update(value if name is None else {name: value})
+    return kwargs
 
 
-# Optional keys: JSON key -> (field, type). An absent key keeps the default
-# of the dataclass or function the fields are passed to.
-_CAMERA_OPTIONAL = {"fx_px": ("fx", float), "fy_px": ("fy", float), "cx_px": ("cx", float),
-                    "cy_px": ("cy", float), "width_px": ("width", int), "height_px": ("height", int)}
-_TRAJECTORY_OPTIONAL = {"speed_mps": ("speed", float), "turn_rate_radps": ("turn_rate", float),
-                        "sample_dt_s": ("sample_dt", float)}
-_STRIDE = {"frame_stride": ("frame_stride", int)}
-_THETA = {"theta_rad": ("theta", float)}
-_DWELL = {"dwell_s": ("dwell", float)}
+def _object(build, table):
+    """A converter from a JSON object to ``build(**fields)``; a ValueError
+    from ``build``'s own checks is prefixed with the object's dotted path."""
+    def convert(spec, where):
+        kwargs = _fields(spec, table, where)
+        try:
+            return build(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return convert
 
-_TOP_KEYS = ("seed", "modes", "feedback", "cameras", "robot_model", "trajectory",
-             "noise", "odometry_noise", "sync", "solver", "gate")
-_CAMERA_KEYS = ("camera_id", "position_m", "yaw_rad", "pitch_down_rad", *_CAMERA_OPTIONAL)
-_ROBOT_KEYS = ("keypoints_m", "body_width_m")
-_TRAJECTORY_KEYS = ("waypoints", *_TRAJECTORY_OPTIONAL, *_STRIDE)
-_WAYPOINT_KEYS = ("waypoint_id", "x_m", "y_m", *_THETA, *_DWELL)
 
-# Flat sections, every key optional.
-_SECTIONS = {
-    "noise": (NoiseModel, {
-        "pixel_sigma_px": ("pixel_sigma", float),
-        "dropout_prob": ("dropout_prob", float),
-        "outlier_prob": ("outlier_prob", float),
-        "outlier_spread_px": ("outlier_spread", float),
-        "confidence_floor": ("confidence_floor", float),
-        "timestamp_jitter_s": ("timestamp_jitter", float),
-    }),
-    "odometry_noise": (OdometryNoise, {
-        "trans_sigma_per_sqrt_m": ("trans_sigma_per_meter", float),
-        "rot_sigma_per_sqrt_m": ("rot_sigma_per_meter", float),
-        "rot_sigma_per_sqrt_rad": ("rot_sigma_per_rad", float),
-        "bias_trans_m_per_m": ("bias_trans", float),
-        "bias_rot_rad_per_m": ("bias_rot", float),
-    }),
-    "sync": (SyncConfig, {
-        "window_s": ("window", float),
-        "max_open_sets": ("max_open_sets", int),
-    }),
-    "solver": (SolverConfig, {
-        "max_iterations": ("max_iterations", int),
-        "convergence_tol": ("convergence_tol", float),
-        "lm_lambda_init": ("lm_lambda_init", float),
-        "lm_lambda_scale": ("lm_lambda_scale", float),
-        "huber_delta_px": ("huber_delta", float),
-    }),
-    "gate": (GateThresholds, {
-        "d_theta_rad": ("d_theta", float),
-        "d_depth_m": ("d_depth", float),
-    }),
+def _list(item, length=None):
+    """A converter from a JSON list whose items convert by ``item``; the
+    list must hold ``length`` items when that is given."""
+    def convert(value, where):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise ValueError(f"{where} must be a JSON list"
+                             + (f" of {length} items" if length else ""))
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return convert
+
+
+def _mode(value, where) -> str:
+    if value not in ALL_MODES:
+        raise ValueError(f"{where} {value!r} is not one of {', '.join(ALL_MODES)}")
+    return value
+
+
+def _waypoint(x, y, theta=0.0, **kwargs) -> Waypoint:
+    return Waypoint(pose=PoseSE2(x, y, theta), **kwargs)
+
+
+def _trajectory(frame_stride=1, **kwargs) -> dict:
+    """ScenarioConfig's fields from the trajectory section, which also holds
+    the stride of camera frames over trajectory samples."""
+    return {"trajectory": TrajectoryScript(**kwargs), "frame_stride": frame_stride}
+
+
+_VECTOR3 = _list(wire_float, 3)
+_CUSTOM_ROBOT = _object(RobotModel, {
+    "keypoints_m": ("keypoints", _list(_VECTOR3), True),
+    "body_width_m": ("body_width", wire_float, True),
+})
+
+
+def _robot_model(spec, where) -> RobotModel:
+    return default_robot_model() if spec in ("default", None) else _CUSTOM_ROBOT(spec, where)
+
+
+_TOP = {
+    "seed": ("seed", wire_int, False),
+    "modes": ("modes", _list(_mode), False),
+    "feedback": ("feedback", wire_bool, False),
+    "cameras": ("cameras", _list(_object(make_camera, {
+        "camera_id": ("camera_id", wire_int, True), "position_m": ("position", _VECTOR3, True),
+        "yaw_rad": ("yaw", wire_float, True), "pitch_down_rad": ("pitch_down", wire_float, True),
+        "fx_px": ("fx", wire_float, False), "fy_px": ("fy", wire_float, False),
+        "cx_px": ("cx", wire_float, False), "cy_px": ("cy", wire_float, False),
+        "width_px": ("width", wire_int, False), "height_px": ("height", wire_int, False),
+    })), True),
+    "robot_model": ("robot_model", _robot_model, False),
+    "trajectory": (None, _object(_trajectory, {
+        "waypoints": ("waypoints", _list(_object(_waypoint, {
+            "waypoint_id": ("label", wire_int, False),
+            "x_m": ("x", wire_float, True), "y_m": ("y", wire_float, True),
+            "theta_rad": ("theta", wire_float, False), "dwell_s": ("dwell", wire_float, False),
+        })), True),
+        "speed_mps": ("speed", wire_float, False),
+        "turn_rate_radps": ("turn_rate", wire_float, False),
+        "sample_dt_s": ("sample_dt", wire_float, False),
+        "frame_stride": ("frame_stride", wire_int, False),
+    }), True),
+    "noise": ("noise", _object(NoiseModel, {
+        "pixel_sigma_px": ("pixel_sigma", wire_float, False),
+        "dropout_prob": ("dropout_prob", wire_float, False),
+        "outlier_prob": ("outlier_prob", wire_float, False),
+        "outlier_spread_px": ("outlier_spread", wire_float, False),
+        "confidence_floor": ("confidence_floor", wire_float, False),
+        "timestamp_jitter_s": ("timestamp_jitter", wire_float, False),
+    }), False),
+    "odometry_noise": ("odometry_noise", _object(OdometryNoise, {
+        "trans_sigma_per_sqrt_m": ("trans_sigma_per_meter", wire_float, False),
+        "rot_sigma_per_sqrt_m": ("rot_sigma_per_meter", wire_float, False),
+        "rot_sigma_per_sqrt_rad": ("rot_sigma_per_rad", wire_float, False),
+        "bias_trans_m_per_m": ("bias_trans", wire_float, False),
+        "bias_rot_rad_per_m": ("bias_rot", wire_float, False),
+    }), False),
+    "sync": ("sync", _object(SyncConfig, {
+        "window_s": ("window", wire_float, False),
+        "max_open_sets": ("max_open_sets", wire_int, False),
+    }), False),
+    "solver": ("solver", _object(SolverConfig, {
+        "max_iterations": ("max_iterations", wire_int, False),
+        "convergence_tol": ("convergence_tol", wire_float, False),
+        "lm_lambda_init": ("lm_lambda_init", wire_float, False),
+        "lm_lambda_scale": ("lm_lambda_scale", wire_float, False),
+        "huber_delta_px": ("huber_delta", wire_float, False),
+    }), False),
+    "gate": ("gate", _object(GateThresholds, {
+        "d_theta_rad": ("d_theta", wire_float, False), "d_depth_m": ("d_depth", wire_float, False),
+    }), False),
 }
-
-
-def _present(spec, fields) -> dict:
-    """Keyword arguments for the optional keys that ``spec`` sets."""
-    return {attr: conv(spec[key]) for key, (attr, conv) in fields.items() if key in spec}
-
-
-def _section(doc, name):
-    cls, fields = _SECTIONS[name]
-    spec = doc.get(name, {})
-    _check_keys(spec, fields, name)
-    return cls(**_present(spec, fields))
-
-
-def _camera_from_spec(spec, where) -> CameraModel:
-    _check_keys(spec, _CAMERA_KEYS, where)
-    try:
-        return make_camera(
-            camera_id=int(_require(spec, "camera_id", "camera")),
-            position=_require(spec, "position_m", "camera"),
-            yaw=float(_require(spec, "yaw_rad", "camera")),
-            pitch_down=float(_require(spec, "pitch_down_rad", "camera")),
-            **_present(spec, _CAMERA_OPTIONAL),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid camera spec: {exc}") from exc
-
-
-def _robot_model_from_spec(spec) -> RobotModel:
-    if spec == "default" or spec is None:
-        return default_robot_model()
-    _check_keys(spec, _ROBOT_KEYS, "robot_model")
-    try:
-        return RobotModel(
-            keypoints=np.array(_require(spec, "keypoints_m", "robot_model")),
-            body_width=float(_require(spec, "body_width_m", "robot_model")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid robot model: {exc}") from exc
-
-
-def _trajectory_from_spec(spec) -> TrajectoryScript:
-    _check_keys(spec, _TRAJECTORY_KEYS, "trajectory")
-    wps = []
-    for i, w in enumerate(_require(spec, "waypoints", "trajectory")):
-        where = f"trajectory.waypoints[{i}]"
-        _check_keys(w, _WAYPOINT_KEYS, where)
-        pose = PoseSE2(float(_require(w, "x_m", "waypoint")),
-                       float(_require(w, "y_m", "waypoint")), **_present(w, _THETA))
-        label = wire_int(w.get("waypoint_id", i), f"{where}.waypoint_id")
-        wps.append(Waypoint(pose=pose, label=label, **_present(w, _DWELL)))
-    try:
-        return TrajectoryScript(waypoints=wps, **_present(spec, _TRAJECTORY_OPTIONAL))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid trajectory: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a ScenarioConfig."""
-    _check_keys(doc, _TOP_KEYS, "")
-    try:
-        cameras = [_camera_from_spec(c, f"cameras[{i}]")
-                   for i, c in enumerate(_require(doc, "cameras", "scenario"))]
-        traj_spec = _require(doc, "trajectory", "scenario")
-        return ScenarioConfig(
-            cameras=cameras,
-            robot_model=_robot_model_from_spec(doc.get("robot_model", "default")),
-            trajectory=_trajectory_from_spec(traj_spec),
-            noise=_section(doc, "noise"),
-            odometry_noise=_section(doc, "odometry_noise"),
-            sync=_section(doc, "sync"),
-            solver=_section(doc, "solver"),
-            gate=_section(doc, "gate"),
-            seed=int(doc.get("seed", 0)),
-            modes=tuple(doc.get("modes", list(ALL_MODES))),
-            feedback=bool(doc.get("feedback", False)),
-            raw=doc,
-            **_present(traj_spec, _STRIDE),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid scenario config: {exc}") from exc
+    return ScenarioConfig(**_fields(doc, _TOP, ""), raw=doc)
 
 
 def load_config(path, overrides=None) -> ScenarioConfig:
@@ -245,16 +239,20 @@ def load_config(path, overrides=None) -> ScenarioConfig:
 
 
 def _apply_override(doc, dotted_key, value):
-    parts = dotted_key.split(".")
+    """Set ``dotted_key`` in ``doc``, creating each object missing on its
+    path; a value on the path that is not an object is an error."""
+    *path, last = dotted_key.split(".")
     node = doc
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            node[p] = {}
-        node = node[p]
+    for depth in range(len(path) + 1):
+        if not isinstance(node, dict):
+            where = ".".join(path[:depth]) or "the scenario"
+            raise ConfigError(f"override {dotted_key!r}: {where} is not a JSON object")
+        if depth < len(path):
+            node = node.setdefault(path[depth], {})
     try:
-        node[parts[-1]] = json.loads(value) if isinstance(value, str) else value
+        node[last] = json.loads(value) if isinstance(value, str) else value
     except json.JSONDecodeError:
-        node[parts[-1]] = value
+        node[last] = value
 
 
 def camera_visibility_count(pose: PoseSE2, cameras, model: RobotModel) -> int:

@@ -30,7 +30,7 @@ class NoiseModel:
         for p in (self.dropout_prob, self.outlier_prob, self.confidence_floor):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
-        if self.pixel_sigma < 0 or self.timestamp_jitter < 0:
+        if not (self.pixel_sigma >= 0 and self.timestamp_jitter >= 0):
             raise ValueError("sigmas must be non-negative")
 
 
@@ -54,8 +54,10 @@ class OdometryNoise:
             self.rot_sigma_per_meter,
             self.rot_sigma_per_rad,
         ):
-            if s < 0:
+            if not s >= 0:
                 raise ValueError("sigmas must be non-negative")
+        if not (math.isfinite(self.bias_trans) and math.isfinite(self.bias_rot)):
+            raise ValueError("biases must be finite")
 
 
 @dataclass
@@ -63,6 +65,10 @@ class Waypoint:
     pose: PoseSE2
     dwell: float = 0.0  # seconds
     label: int | None = None  # output waypoint_id; None means the waypoint's index
+
+    def __post_init__(self):
+        if not 0 <= self.dwell < math.inf:
+            raise ValueError("dwell must be finite and non-negative")
 
 
 @dataclass
@@ -75,8 +81,8 @@ class TrajectoryScript:
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("waypoint list must be non-empty")
-        if self.speed <= 0 or self.sample_dt <= 0 or self.turn_rate <= 0:
-            raise ValueError("speed, turn_rate and sample_dt must be positive")
+        if not all(0 < v < math.inf for v in (self.speed, self.turn_rate, self.sample_dt)):
+            raise ValueError("speed, turn_rate and sample_dt must be finite and positive")
         self.waypoints = [wp if wp.label is not None else replace(wp, label=i)
                           for i, wp in enumerate(self.waypoints)]
 

@@ -8,6 +8,7 @@ common window, and emits completed sets in strictly increasing anchor order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ class SyncConfig:
     max_open_sets: int = 8
 
     def __post_init__(self):
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError("window must be positive")
+        if not self.max_open_sets >= 1:
+            raise ValueError("max_open_sets must be at least 1")
 
 
 class Synchronizer:
@@ -185,6 +188,23 @@ def wire_int(value, name) -> int:
     return int(value)
 
 
+def wire_float(value, name) -> float:
+    """A number field of a message or a scenario, which must be a finite
+    JSON number: NaN, Infinity, true or "1.5" raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} {value!r} is not a finite number")
+    return float(value)
+
+
+def wire_bool(value, name) -> bool:
+    """A flag of a scenario, which must be JSON true or false: 0, "false" or
+    null raises ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not true or false")
+    return value
+
+
 def message_from_json(line: str) -> DetectionMessage:
     """Parse one JSONL line; raises ValueError on malformed input."""
     payload = json.loads(line)
@@ -199,6 +219,6 @@ def message_from_json(line: str) -> DetectionMessage:
         camera_id=wire_int(payload["camera_id"], "camera_id"),
         stamp=ns_to_stamp(wire_int(payload["stamp_ns"], "stamp_ns")),
         keypoints=[wire_int(k["id"], "keypoint id") for k in kps],
-        pixels=[(k["u"], k["v"]) for k in kps],
-        confidence=[k["conf"] for k in kps],
+        pixels=[(wire_float(k["u"], "u"), wire_float(k["v"], "v")) for k in kps],
+        confidence=[wire_float(k["conf"], "conf") for k in kps],
     )

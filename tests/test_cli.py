@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 
 from camloc import cli, pipeline
 from camloc.errors import ConfigError, SolverDiverged
+from camloc.estimation import GateThresholds, SolverConfig
+from camloc.geometry import PoseSE2, RobotModel
 from camloc.pipeline import run_pipeline
 from camloc.posegraph import PoseGraph
 from camloc.scenario import config_from_dict, generate_scenarios, load_config
+from camloc.simulation import (NoiseModel, OdometryNoise, TrajectoryScript, Waypoint,
+                               default_robot_model)
+from camloc.sync import SyncConfig
 
 ZERO_PIXEL_NOISE = [
     "--override", "noise.pixel_sigma_px=0",
@@ -134,7 +139,8 @@ class TestConfigValidation:
     def test_waypoint_without_coordinate_named(self, scenario_dir, key):
         doc = json.loads((scenario_dir / "traj1.json").read_text())
         del doc["trajectory"]["waypoints"][2][key]
-        with pytest.raises(ConfigError, match=re.escape(f"missing {key!r} in waypoint")):
+        missing = f"missing 'trajectory.waypoints[2].{key}'"
+        with pytest.raises(ConfigError, match=re.escape(missing)):
             config_from_dict(doc)
 
     @pytest.mark.parametrize("label", ["x", None, 1.7, True])
@@ -152,6 +158,121 @@ class TestConfigValidation:
         doc["solver"] = 50
         with pytest.raises(ConfigError, match="solver must be a JSON object"):
             config_from_dict(doc)
+
+    def test_every_leaf_of_the_wrong_type_named(self, scenario_dir):
+        """Each scalar of traj1 replaced by a value of another JSON type, or
+        by NaN for a number, or by 1.5 for an integer, is rejected by its
+        dotted path."""
+        doc = json.loads((scenario_dir / "traj1.json").read_text())
+        leaves = list(_scalar_leaves(doc))
+        assert len(leaves) > 100
+        for path, value in leaves:
+            bad_values = ["1"]
+            if isinstance(value, bool):
+                bad_values += [0, 1]
+            elif isinstance(value, (int, float)):
+                bad_values += [True, 1.5 if isinstance(value, int) else math.nan]
+            for bad in bad_values:
+                mutated = json.loads(json.dumps(doc))
+                _set_leaf(mutated, path, bad)
+                with pytest.raises(ConfigError) as info:
+                    config_from_dict(mutated)
+                assert _dotted(path) in str(info.value), (path, bad)
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda d: d.update(feedback="false"), "feedback"),
+        (lambda d: d.update(seed=1.7), "seed"),
+        (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d.update(seed=-1), "seed"),
+        (lambda d: d["cameras"][1].update(camera_id=1.7), "cameras[1].camera_id"),
+        (lambda d: d["cameras"][2].update(camera_id=0), "cameras[2].camera_id"),
+        (lambda d: d["trajectory"].update(frame_stride=2.5), "trajectory.frame_stride"),
+        (lambda d: d["trajectory"].update(sample_dt_s=math.inf), "trajectory.sample_dt_s"),
+        (lambda d: d["trajectory"]["waypoints"][1].update(dwell_s=-2),
+         "trajectory.waypoints[1]"),
+        (lambda d: d["noise"].update(pixel_sigma_px=math.nan), "noise.pixel_sigma_px"),
+        (lambda d: d["sync"].update(max_open_sets=-3), "max_open_sets"),
+    ], ids=["feedback_string", "seed_fraction", "seed_bool", "seed_negative",
+            "camera_id_fraction", "camera_id_repeated", "stride_fraction", "sample_dt_infinite",
+            "dwell_negative", "pixel_sigma_nan", "max_open_sets_negative"])
+    def test_bad_value_exits_2_naming_key(self, small_scenario, tmp_path, capsys, edit, key):
+        doc = json.loads(small_scenario.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override,segment", [
+        ("cameras.0.fx_px=700", "cameras"),
+        ("seed.x=3", "seed"),
+    ])
+    def test_override_through_a_value_named(self, small_scenario, tmp_path, capsys,
+                                            override, segment):
+        rc = cli.main(["run", "--scenario", str(small_scenario),
+                       "--out", str(tmp_path / "o"), "--override", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"override {override.split('=')[0]!r}: {segment} is not a JSON object" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_override_creates_absent_section(self, scenario_dir, tmp_path):
+        doc = json.loads((scenario_dir / "traj1.json").read_text())
+        del doc["noise"]
+        path = tmp_path / "no_noise.json"
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path, {"noise.pixel_sigma_px": "0"})
+        assert cfg.noise.pixel_sigma == 0.0
+        assert cfg.noise.dropout_prob == NoiseModel().dropout_prob
+
+    @pytest.mark.parametrize("build", [
+        lambda: NoiseModel(pixel_sigma=math.nan),
+        lambda: NoiseModel(timestamp_jitter=math.nan),
+        lambda: OdometryNoise(trans_sigma_per_meter=math.nan),
+        lambda: OdometryNoise(rot_sigma_per_rad=math.nan),
+        lambda: OdometryNoise(bias_trans=math.nan),
+        lambda: TrajectoryScript([Waypoint(PoseSE2())], speed=math.nan),
+        lambda: TrajectoryScript([Waypoint(PoseSE2())], sample_dt=math.inf),
+        lambda: Waypoint(PoseSE2(), dwell=math.nan),
+        lambda: Waypoint(PoseSE2(), dwell=-2.0),
+        lambda: SolverConfig(convergence_tol=math.nan),
+        lambda: SolverConfig(huber_delta=math.nan),
+        lambda: GateThresholds(d_theta=math.nan),
+        lambda: GateThresholds(d_depth=math.nan),
+        lambda: SyncConfig(window=math.nan),
+        lambda: SyncConfig(max_open_sets=-3),
+        lambda: RobotModel(keypoints=np.full((8, 3), math.nan), body_width=0.35),
+        lambda: RobotModel(keypoints=default_robot_model().keypoints, body_width=math.nan),
+        lambda: RobotModel(keypoints=default_robot_model().keypoints, body_width=math.inf),
+    ])
+    def test_dataclass_rejects_nan_and_out_of_range(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
+def _scalar_leaves(node, path=()):
+    """(path, value) of every scalar in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _set_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _dotted(path):
+    """The parser's name for a path: 'cameras[0].position_m[1]'."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else "." * bool(out) + key
+    return out
 
 
 class TestWaypointWindows:
@@ -273,8 +394,12 @@ class TestReplay:
         '"keypoints":[{"id":Infinity,"u":1.0,"v":2.0,"conf":0.9}]}',
         '{"type":"detections","camera_id":0,"stamp_ns":5,'
         '"keypoints":[{"id":1.7,"u":1.0,"v":2.0,"conf":0.9}]}',
+        '{"type":"detections","camera_id":0,"stamp_ns":5,'
+        '"keypoints":[{"id":1,"u":"12.5","v":2.0,"conf":0.9}]}',
+        '{"type":"detections","camera_id":0,"stamp_ns":5,'
+        '"keypoints":[{"id":1,"u":1.0,"v":2.0,"conf":true}]}',
     ], ids=["not_json", "list", "number", "string", "null", "infinite_stamp",
-            "infinite_camera", "infinite_id", "fractional_id"])
+            "infinite_camera", "infinite_id", "fractional_id", "string_pixel", "bool_conf"])
     def test_malformed_line_reports_location(self, small_scenario, tmp_path, capsys, line):
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"type":"detections","camera_id":0,"stamp_ns":0,"keypoints":[]}\n'
