@@ -21,6 +21,7 @@ from camloc import (
     initialize_global,
     solve_multiview,
 )
+from camloc.geometry import flatten_observations
 from camloc.scenario import load_config
 from camloc.simulation import GroundTruthSample, simulate_frame
 from camloc.sync import FrameSet
@@ -43,7 +44,8 @@ def main():
     # 1. noiseless detections: recovery is exact
     clean = NoiseModel(pixel_sigma=0, dropout_prob=0, outlier_prob=0, timestamp_jitter=0)
     fs = frameset(truth, rig, model, clean, rng)
-    est = solve_multiview(fs, truth.compose(PoseSE2(0.1, -0.1, 0.1)), rig, model)
+    obs = flatten_observations(fs, rig, model)  # one column per detected keypoint
+    est = solve_multiview(obs, truth.compose(PoseSE2(0.1, -0.1, 0.1)))
     err = math.hypot(est.pose.x - truth.x, est.pose.y - truth.y)
     print(f"\nnoiseless ({est.n_cameras} cameras, {est.n_keypoints} keypoints): "
           f"error {err:.2e} m, rms residual {est.rms_residual:.2e} px")
@@ -56,7 +58,7 @@ def main():
         errs = []
         for _ in range(50):
             fs = frameset(truth, rig, model, noise, rng)
-            est = solve_multiview(fs, truth, rig, model)
+            est = solve_multiview(flatten_observations(fs, rig, model), truth)
             errs.append(math.hypot(est.pose.x - truth.x, est.pose.y - truth.y))
         print(f"  sigma {sigma:3.1f} px -> {1000 * np.mean(errs):5.1f} mm translation error")
 

@@ -24,6 +24,7 @@ from camloc import (
     single_view_candidate,
     solve_multiview,
 )
+from camloc.geometry import flatten_observations
 from camloc.scenario import make_camera
 from camloc.simulation import GroundTruthSample, simulate_frame
 from camloc.sync import FrameSet
@@ -42,7 +43,8 @@ def main():
         rng = np.random.default_rng(seed)
         msg = simulate_frame(GroundTruthSample(0.0, truth, True, 0), [cam],
                              model, noise, rng)[0]
-        cand = single_view_candidate(msg, cam, model)
+        obs = flatten_observations(FrameSet(anchor_stamp=0.0, per_camera={0: msg}), [cam], model)
+        cand = single_view_candidate(obs, model)
         err = cand.pose.xy - truth.xy
         view = truth.xy - cam.ground_position()
         view /= np.linalg.norm(view)
@@ -63,7 +65,8 @@ def main():
                                                    outlier_prob=0, timestamp_jitter=0),
                          rng)[0]
     fs = FrameSet(anchor_stamp=0.0, per_camera={0: msg})
-    raw = solve_multiview(fs, PoseSE2(0.8, 0.3, math.radians(25)), [cam2], model)
+    raw = solve_multiview(flatten_observations(fs, [cam2], model),
+                          PoseSE2(0.8, 0.3, math.radians(25)))
     gated = gate_single_view(prev, raw, cam2, GateThresholds())
     print("\nimplausible single-view jump from a static prior at the origin:")
     print(f"  raw estimate  : ({raw.pose.x:5.2f}, {raw.pose.y:5.2f}, "

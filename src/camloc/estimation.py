@@ -24,7 +24,6 @@ from .errors import (
     InsufficientObservations,
     NoEligibleCamera,
     SolverDiverged,
-    UnknownCamera,
 )
 from .geometry import (
     CameraModel,
@@ -34,11 +33,10 @@ from .geometry import (
     angle_diff,
     circular_weighted_mean,
     flatten_observations,
-    frameset_observations,
     reprojection_kernel,
     wrap_angles,
 )
-from .sync import DetectionMessage, FrameSet
+from .sync import FrameSet
 
 # Keypoints one camera needs to seed relocalization on its own.
 MIN_SEED_KEYPOINTS = 4
@@ -216,7 +214,7 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
     return cov
 
 
-def _best_solve(obs: FlatObservations, starts, stamp: float, config: SolverConfig):
+def _best_solve(obs: FlatObservations, starts, config: SolverConfig):
     """Run LM from each start and keep the lowest objective among the starts
     that did not diverge, the first start on ties, as a PoseEstimate."""
     params, obj, iters, diverged, hess = _levenberg_marquardt(starts, obs, config)
@@ -230,24 +228,19 @@ def _best_solve(obs: FlatObservations, starts, stamp: float, config: SolverConfi
         rms_residual=math.sqrt(obj[best] / obs.n_rows),
         n_cameras=obs.n_cameras,
         n_keypoints=obs.n_rows,
-        stamp=stamp,
+        stamp=obs.stamp,
         n_iterations=int(iters[best]),
     )
 
 
 def solve_multiview(
-    frameset: FrameSet,
-    init: PoseSE2,
-    cameras,
-    model: RobotModel,
-    config: SolverConfig | None = None,
+    obs: FlatObservations, init: PoseSE2, config: SolverConfig | None = None
 ) -> PoseEstimate:
-    """Refine the robot pose on a frame-set via robust LM from the given init."""
+    """Refine the robot pose on a flattened frame-set by robust LM from init."""
     config = config or SolverConfig()
-    obs = frameset_observations(frameset, cameras, model)
     if obs.n_rows < 3:
         raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
-    return _best_solve(obs, init.as_array()[None], frameset.anchor_stamp, config)
+    return _best_solve(obs, init.as_array()[None], config)
 
 
 def _backproject_centroid(
@@ -283,12 +276,9 @@ def _heading_starts(seed_xy) -> np.ndarray:
 
 
 def single_view_candidate(
-    message: DetectionMessage,
-    camera: CameraModel,
-    model: RobotModel,
-    config: SolverConfig | None = None,
+    obs: FlatObservations, model: RobotModel, config: SolverConfig | None = None
 ) -> PoseEstimate:
-    """Ground-plane pose candidate from one camera's detections.
+    """Ground-plane pose candidate from one camera's columns, ``obs.camera(i)``.
 
     Runs the 3-DoF solve from 8 equally spaced heading initializations at
     the back-projected keypoint centroid, as one batch, and keeps the
@@ -298,12 +288,11 @@ def single_view_candidate(
     camera's viewing ray.
     """
     config = config or SolverConfig()
-    if len(message.keypoints) < MIN_SEED_KEYPOINTS:
-        raise InsufficientKeypoints(f"{len(message.keypoints)} keypoints from camera "
-                                    f"{message.camera_id} (need {MIN_SEED_KEYPOINTS})")
-    obs = flatten_observations([(camera, message)], model)
-    starts = _heading_starts(_backproject_centroid(obs, camera, model))
-    return _best_solve(obs, starts, message.stamp, config)
+    if obs.n_rows < MIN_SEED_KEYPOINTS:
+        raise InsufficientKeypoints(f"{obs.n_rows} keypoints from one camera "
+                                    f"(need {MIN_SEED_KEYPOINTS})")
+    starts = _heading_starts(_backproject_centroid(obs, obs.cameras[0], model))
+    return _best_solve(obs, starts, config)
 
 
 def initialize_global(
@@ -314,28 +303,26 @@ def initialize_global(
 ) -> PoseEstimate:
     """Prior-free (kidnapped robot) initialization from a frame-set.
 
-    Each camera with enough keypoints gives a candidate; a camera whose
-    solve diverges or leaves the pose unconstrained is skipped. The final
-    multi-view solve starts from the candidates' information-weighted mean.
+    The frame-set is flattened once. Each camera with enough keypoints gives
+    a candidate from its slice of the columns; a camera whose solve diverges
+    or leaves the pose unconstrained is skipped. The final multi-view solve
+    starts from the candidates' information-weighted mean.
     """
     config = config or SolverConfig()
-    cams = {c.camera_id: c for c in cameras}
+    obs = flatten_observations(frameset, cameras, model)
     candidates = []
-    for cam_id in sorted(frameset.per_camera):
-        msg = frameset.per_camera[cam_id]
-        if len(msg.keypoints) < MIN_SEED_KEYPOINTS:
+    for view in map(obs.camera, range(obs.n_cameras)):
+        if view.n_rows < MIN_SEED_KEYPOINTS:
             continue
-        if cam_id not in cams:
-            raise UnknownCamera(f"camera {cam_id} not in rig")
         try:
-            candidates.append(single_view_candidate(msg, cams[cam_id], model, config))
+            candidates.append(single_view_candidate(view, model, config))
         except (SolverDiverged, InsufficientObservations):
             continue
     if not candidates:
         raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints "
                                "gave a candidate")
     init = average_estimates(candidates).pose
-    return solve_multiview(frameset, init, cameras, model, config)
+    return solve_multiview(obs, init, config)
 
 
 def gate_single_view(

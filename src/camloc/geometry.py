@@ -7,6 +7,7 @@ and a rigid set of 3D keypoints on the robot body.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,8 @@ class RobotModel:
             raise ValueError("robot model needs at least 4 keypoints")
         if not (np.abs(kps) <= 1.0).all():
             raise ValueError("keypoints must be finite and inside the 1 m body bounding box")
+        if (kps[:, :2] == kps[0, :2]).all():  # a turn about it would move no keypoint
+            raise ValueError("keypoints must not all share one ground-plane footprint (x, y)")
         if not 0 < self.body_width < math.inf:
             raise ValueError("body_width must be finite and positive")
 
@@ -188,7 +191,7 @@ def keypoints_world(pose: PoseSE2, model: RobotModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlatObservations:
-    """Detections flattened once per solve, one column per detected keypoint.
+    """A frame-set flattened once, one column per detected keypoint.
 
     With the robot at (x, y, theta), the camera-frame point of column k is
     linear in (cos theta, sin theta, x, y, 1). For a camera rotation with
@@ -201,29 +204,52 @@ class FlatObservations:
     the x and y components scaled by fx and fy. One matmul then gives
     (fx X, fy Y, Z), and its first two components divided by Z are the
     pixel offset from the principal point. The columns are component-major:
-    column j * K + k is component j of keypoint k.
+    column j * K + k is component j of keypoint k. Keypoints follow the
+    cameras in camera-id order, then each message's detection order.
     """
 
     linear_map: np.ndarray  # (5, 3K) coefficients of (cos, sin, x, y, 1)
     center: np.ndarray  # (2, K) cx, cy
     pixel: np.ndarray  # (2, K) observed pixel
     weight: np.ndarray  # (K,) detection confidence
-    n_cameras: int
+    stamp: float  # the frame-set's anchor stamp
+    cameras: tuple  # the contributing CameraModels, in camera-id order
+    offsets: tuple  # camera i's keypoints are offsets[i]:offsets[i + 1]
 
     @property
     def n_rows(self) -> int:
         return len(self.weight)
 
+    @property
+    def n_cameras(self) -> int:
+        return len(self.cameras)
 
-def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
-    """Flatten (camera, detection message) pairs into one FlatObservations.
+    def camera(self, i: int) -> "FlatObservations":
+        """Camera i's keypoints alone, as a one-camera FlatObservations."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        linear_map = self.linear_map.reshape(5, 3, self.n_rows)[:, :, lo:hi].reshape(5, -1)
+        return FlatObservations(linear_map, self.center[:, lo:hi], self.pixel[:, lo:hi],
+                                self.weight[lo:hi], self.stamp, self.cameras[i:i + 1],
+                                (0, hi - lo))
 
-    Raises UnknownKeypoint for a keypoint index outside the robot model.
+
+def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
+    """Flatten a frame-set into one FlatObservations. A message without
+    keypoints adds no camera.
+
+    Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
+    for a keypoint index outside the robot model.
     """
-    if not pairs:  # an empty frame-set has zero columns
+    rig = {c.camera_id: c for c in cameras}
+    unknown = frameset.per_camera.keys() - rig.keys()
+    if unknown:
+        raise UnknownCamera(f"camera {min(unknown)} not in rig")
+    ids = [i for i in sorted(frameset.per_camera) if len(frameset.per_camera[i].keypoints)]
+    cams, messages = tuple(rig[i] for i in ids), [frameset.per_camera[i] for i in ids]
+    offsets = tuple(itertools.accumulate((len(m.keypoints) for m in messages), initial=0))
+    if not messages:  # an empty frame-set has zero columns
         return FlatObservations(np.zeros((5, 0)), np.zeros((2, 0)), np.zeros((2, 0)),
-                                np.zeros(0), 0)
-    cams, messages = zip(*pairs)
+                                np.zeros(0), frameset.anchor_stamp, cams, offsets)
     idx = np.concatenate([m.keypoints for m in messages])
     bad = (idx < 0) | (idx >= model.n_keypoints)
     if bad.any():
@@ -243,23 +269,10 @@ def flatten_observations(pairs, model: RobotModel) -> FlatObservations:
         center=intrinsics[cam_row, 3:].T.copy(),
         pixel=np.concatenate([m.pixels for m in messages]).T.copy(),
         weight=np.concatenate([m.confidence for m in messages]),
-        n_cameras=len(cams),
+        stamp=frameset.anchor_stamp,
+        cameras=cams,
+        offsets=offsets,
     )
-
-
-def frameset_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
-    """Flatten a frame-set in camera-id order.
-
-    Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
-    for a keypoint index outside the robot model.
-    """
-    cams = {c.camera_id: c for c in cameras}
-    pairs = []
-    for cam_id in sorted(frameset.per_camera):
-        if cam_id not in cams:
-            raise UnknownCamera(f"camera {cam_id} not in rig")
-        pairs.append((cams[cam_id], frameset.per_camera[cam_id]))
-    return flatten_observations(pairs, model)
 
 
 # Rows applied to FlatObservations.linear_map: the camera-frame point,

@@ -34,7 +34,7 @@ from .evaluation import (
     translation_rmse,
     waypoint_errors,
 )
-from .geometry import PoseSE2
+from .geometry import PoseSE2, flatten_observations
 from .posegraph import PoseGraph
 from .scenario import ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
@@ -135,7 +135,6 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
                                     rng_odo) for a, b in zip(samples, samples[1:])]
 
     # Pass 2: the frame-set solves, in stream order.
-    camera_by_id = {c.camera_id: c for c in config.cameras}
     solves = []  # (sample index, raw estimate, gated estimate)
     skipped = 0
     prior = None  # last accepted estimate pose
@@ -150,18 +149,17 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
         predicted = None if prior is None else prior.compose(odo_since_prior)
         try:
             if predicted is None:
-                est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
+                est = gated = initialize_global(fs, config.cameras, config.robot_model,
+                                                config.solver)
             else:
-                est = solve_multiview(fs, predicted, config.cameras, config.robot_model,
-                                      config.solver)
+                obs = flatten_observations(fs, config.cameras, config.robot_model)
+                est = gated = solve_multiview(obs, predicted, config.solver)
+                if est.n_cameras == 1:
+                    gated = gate_single_view(predicted, est, obs.cameras[0], config.gate)
         except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
                 UnknownCamera, UnknownKeypoint):
             skipped += 1
             continue
-        gated = est
-        if est.n_cameras == 1 and predicted is not None:
-            camera = camera_by_id[next(iter(fs.per_camera))]
-            gated = gate_single_view(predicted, est, camera, config.gate)
         solves.append((i, est, gated))
         prior, odo_since_prior = gated.pose, PoseSE2()
 

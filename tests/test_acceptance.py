@@ -108,7 +108,7 @@ class TestAcceptance:
         worst_t = worst_r = 0.0
         t0 = time.perf_counter()
         for s, fs in framesets:
-            est = solve_multiview(fs, prior, rig, robot_model)
+            est = solve_multiview(flatten_observations(fs, rig, robot_model), prior)
             prior = est.pose
             worst_t = max(worst_t, math.hypot(est.pose.x - s.pose.x, est.pose.y - s.pose.y))
             worst_r = max(worst_r, abs(angle_diff(est.pose.theta, s.pose.theta)))
@@ -134,7 +134,7 @@ class TestAcceptance:
                 continue
             n += 1
             msg = DetectionMessage(0, 0.0, [j], [(0.0, 0.0)], [1.0])
-            obs = flatten_observations([(cam, msg)], robot_model)
+            obs = flatten_observations(FrameSet(0.0, {0: msg}), [cam], robot_model)
             _, jac, _ = reprojection_kernel(pose.as_array()[None], obs)
             analytic = jac[0, :, :, 0].T  # (2, 3): pixel row by pose column
             # residual = observed - projected, so its jacobian is the
@@ -166,7 +166,7 @@ class TestAcceptance:
         wins = 0
         t0 = time.perf_counter()
         for pose, fs in cases:
-            est = solve_multiview(fs, pose, rig, robot_model)
+            est = solve_multiview(flatten_observations(fs, rig, robot_model), pose)
             obs = oracles.frameset_obs_arrays(fs, rig, robot_model)
             lm_obj = oracles.reference_objective(est.pose.as_array(), obs, 5.0)
             _, grid_pose = oracles.grid_search_objective(est.pose.as_array(), obs, 5.0)

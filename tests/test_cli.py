@@ -192,9 +192,12 @@ class TestConfigValidation:
          "trajectory.waypoints[1]"),
         (lambda d: d["noise"].update(pixel_sigma_px=math.nan), "noise.pixel_sigma_px"),
         (lambda d: d["sync"].update(max_open_sets=-3), "max_open_sets"),
+        (lambda d: d.update(robot_model={"keypoints_m": [[0, 0, 0]] * 4, "body_width_m": 0.3}),
+         "robot_model"),
     ], ids=["feedback_string", "seed_fraction", "seed_bool", "seed_negative",
             "camera_id_fraction", "camera_id_repeated", "stride_fraction", "sample_dt_infinite",
-            "dwell_negative", "pixel_sigma_nan", "max_open_sets_negative"])
+            "dwell_negative", "pixel_sigma_nan", "max_open_sets_negative",
+            "robot_model_coincident"])
     def test_bad_value_exits_2_naming_key(self, small_scenario, tmp_path, capsys, edit, key):
         doc = json.loads(small_scenario.read_text())
         edit(doc)

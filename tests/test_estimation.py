@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from camloc import estimation
+from camloc import estimation, pipeline
 from camloc.errors import (
     InsufficientKeypoints,
     InsufficientObservations,
@@ -24,8 +24,9 @@ from camloc.estimation import (
     single_view_candidate,
     solve_multiview,
 )
-from camloc.geometry import PoseSE2, angle_diff, flatten_observations, frameset_observations
-from camloc.scenario import WAYPOINTS, camera_visibility_count, make_camera
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations
+from camloc.pipeline import run_pipeline, simulate_detections
+from camloc.scenario import WAYPOINTS, camera_visibility_count, load_config, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
 from camloc.sync import DetectionMessage, FrameSet
 
@@ -38,6 +39,12 @@ ZERO_NOISE = NoiseModel(pixel_sigma=0.0, dropout_prob=0.0, outlier_prob=0.0,
 def make_frameset(pose, rig, model, noise, rng, stamp=0.0):
     msgs = simulate_frame(GroundTruthSample(stamp, pose, True, 0), rig, model, noise, rng)
     return FrameSet(anchor_stamp=stamp, per_camera={m.camera_id: m for m in msgs})
+
+
+def lone(msg, cam, model):
+    """One camera's message flattened alone, anchored at its own stamp."""
+    return flatten_observations(FrameSet(anchor_stamp=msg.stamp, per_camera={cam.camera_id: msg}),
+                                [cam], model)
 
 
 def zero_confidence(fs, cam_ids):
@@ -55,7 +62,7 @@ class TestSolveMultiview:
         truth = PoseSE2(5.0, 4.0, 0.7)
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
         init = PoseSE2(truth.x + 0.2, truth.y + 0.2, truth.theta + math.radians(10))
-        est = solve_multiview(fs, init, rig, robot_model)
+        est = solve_multiview(flatten_observations(fs, rig, robot_model), init)
         assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-6
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-6
         assert est.rms_residual < 1e-6
@@ -66,7 +73,7 @@ class TestSolveMultiview:
         msg = DetectionMessage(0, 0.0, [0, 1], [[10, 10], [20, 20]], [1.0, 1.0])
         for fs in (FrameSet(anchor_stamp=0.0, per_camera={0: msg}), FrameSet(anchor_stamp=0.0)):
             with pytest.raises(InsufficientObservations):
-                solve_multiview(fs, PoseSE2(5, 4, 0), rig, robot_model)
+                solve_multiview(flatten_observations(fs, rig, robot_model), PoseSE2(5, 4, 0))
 
     def test_zero_confidence_is_uninformative(self, rig, robot_model, rng):
         # valid on the wire, but every keypoint has weight 0: the Hessian is
@@ -74,7 +81,8 @@ class TestSolveMultiview:
         fs = make_frameset(PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model, ZERO_NOISE, rng)
         fs = zero_confidence(fs, fs.per_camera)
         with pytest.raises(InsufficientObservations):
-            solve_multiview(fs, PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model)
+            solve_multiview(flatten_observations(fs, rig, robot_model),
+                            PoseSE2(3.0, 3.0, math.pi / 4))
 
     def test_weight_scaling_leaves_argmin_unchanged(self, rig, robot_model):
         truth = PoseSE2(4.5, 3.5, -0.4)
@@ -82,13 +90,13 @@ class TestSolveMultiview:
         fs = make_frameset(truth, rig, robot_model, NoiseModel(timestamp_jitter=0.0,
                                                               dropout_prob=0.0,
                                                               outlier_prob=0.0), rng)
-        est1 = solve_multiview(fs, truth, rig, robot_model)
+        est1 = solve_multiview(flatten_observations(fs, rig, robot_model), truth)
         scaled = {}
         for cam_id, msg in fs.per_camera.items():
             scaled[cam_id] = DetectionMessage(cam_id, msg.stamp, msg.keypoints, msg.pixels,
                                               msg.confidence * 0.5)
         fs2 = FrameSet(anchor_stamp=0.0, per_camera=scaled)
-        est2 = solve_multiview(fs2, truth, rig, robot_model)
+        est2 = solve_multiview(flatten_observations(fs2, rig, robot_model), truth)
         assert math.hypot(est2.pose.x - est1.pose.x, est2.pose.y - est1.pose.y) < 1e-8
         assert abs(angle_diff(est2.pose.theta, est1.pose.theta)) < 1e-8
 
@@ -100,14 +108,14 @@ class TestSolveMultiview:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             fs = make_frameset(truth, rig, robot_model, noise, rng)
-            base = solve_multiview(fs, truth, rig, robot_model)
+            base = solve_multiview(flatten_observations(fs, rig, robot_model), truth)
             cam_id = sorted(fs.per_camera)[0]
             msg = fs.per_camera[cam_id]
             corrupted = msg.pixels.copy()
             corrupted[0, 0] += 50.0
             fs.per_camera[cam_id] = DetectionMessage(cam_id, msg.stamp, msg.keypoints,
                                                      corrupted, msg.confidence)
-            out = solve_multiview(fs, truth, rig, robot_model)
+            out = solve_multiview(flatten_observations(fs, rig, robot_model), truth)
             e_base = math.hypot(base.pose.x - truth.x, base.pose.y - truth.y)
             e_out = math.hypot(out.pose.x - truth.x, out.pose.y - truth.y)
             if e_out > 2.0 * max(e_base, 1e-4):
@@ -135,7 +143,8 @@ class TestLocalOptimality:
             if camera_visibility_count(pose, rig, robot_model) < 2:
                 continue
             fs = make_frameset(pose, rig, robot_model, noise, rng)
-            answer = solve_multiview(fs, pose, rig, robot_model).pose.as_array()
+            flat = flatten_observations(fs, rig, robot_model)
+            answer = solve_multiview(flat, pose).pose.as_array()
             obs = oracles.frameset_obs_arrays(fs, rig, robot_model)
             best = oracles.reference_objective(answer, obs, delta)
             for offset in stencil + list(rng.uniform(-box, box, (200, 3))):
@@ -149,8 +158,8 @@ class TestSolveCovariance:
 
     @staticmethod
     def _solve(fs, truth, rig, model):
-        obs = frameset_observations(fs, rig, model)
-        est = solve_multiview(fs, truth, rig, model)
+        obs = flatten_observations(fs, rig, model)
+        est = solve_multiview(obs, truth)
         _, obj, _, _, hess = estimation._levenberg_marquardt(truth.as_array()[None], obs,
                                                             SolverConfig())
         return est, obs, obj[0], hess[0]
@@ -177,11 +186,11 @@ class TestSolveCovariance:
         truth = PoseSE2(5.0, 4.0, 0.3)
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
         assert len(fs.per_camera) == 4
-        four = solve_multiview(fs, truth, rig, robot_model).covariance
+        four = solve_multiview(flatten_observations(fs, rig, robot_model), truth).covariance
         cam_id = sorted(fs.per_camera)[0]
-        one = solve_multiview(FrameSet(anchor_stamp=0.0,
-                                       per_camera={cam_id: fs.per_camera[cam_id]}),
-                              truth, rig, robot_model).covariance
+        one = solve_multiview(flatten_observations(
+            FrameSet(anchor_stamp=0.0, per_camera={cam_id: fs.per_camera[cam_id]}),
+            rig, robot_model), truth).covariance
         # the 4-camera covariance is smaller in every direction
         assert np.linalg.eigvalsh(one - four).min() > 0
 
@@ -199,7 +208,7 @@ class TestSolveCovariance:
             if lone:  # the observing camera's message alone
                 cam_id = max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
                 fs = FrameSet(anchor_stamp=0.0, per_camera={cam_id: fs.per_camera[cam_id]})
-            est = solve_multiview(fs, truth, rig, robot_model)
+            est = solve_multiview(flatten_observations(fs, rig, robot_model), truth)
             errors.append([*(est.pose.xy - truth.xy), angle_diff(est.pose.theta, truth.theta)])
             covariances.append(est.covariance)
         errors, cov = np.array(errors), np.mean(covariances, axis=0)
@@ -223,7 +232,7 @@ class TestSingleViewCandidate:
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
         cam_id = sorted(fs.per_camera)[0]
         cam = next(c for c in rig if c.camera_id == cam_id)
-        cand = single_view_candidate(fs.per_camera[cam_id], cam, robot_model)
+        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model), robot_model)
         assert math.hypot(cand.pose.x - truth.x, cand.pose.y - truth.y) < 1e-5
         assert abs(angle_diff(cand.pose.theta, truth.theta)) < 1e-5
 
@@ -231,7 +240,7 @@ class TestSingleViewCandidate:
         msg = DetectionMessage(0, 0.0, range(3), [[100.0 + i, 100.0] for i in range(3)],
                                np.ones(3))
         with pytest.raises(InsufficientKeypoints):
-            single_view_candidate(msg, rig[0], robot_model)
+            single_view_candidate(lone(msg, rig[0], robot_model), robot_model)
 
     def test_depth_error_exceeds_lateral(self, robot_model):
         # single camera 6 m away: depth is the weak direction
@@ -245,7 +254,7 @@ class TestSingleViewCandidate:
             msgs = simulate_frame(GroundTruthSample(0.0, truth, True, 0), [cam],
                                   robot_model, noise, rng)
             assert len(msgs) == 1
-            cand = single_view_candidate(msgs[0], cam, robot_model)
+            cand = single_view_candidate(lone(msgs[0], cam, robot_model), robot_model)
             err = cand.pose.xy - truth.xy
             view = truth.xy - cam.ground_position()
             view = view / np.linalg.norm(view)
@@ -261,7 +270,7 @@ class TestInterpolateCandidates:
         fs = make_frameset(PoseSE2(4.0, 3.0, 0.9), rig, robot_model, ZERO_NOISE, rng)
         cam_id = sorted(fs.per_camera)[0]
         cam = next(c for c in rig if c.camera_id == cam_id)
-        cand = single_view_candidate(fs.per_camera[cam_id], cam, robot_model)
+        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model), robot_model)
         out = average_estimates([cand]).pose
         assert out.x == pytest.approx(cand.pose.x, abs=1e-12)
         assert out.y == pytest.approx(cand.pose.y, abs=1e-12)
@@ -291,7 +300,7 @@ class TestBatchedMultiStart:
 
     @staticmethod
     def _starts(msg, cam, model):
-        obs = flatten_observations([(cam, msg)], model)
+        obs = lone(msg, cam, model)
         return obs, estimation._heading_starts(estimation._backproject_centroid(obs, cam, model))
 
     def test_batch_matches_each_start_alone(self, rig, robot_model):
@@ -310,7 +319,7 @@ class TestBatchedMultiStart:
                 assert abs(o1[0] - obj[i]) <= 1e-12
                 assert it1[0] == iters[i] and not d1[0]
                 np.testing.assert_allclose(h1[0], hess[i], rtol=1e-9)
-            cand = single_view_candidate(msg, cam, robot_model, config)
+            cand = single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
             first_best = int(np.flatnonzero(obj == obj.min())[0])
             assert cand.pose == PoseSE2(*params[first_best])
             assert cand.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
@@ -336,14 +345,14 @@ class TestBatchedMultiStart:
         np.testing.assert_array_equal(hess[keep], clean[4][keep])
 
         monkeypatch.setattr(estimation, "_heading_starts", lambda seed_xy: broken)
-        cand = single_view_candidate(msg, cam, robot_model, config)
+        cand = single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
         best = np.flatnonzero(keep)[np.argmin(obj[keep])]
         assert cand.pose == PoseSE2(*params[best])
 
         monkeypatch.setattr(estimation, "_heading_starts",
                             lambda seed_xy: np.full((8, 3), np.nan))
         with pytest.raises(SolverDiverged):
-            single_view_candidate(msg, cam, robot_model, config)
+            single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
 
 
 class TestInitializeGlobal:
@@ -366,8 +375,9 @@ class TestInitializeGlobal:
         silent = max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
         fs = zero_confidence(fs, [silent])
         with pytest.raises(InsufficientObservations):
-            single_view_candidate(fs.per_camera[silent],
-                                  next(c for c in rig if c.camera_id == silent), robot_model)
+            single_view_candidate(lone(fs.per_camera[silent],
+                                       next(c for c in rig if c.camera_id == silent),
+                                       robot_model), robot_model)
         est = initialize_global(fs, rig, robot_model)
         assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-5
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
@@ -386,7 +396,7 @@ class TestUnknownInputIds:
 
     SOLVERS = {
         "solve_multiview": lambda fs, rig, model: solve_multiview(
-            fs, PoseSE2(5.0, 4.0, 0.7), rig, model),
+            flatten_observations(fs, rig, model), PoseSE2(5.0, 4.0, 0.7)),
         "initialize_global": lambda fs, rig, model: initialize_global(fs, rig, model),
     }
 
@@ -418,6 +428,111 @@ class TestUnknownInputIds:
                                                        msg.confidence)
         with pytest.raises(UnknownKeypoint):
             self.SOLVERS[solver](frameset, rig, robot_model)
+
+
+class TestOneFlatten:
+    """A frame-set is flattened once; each camera's candidate reads a slice
+    of that one FlatObservations."""
+
+    @staticmethod
+    def _noisy_framesets(rig, model, n):
+        rng = np.random.default_rng(17)
+        out = []
+        while len(out) < n:
+            pose = PoseSE2(rng.uniform(0, 10), rng.uniform(0, 8), rng.uniform(-math.pi, math.pi))
+            fs = make_frameset(pose, rig, model, NoiseModel(timestamp_jitter=0.0), rng)
+            if any(len(m.keypoints) >= estimation.MIN_SEED_KEYPOINTS
+                   for m in fs.per_camera.values()):
+                out.append(fs)
+        return out
+
+    def test_slice_equals_lone_flatten(self, rig, robot_model):
+        candidates = 0
+        for fs in self._noisy_framesets(rig, robot_model, 40):
+            obs = flatten_observations(fs, rig, robot_model)
+            assert [c.camera_id for c in obs.cameras] == sorted(fs.per_camera)
+            for i, cam in enumerate(obs.cameras):
+                view = obs.camera(i)
+                alone = flatten_observations(
+                    FrameSet(fs.anchor_stamp, {cam.camera_id: fs.per_camera[cam.camera_id]}),
+                    rig, robot_model)
+                assert view.cameras == alone.cameras == (cam,)
+                assert view.offsets == alone.offsets and view.stamp == alone.stamp
+                for name in ("linear_map", "center", "pixel", "weight"):
+                    np.testing.assert_array_equal(getattr(view, name), getattr(alone, name))
+                if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
+                    continue
+                a = single_view_candidate(view, robot_model)
+                b = single_view_candidate(alone, robot_model)
+                assert a.pose == b.pose and a.n_iterations == b.n_iterations
+                np.testing.assert_array_equal(a.covariance, b.covariance)
+                candidates += 1
+        assert candidates >= 40
+
+    def test_one_flatten_per_relocalization(self, rig, robot_model, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return flatten_observations(*args)
+
+        monkeypatch.setattr(estimation, "flatten_observations", counted)
+        framesets = self._noisy_framesets(rig, robot_model, 20)
+        for fs in framesets:
+            initialize_global(fs, rig, robot_model)
+        assert len(calls) == len(framesets)
+        # one flatten per seeding camera would make more calls than that
+        seeding = sum(len(m.keypoints) >= estimation.MIN_SEED_KEYPOINTS
+                      for fs in framesets for m in fs.per_camera.values())
+        assert seeding > len(framesets)
+
+    @staticmethod
+    def _with_empty_message(fs, cam_id):
+        empty = DetectionMessage(cam_id, fs.anchor_stamp, [], [], [])
+        return FrameSet(fs.anchor_stamp, {**fs.per_camera, cam_id: empty})
+
+    def test_empty_message_adds_no_camera(self, rig, robot_model, rng):
+        truth = PoseSE2(*WAYPOINTS[1])
+        noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0, timestamp_jitter=0.0)
+        fs = make_frameset(truth, rig, robot_model, noise, rng)
+        cam_id = max(fs.per_camera, key=lambda c: len(fs.per_camera[c].keypoints))
+        fs = FrameSet(fs.anchor_stamp, {cam_id: fs.per_camera[cam_id]})  # the observing camera
+        other = next(c.camera_id for c in rig if c.camera_id not in fs.per_camera)
+        padded = self._with_empty_message(fs, other)
+        obs = flatten_observations(padded, rig, robot_model)
+        assert obs.n_cameras == 1 and other not in [c.camera_id for c in obs.cameras]
+        for solve in (lambda f: solve_multiview(flatten_observations(f, rig, robot_model), truth),
+                      lambda f: initialize_global(f, rig, robot_model)):
+            base, out = solve(fs), solve(padded)
+            assert out.n_cameras == 1
+            assert out.pose == base.pose
+            np.testing.assert_array_equal(out.covariance, base.covariance)
+
+    def test_pipeline_gates_a_lone_camera_beside_an_empty_message(self, small_scenario,
+                                                                 monkeypatch):
+        config = load_config(small_scenario)
+        messages = simulate_detections(config)
+        lone_id = max({m.camera_id for m in messages},
+                      key=lambda c: sum(m.camera_id == c for m in messages))
+        other = next(c.camera_id for c in config.cameras if c.camera_id != lone_id)
+        lone = [m for m in messages if m.camera_id == lone_id]
+        padded = [p for m in lone for p in (m, DetectionMessage(other, m.stamp, [], [], []))]
+        gated = []
+
+        def spy(prev, raw, camera, thresholds):
+            gated.append(camera.camera_id)
+            return gate_single_view(prev, raw, camera, thresholds)
+
+        monkeypatch.setattr(pipeline, "gate_single_view", spy)
+        base = run_pipeline(config, lone)
+        n_base = len(gated)
+        assert n_base > 0
+        out = run_pipeline(config, padded)
+        assert gated == [lone_id] * (2 * n_base)
+        for mode in ("raw", "gated_1frame"):
+            a, b = base.mode_trajectories[mode], out.mode_trajectories[mode]
+            np.testing.assert_array_equal(a.stamps, b.stamps)
+            assert a.poses == b.poses
 
 
 class TestGateSingleView:
@@ -548,7 +663,7 @@ class TestAverageEstimates:
             ests = []
             for k in range(5):
                 fs = make_frameset(truth, rig, robot_model, noise, rng, stamp=0.1 * k)
-                ests.append(solve_multiview(fs, truth, rig, robot_model))
+                ests.append(solve_multiview(flatten_observations(fs, rig, robot_model), truth))
             avg = average_estimates(ests)
             single_err.append(np.linalg.norm(ests[0].pose.xy - truth.xy))
             avg_err.append(np.linalg.norm(avg.pose.xy - truth.xy))

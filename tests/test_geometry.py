@@ -13,7 +13,6 @@ from camloc.geometry import (
     angle_diff,
     circular_weighted_mean,
     flatten_observations,
-    frameset_observations,
     in_image,
     keypoints_world,
     project_points,
@@ -164,7 +163,7 @@ def _noise_free_frameset(pose, cameras, model):
 def _residuals(pose, cameras, fs, model):
     """The kernel's residuals of one pose over a frame-set, one (2,) row per
     detected keypoint, and the detection weights."""
-    obs = frameset_observations(fs, cameras, model)
+    obs = flatten_observations(fs, cameras, model)
     res, _, _ = reprojection_kernel(pose.as_array()[None], obs)
     return res[0].T, obs.weight
 
@@ -172,7 +171,7 @@ def _residuals(pose, cameras, fs, model):
 def _keypoint_jacobian(pose, camera, model, j):
     """The kernel's 2x3 residual Jacobian and depth of keypoint j in one camera."""
     message = DetectionMessage(camera.camera_id, 0.0, [j], [(0.0, 0.0)], [1.0])
-    obs = flatten_observations([(camera, message)], model)
+    obs = flatten_observations(FrameSet(0.0, {camera.camera_id: message}), [camera], model)
     _, jac, depth = reprojection_kernel(pose.as_array()[None], obs)
     return jac[0, :, :, 0].T, depth[0, 0]
 
@@ -221,7 +220,7 @@ class TestReprojectionResiduals:
             },
         )
         with pytest.raises(UnknownCamera):
-            frameset_observations(fs, rig, robot_model)
+            flatten_observations(fs, rig, robot_model)
 
     def test_unknown_keypoint(self, rig, robot_model):
         cam_id = rig[0].camera_id
@@ -232,7 +231,7 @@ class TestReprojectionResiduals:
             },
         )
         with pytest.raises(UnknownKeypoint):
-            frameset_observations(fs, rig, robot_model)
+            flatten_observations(fs, rig, robot_model)
 
     def test_objective_invariant_to_detection_order(self, rig, robot_model, rng):
         pose = PoseSE2(5.0, 4.0, 0.3)
@@ -272,7 +271,7 @@ class TestResidualJacobian:
 
     def test_theta_column_zero_for_on_axis_keypoint(self, single_camera):
         model = RobotModel(
-            keypoints=np.array([[0, 0, 0.1], [0, 0, 0.2], [0, 0, 0.3], [0, 0, 0.4]]),
+            keypoints=np.array([[0, 0, 0.1], [0, 0, 0.2], [0, 0, 0.3], [0.1, 0, 0.4]]),
             body_width=0.35,
         )
         jac, _ = _keypoint_jacobian(PoseSE2(3, 3, 0.5), single_camera, model, 1)
@@ -299,7 +298,7 @@ class TestReprojectionKernel:
         forward = cam0.world_to_camera.rotation[2, :2]
         behind = cam0.ground_position() - 5.0 * forward / np.linalg.norm(forward)
         params = np.array([truth.as_array(), [5.1, 3.9, 0.9], [behind[0], behind[1], -2.0]])
-        obs = frameset_observations(fs, rig, robot_model)
+        obs = flatten_observations(fs, rig, robot_model)
         res, jac, depth = reprojection_kernel(params, obs)
         n = obs.n_rows
         assert res.shape == (3, 2, n) and jac.shape == (3, 3, 2, n) and depth.shape == (3, n)

@@ -8,7 +8,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from camloc import cli
+import numpy as np
+
+from camloc import cli, estimation
+from camloc.geometry import PoseSE2
+from camloc.scenario import WAYPOINTS
+from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
+from camloc.sync import FrameSet
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
 # The single-camera gate is reached on no bundled scenario (ROADMAP item 1).
@@ -48,3 +54,23 @@ def test_every_traced_layer_records_spans(small_scenario, tmp_path, monkeypatch)
     recorded = {span.name for span in tracer.spans}
     expected = set(tracer_mod.FUNCTION_SITES) | set(tracer_mod.METHOD_SITES)
     assert expected - NOT_REACHED - recorded == set()
+
+
+def test_relocalization_spans_nest(rig, robot_model, monkeypatch):
+    """initialize_global reaches its per-camera candidates and its final
+    solve through the estimation module, so both are traced inside it."""
+    sample = GroundTruthSample(0.0, PoseSE2(*WAYPOINTS[7]), True, 0)
+    msgs = simulate_frame(sample, rig, robot_model, NoiseModel(timestamp_jitter=0.0),
+                          np.random.default_rng(5))
+    fs = FrameSet(anchor_stamp=0.0, per_camera={m.camera_id: m for m in msgs})
+    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        estimation.initialize_global(fs, rig, robot_model)
+    finally:
+        tracer.uninstall()
+    (top,) = [i for i, span in enumerate(tracer.spans)
+              if span.name == "estimation.initialize_global"]
+    inner = [span.name for span in tracer.spans if span.parent == top]
+    assert inner.count("estimation.single_view_candidate") >= 2
+    assert inner[-1] == "estimation.solve_multiview"
