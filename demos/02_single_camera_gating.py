@@ -44,7 +44,7 @@ def main():
         msg = simulate_frame(GroundTruthSample(0.0, truth, True, 0), [cam],
                              model, noise, rng)[0]
         obs = flatten_observations(FrameSet(anchor_stamp=0.0, per_camera={0: msg}), [cam], model)
-        cand = single_view_candidate(obs, model)
+        cand = single_view_candidate(obs)
         err = cand.pose.xy - truth.xy
         view = truth.xy - cam.ground_position()
         view /= np.linalg.norm(view)

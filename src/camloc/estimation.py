@@ -1,9 +1,9 @@
 """Multi-view pose estimation from synchronized keypoint detections.
 
 Implements the weighted nonlinear least-squares pose solve (Levenberg-
-Marquardt with a Huber-robustified pixel residual), per-camera candidate
-generation with ground-plane multi-start for prior-free initialization,
-the single-camera bearing-only outlier gate, and information-weighted
+Marquardt with a Huber-robustified pixel residual), per-camera candidates
+for prior-free initialization, each solved from one algebraic seed, the
+single-camera bearing-only outlier gate, and information-weighted
 averaging. Every solve's covariance is sigma^2 * H^-1 from its own
 Gauss-Newton Hessian H, with sigma^2 the residual variance (cf. Triggs et
 al., "Bundle Adjustment - A Modern Synthesis", 2000), and that one
@@ -92,6 +92,8 @@ class PoseEstimate:
         object.__setattr__(self, "covariance", cov)
         if self.n_cameras < 1:
             raise ValueError("estimate needs at least one camera")
+        if not np.isfinite(cov).all():
+            raise ValueError("estimate covariance must be finite")
         np.linalg.cholesky(cov)  # raises if not positive-definite
 
 
@@ -201,17 +203,20 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
     residual variance of its K keypoints, floored at R_MIN^2.
 
     Raises InsufficientObservations when H is not positive definite, as when
-    every detection has confidence 0: the detections leave the pose
-    unconstrained.
+    every detection has confidence 0, or when the covariance overflows, as
+    when one absurd pixel swamps the objective: either way the detections
+    leave the pose unconstrained.
     """
     sigma2 = max(objective / (2 * n_rows - 3), R_MIN**2)
     try:
-        cov = sigma2 * np.linalg.inv(hess)
-        np.linalg.cholesky(cov)  # H^-1 is positive definite iff H is
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = sigma2 * np.linalg.inv(hess)
+        if np.isfinite(cov).all():
+            np.linalg.cholesky(cov)  # H^-1 is positive definite iff H is
+            return cov
     except np.linalg.LinAlgError:
-        raise InsufficientObservations(
-            f"{n_rows} keypoint observations leave the pose unconstrained") from None
-    return cov
+        pass
+    raise InsufficientObservations(f"{n_rows} keypoint observations leave the pose unconstrained")
 
 
 def _best_solve(obs: FlatObservations, starts, config: SolverConfig):
@@ -243,56 +248,45 @@ def solve_multiview(
     return _best_solve(obs, init.as_array()[None], config)
 
 
-def _backproject_centroid(
-    obs: FlatObservations, camera: CameraModel, model: RobotModel
-) -> np.ndarray:
-    """Ground-plane position whose keypoint-centroid projects near the
-    observed centroid pixel; used only to seed the multi-start solve."""
-    w = np.maximum(obs.weight, 1e-6)
-    centroid = (obs.pixel * w).sum(axis=1) / w.sum()
-    xn = (centroid[0] - camera.cx) / camera.fx
-    yn = (centroid[1] - camera.cy) / camera.fy
-    d_world = camera.world_to_camera.rotation.T @ np.array([xn, yn, 1.0])
-    origin = camera.center_world()
-    height = float(model.keypoints[:, 2].mean())
-    if abs(d_world[2]) > 1e-9:
-        t = (height - origin[2]) / d_world[2]
-        if t > 0.1:
-            hit = origin + t * d_world
-            return hit[:2]
-    # ray nearly horizontal or pointing up: fall back to 4 m along the axis
-    fallback = origin + 4.0 * camera.world_to_camera.rotation.T @ np.array([0.0, 0.0, 1.0])
-    return fallback[:2]
-
-
-# 8 equally spaced multi-start headings from -pi
-_HEADINGS = wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
-
-
-def _heading_starts(seed_xy) -> np.ndarray:
-    """The 8 multi-start initializations (8, 3): the _HEADINGS at one
-    ground-plane position."""
-    return np.column_stack([np.full(8, seed_xy[0]), np.full(8, seed_xy[1]), _HEADINGS])
+@np.errstate(over="ignore", invalid="ignore")
+def _algebraic_seed(obs: FlatObservations) -> np.ndarray:
+    """Pose (x, y, theta) from one weighted linear solve, the planar form of
+    DLT pose initialization (Hartley & Zisserman, Multiple View Geometry,
+    2nd ed., sec. 7.1). Keypoint k's camera-frame point is linear in
+    q = (cos, sin, x, y, 1), so its pixel offset (u', v') gives two
+    equations (L_x - u' L_z) q = 0 and (L_y - v' L_z) q = 0, each weighted
+    by max(confidence, 1e-6); their 4x4 normal equations give (cos, sin,
+    x, y), and theta = atan2(sin, cos). A non-finite seed is returned as
+    it is: the LM from it diverges. Raises InsufficientObservations when
+    the normal equations are singular.
+    """
+    lin = obs.linear_map.reshape(5, 3, obs.n_rows)
+    eqs = (lin[:, :2] - (obs.pixel - obs.center) * lin[:, 2:]).reshape(5, -1)
+    weighted = eqs[:4] * np.tile(np.maximum(obs.weight, 1e-6), 2)
+    try:
+        c, s, x, y = np.linalg.solve(weighted @ eqs[:4].T, -(weighted @ eqs[4]))
+    except np.linalg.LinAlgError:
+        raise InsufficientObservations(
+            f"{obs.n_rows} keypoints leave the algebraic seed singular") from None
+    return np.array([x, y, math.atan2(s, c)])
 
 
 def single_view_candidate(
-    obs: FlatObservations, model: RobotModel, config: SolverConfig | None = None
+    obs: FlatObservations, config: SolverConfig | None = None
 ) -> PoseEstimate:
     """Ground-plane pose candidate from one camera's columns, ``obs.camera(i)``.
 
-    Runs the 3-DoF solve from 8 equally spaced heading initializations at
-    the back-projected keypoint centroid, as one batch, and keeps the
-    lowest-residual solution; the narrow robot body makes the heading
-    multi-modal from a single view, which the multi-start resolves. The
-    candidate carries the covariance of its own solve, long along the
-    camera's viewing ray.
+    Runs the 3-DoF solve from one start, the algebraic seed of the camera's
+    keypoints, which is exact for noise-free detections and so starts the
+    LM in the basin of the least-squares pose; the narrow robot body leaves
+    the heading multi-modal for starts far from it. The candidate carries
+    the covariance of its own solve, long along the camera's viewing ray.
     """
     config = config or SolverConfig()
     if obs.n_rows < MIN_SEED_KEYPOINTS:
         raise InsufficientKeypoints(f"{obs.n_rows} keypoints from one camera "
                                     f"(need {MIN_SEED_KEYPOINTS})")
-    starts = _heading_starts(_backproject_centroid(obs, obs.cameras[0], model))
-    return _best_solve(obs, starts, config)
+    return _best_solve(obs, _algebraic_seed(obs)[None], config)
 
 
 def initialize_global(
@@ -315,7 +309,7 @@ def initialize_global(
         if view.n_rows < MIN_SEED_KEYPOINTS:
             continue
         try:
-            candidates.append(single_view_candidate(view, model, config))
+            candidates.append(single_view_candidate(view, config))
         except (SolverDiverged, InsufficientObservations):
             continue
     if not candidates:

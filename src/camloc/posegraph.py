@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GaugeFree, SolverDiverged, UnknownNode
 from .estimation import PoseEstimate, SolverConfig
@@ -189,6 +188,7 @@ class PoseGraph:
         Node poses are updated in place so that repeated calls warm-start
         from the previous solution.
         """
+        import scipy.linalg  # here, not at module level: the import alone costs ~0.3 s
         config = config or SolverConfig()
         if not self.unary_edges:
             raise GaugeFree("graph has no absolute constraint")

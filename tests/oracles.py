@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code: scalar pinhole projection for the vectorised kernel, dense
 grid search for solver optimality, central finite differences for
 Jacobians, random search for alignment, and closed-form normal equations
-for small graphs.
+for small graphs. The 8-heading multi-start is the reference that the
+single algebraic seed of a single-view candidate must match.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from camloc.geometry import wrap_angles
 
 try:
     from numba import njit
@@ -213,6 +215,38 @@ def reference_objective(params, obs_arrays, delta):
     s = np.hypot(du, dv)
     cost = np.where(s <= delta, s**2, 2.0 * delta * s - delta**2)
     return float(np.sum(obs_arrays["w"] * cost))
+
+
+# -- 8-heading multi-start for single-view candidates ---------------------
+
+
+def backproject_centroid(obs, camera, model):
+    """Ground-plane position whose keypoint-centroid projects near the
+    observed centroid pixel of one camera's flattened columns."""
+    w = np.maximum(obs.weight, 1e-6)
+    centroid = (obs.pixel * w).sum(axis=1) / w.sum()
+    xn = (centroid[0] - camera.cx) / camera.fx
+    yn = (centroid[1] - camera.cy) / camera.fy
+    d_world = camera.world_to_camera.rotation.T @ np.array([xn, yn, 1.0])
+    origin = camera.center_world()
+    height = float(model.keypoints[:, 2].mean())
+    if abs(d_world[2]) > 1e-9:
+        t = (height - origin[2]) / d_world[2]
+        if t > 0.1:
+            return (origin + t * d_world)[:2]
+    # ray nearly horizontal or pointing up: fall back to 4 m along the axis
+    return (origin + 4.0 * camera.world_to_camera.rotation.T @ np.array([0.0, 0.0, 1.0]))[:2]
+
+
+# 8 equally spaced headings from -pi
+HEADINGS = wrap_angles(-math.pi + (2.0 * math.pi * np.arange(8)) / 8.0)
+
+
+def heading_starts(obs, camera, model):
+    """The 8 multi-start initializations (8, 3): HEADINGS at the
+    back-projected keypoint centroid of one camera's columns."""
+    x, y = backproject_centroid(obs, camera, model)
+    return np.column_stack([np.full(8, x), np.full(8, y), HEADINGS])
 
 
 # -- finite differences ---------------------------------------------------

@@ -496,6 +496,25 @@ class TestReplay:
         assert bad["stale_messages"] == clean["stale_messages"]
         assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
 
+    def test_absurd_pixel_costs_its_framesets(self, small_scenario, tmp_path):
+        # u = 1e154 is finite, but it swamps the objective of every solve it
+        # joins: its frame-sets are skipped, never answered with an infinite
+        # covariance that leaves the candidate blend no weight
+        out = tmp_path / "run"
+        cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)])
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        for j in range(6):
+            msg = json.loads(lines[j])
+            msg["keypoints"][0]["u"] = 1e154
+            lines[j] = json.dumps(msg)
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["replay", "--stream", str(stream),
+                       "--scenario", str(small_scenario), "--out", str(tmp_path / "bad")])
+        assert rc == 0
+        assert json.loads((tmp_path / "bad" / "run_meta.json").read_text())[
+            "counters"]["skipped_framesets"] >= 1
+
     def test_empty_stream_succeeds(self, small_scenario, tmp_path):
         stream = tmp_path / "empty.jsonl"
         stream.write_text("")

@@ -194,6 +194,11 @@ class TestSolveCovariance:
         # the 4-camera covariance is smaller in every direction
         assert np.linalg.eigvalsh(one - four).min() > 0
 
+    def test_overflow_leaves_the_pose_unconstrained(self):
+        # sigma^2 near the float maximum times a large H^-1 has no finite value
+        with pytest.raises(InsufficientObservations):
+            estimation._solve_covariance(1e-10 * np.eye(3), 1e308, 8)
+
     @pytest.mark.parametrize("waypoint,lone", [(1, True), (6, True), (3, False), (7, False)])
     def test_monte_carlo_calibration(self, rig, robot_model, waypoint, lone):
         """Over 300 solves with pixel noise only, the predicted sd along the
@@ -232,7 +237,7 @@ class TestSingleViewCandidate:
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
         cam_id = sorted(fs.per_camera)[0]
         cam = next(c for c in rig if c.camera_id == cam_id)
-        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model), robot_model)
+        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model))
         assert math.hypot(cand.pose.x - truth.x, cand.pose.y - truth.y) < 1e-5
         assert abs(angle_diff(cand.pose.theta, truth.theta)) < 1e-5
 
@@ -240,7 +245,7 @@ class TestSingleViewCandidate:
         msg = DetectionMessage(0, 0.0, range(3), [[100.0 + i, 100.0] for i in range(3)],
                                np.ones(3))
         with pytest.raises(InsufficientKeypoints):
-            single_view_candidate(lone(msg, rig[0], robot_model), robot_model)
+            single_view_candidate(lone(msg, rig[0], robot_model))
 
     def test_depth_error_exceeds_lateral(self, robot_model):
         # single camera 6 m away: depth is the weak direction
@@ -254,7 +259,7 @@ class TestSingleViewCandidate:
             msgs = simulate_frame(GroundTruthSample(0.0, truth, True, 0), [cam],
                                   robot_model, noise, rng)
             assert len(msgs) == 1
-            cand = single_view_candidate(lone(msgs[0], cam, robot_model), robot_model)
+            cand = single_view_candidate(lone(msgs[0], cam, robot_model))
             err = cand.pose.xy - truth.xy
             view = truth.xy - cam.ground_position()
             view = view / np.linalg.norm(view)
@@ -270,7 +275,7 @@ class TestInterpolateCandidates:
         fs = make_frameset(PoseSE2(4.0, 3.0, 0.9), rig, robot_model, ZERO_NOISE, rng)
         cam_id = sorted(fs.per_camera)[0]
         cam = next(c for c in rig if c.camera_id == cam_id)
-        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model), robot_model)
+        cand = single_view_candidate(lone(fs.per_camera[cam_id], cam, robot_model))
         out = average_estimates([cand]).pose
         assert out.x == pytest.approx(cand.pose.x, abs=1e-12)
         assert out.y == pytest.approx(cand.pose.y, abs=1e-12)
@@ -284,8 +289,9 @@ class TestInterpolateCandidates:
 
 
 class TestBatchedMultiStart:
-    """single_view_candidate runs its 8 heading starts as one LM batch; each
-    start must end exactly where it ends when solved alone."""
+    """The LM runs a batch of starts as one computation, here the 8-heading
+    multi-start of the oracle; each start must end exactly where it ends
+    when solved alone."""
 
     @staticmethod
     def _single_camera_messages(rig, model, n=50):
@@ -301,7 +307,7 @@ class TestBatchedMultiStart:
     @staticmethod
     def _starts(msg, cam, model):
         obs = lone(msg, cam, model)
-        return obs, estimation._heading_starts(estimation._backproject_centroid(obs, cam, model))
+        return obs, oracles.heading_starts(obs, cam, model)
 
     def test_batch_matches_each_start_alone(self, rig, robot_model):
         cams = {c.camera_id: c for c in rig}
@@ -319,16 +325,23 @@ class TestBatchedMultiStart:
                 assert abs(o1[0] - obj[i]) <= 1e-12
                 assert it1[0] == iters[i] and not d1[0]
                 np.testing.assert_allclose(h1[0], hess[i], rtol=1e-9)
-            cand = single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
+            best = estimation._best_solve(obs, starts, config)
             first_best = int(np.flatnonzero(obj == obj.min())[0])
-            assert cand.pose == PoseSE2(*params[first_best])
-            assert cand.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
-            assert (cand.n_cameras, cand.n_keypoints, cand.stamp) == (1, obs.n_rows, msg.stamp)
+            assert best.pose == PoseSE2(*params[first_best])
+            assert best.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
+            assert (best.n_cameras, best.n_keypoints, best.stamp) == (1, obs.n_rows, msg.stamp)
             sigma2 = max(obj[first_best] / (2 * obs.n_rows - 3), estimation.R_MIN**2)
-            np.testing.assert_allclose(cand.covariance,
+            np.testing.assert_allclose(best.covariance,
                                        sigma2 * np.linalg.inv(hess[first_best]), rtol=1e-9)
+            # the candidate is the solve from its one algebraic seed
+            cand = single_view_candidate(lone(msg, cam, robot_model), config)
+            alone = estimation._best_solve(obs, estimation._algebraic_seed(obs)[None], config)
+            assert cand.pose == alone.pose and cand.n_iterations == alone.n_iterations
+            assert cand.rms_residual == alone.rms_residual
+            assert (cand.n_cameras, cand.n_keypoints, cand.stamp) == (1, obs.n_rows, msg.stamp)
+            np.testing.assert_array_equal(cand.covariance, alone.covariance)
 
-    def test_diverged_start_leaves_the_others(self, rig, robot_model, monkeypatch):
+    def test_diverged_start_leaves_the_others(self, rig, robot_model):
         msg = self._single_camera_messages(rig, robot_model, n=1)[0]
         cam = next(c for c in rig if c.camera_id == msg.camera_id)
         obs, starts = self._starts(msg, cam, robot_model)
@@ -344,15 +357,85 @@ class TestBatchedMultiStart:
         np.testing.assert_array_equal(iters[keep], clean[2][keep])
         np.testing.assert_array_equal(hess[keep], clean[4][keep])
 
-        monkeypatch.setattr(estimation, "_heading_starts", lambda seed_xy: broken)
-        cand = single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
         best = np.flatnonzero(keep)[np.argmin(obj[keep])]
-        assert cand.pose == PoseSE2(*params[best])
-
-        monkeypatch.setattr(estimation, "_heading_starts",
-                            lambda seed_xy: np.full((8, 3), np.nan))
+        assert estimation._best_solve(obs, broken, config).pose == PoseSE2(*params[best])
         with pytest.raises(SolverDiverged):
-            single_view_candidate(lone(msg, cam, robot_model), robot_model, config)
+            estimation._best_solve(obs, np.full((8, 3), np.nan), config)
+
+
+class TestAlgebraicSeed:
+    """A single-view candidate starts its LM from one weighted linear solve
+    in (cos, sin, x, y) instead of 8 heading starts."""
+
+    def test_noiseless_seed_is_exact(self, rig, robot_model):
+        rng = np.random.default_rng(7)
+        views = 0
+        while views < 40:
+            truth = PoseSE2(rng.uniform(0, 10), rng.uniform(0, 8), rng.uniform(-math.pi, math.pi))
+            fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
+            obs = flatten_observations(fs, rig, robot_model)
+            for view in map(obs.camera, range(obs.n_cameras)):
+                if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
+                    continue
+                x, y, theta = estimation._algebraic_seed(view)
+                assert math.hypot(x - truth.x, y - truth.y) <= 1e-9
+                assert abs(angle_diff(theta, truth.theta)) <= 1e-9
+                views += 1
+
+    def test_matches_the_multi_start(self, rig, robot_model):
+        cams = {c.camera_id: c for c in rig}
+        config = SolverConfig()
+        for msg in TestBatchedMultiStart._single_camera_messages(rig, robot_model):
+            obs, starts = TestBatchedMultiStart._starts(msg, cams[msg.camera_id], robot_model)
+            oracle = estimation._best_solve(obs, starts, config)
+            cand = single_view_candidate(obs, config)
+            assert cand.rms_residual**2 <= oracle.rms_residual**2 * (1 + 1e-9)
+            assert np.linalg.norm(cand.pose.xy - oracle.pose.xy) <= 1e-6
+            assert abs(angle_diff(cand.pose.theta, oracle.pose.theta)) <= 1e-6
+
+    @staticmethod
+    def _on_axis_only(msg, model):
+        """The message cut down to the keypoints on the body z-axis, whose
+        seed system has zero cos and sin columns."""
+        keep = (model.keypoints[msg.keypoints, :2] == 0.0).all(axis=1)
+        assert keep.sum() >= estimation.MIN_SEED_KEYPOINTS
+        return DetectionMessage(msg.camera_id, msg.stamp, msg.keypoints[keep], msg.pixels[keep],
+                                msg.confidence[keep])
+
+    @staticmethod
+    def _absurd_pixel(msg, model):
+        """The message with its first pixel at u = 1e200."""
+        pixels = msg.pixels.copy()
+        pixels[0, 0] = 1e200
+        return DetectionMessage(msg.camera_id, msg.stamp, msg.keypoints, pixels, msg.confidence)
+
+    @pytest.mark.parametrize("case", ["singular", "non_finite"])
+    def test_unusable_seed_skips_the_camera(self, rig, robot_model, rng, monkeypatch, case):
+        model = robot_model
+        if case == "singular":
+            on_axis = [[0.0, 0.0, z] for z in (0.1, 0.15, 0.2, 0.25)]
+            model = replace(robot_model, keypoints=np.vstack([robot_model.keypoints, on_axis]))
+        fs = make_frameset(PoseSE2(5.0, 4.0, 0.7), rig, model, ZERO_NOISE, rng)
+        bad_id = TestUnknownInputIds._widest(fs)
+        edit = self._on_axis_only if case == "singular" else self._absurd_pixel
+        fs.per_camera[bad_id] = edit(fs.per_camera[bad_id], model)
+        obs = flatten_observations(fs, rig, model)
+        views = {c.camera_id: obs.camera(i) for i, c in enumerate(obs.cameras)}
+        if case == "singular":
+            with pytest.raises(InsufficientObservations):
+                estimation._algebraic_seed(views[bad_id])
+        else:
+            assert not np.isfinite(estimation._algebraic_seed(views[bad_id])).all()
+            with pytest.raises(SolverDiverged):
+                single_view_candidate(views[bad_id])
+        good = [single_view_candidate(v) for i, v in views.items()
+                if i != bad_id and v.n_rows >= estimation.MIN_SEED_KEYPOINTS]
+        assert good
+        inits = []
+        monkeypatch.setattr(estimation, "solve_multiview",
+                            lambda obs, init, config=None: inits.append(init))
+        initialize_global(fs, rig, model)
+        assert inits == [average_estimates(good).pose]
 
 
 class TestInitializeGlobal:
@@ -377,7 +460,7 @@ class TestInitializeGlobal:
         with pytest.raises(InsufficientObservations):
             single_view_candidate(lone(fs.per_camera[silent],
                                        next(c for c in rig if c.camera_id == silent),
-                                       robot_model), robot_model)
+                                       robot_model))
         est = initialize_global(fs, rig, robot_model)
         assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-5
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
@@ -462,8 +545,8 @@ class TestOneFlatten:
                     np.testing.assert_array_equal(getattr(view, name), getattr(alone, name))
                 if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
                     continue
-                a = single_view_candidate(view, robot_model)
-                b = single_view_candidate(alone, robot_model)
+                a = single_view_candidate(view)
+                b = single_view_candidate(alone)
                 assert a.pose == b.pose and a.n_iterations == b.n_iterations
                 np.testing.assert_array_equal(a.covariance, b.covariance)
                 candidates += 1
@@ -674,6 +757,11 @@ class TestPoseEstimateInvariants:
     def test_rejects_non_positive_definite_covariance(self):
         with pytest.raises(np.linalg.LinAlgError):
             PoseEstimate(pose=PoseSE2(), covariance=np.diag([1.0, 1.0, -1.0]),
+                         rms_residual=0.0, n_cameras=1, n_keypoints=4, stamp=0.0)
+
+    def test_rejects_non_finite_covariance(self):
+        with pytest.raises(ValueError):
+            PoseEstimate(pose=PoseSE2(), covariance=np.diag([np.inf, 1.0, 1.0]),
                          rms_residual=0.0, n_cameras=1, n_keypoints=4, stamp=0.0)
 
     def test_rejects_zero_cameras(self):

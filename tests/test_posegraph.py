@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,24 @@ from camloc.simulation import script_trajectory
 from oracles import central_difference_jacobian, two_node_unary_optimum
 
 SMALL_COV = np.diag([1e-4, 1e-4, 1e-4])
+
+
+# One relocalization in a fresh interpreter, printing every scipy module loaded.
+RELOCALIZE_SCRIPT = """
+import sys
+import numpy as np
+import camloc
+from camloc import estimation, scenario, simulation
+from camloc.geometry import PoseSE2
+from camloc.sync import FrameSet
+config = scenario.load_config(sys.argv[1])
+sample = simulation.GroundTruthSample(0.0, PoseSE2(5.0, 4.0, 0.7), True, 0)
+msgs = simulation.simulate_frame(sample, config.cameras, config.robot_model, config.noise,
+                                 np.random.default_rng(0))
+estimation.initialize_global(FrameSet(0.0, {m.camera_id: m for m in msgs}), config.cameras,
+                             config.robot_model)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
 def unary(pose, sigma=0.01, stamp=0.0):
@@ -342,3 +364,14 @@ class TestFeedback:
                     == np.array([p.as_array() for p in b.poses]).tobytes()), mode
         for key in ("solver_iterations", "skipped_framesets", "gated_estimates"):
             assert on.counters[key] == off.counters[key], key
+
+
+def test_relocalization_imports_no_scipy(scenario_dir):
+    """Only PoseGraph.optimize needs scipy, whose import costs about 0.3 s
+    and 28 MB; importing camloc and relocalizing must not load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", RELOCALIZE_SCRIPT, str(scenario_dir / "traj1.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
