@@ -62,7 +62,7 @@ def main():
             errs.append(math.hypot(est.pose.x - truth.x, est.pose.y - truth.y))
         print(f"  sigma {sigma:3.1f} px -> {1000 * np.mean(errs):5.1f} mm translation error")
 
-    # 3. kidnapped robot: no prior, per-camera multi-start initialization
+    # 3. kidnapped robot: no prior, one algebraic seed per camera
     noise = NoiseModel(timestamp_jitter=0)
     print("\nkidnapped-robot initialization (default noise, no prior):")
     for seed in range(5):

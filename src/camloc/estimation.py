@@ -34,7 +34,7 @@ from .geometry import (
     circular_weighted_mean,
     flatten_observations,
     reprojection_kernel,
-    wrap_angles,
+    wrap_angle,
 )
 from .sync import FrameSet
 
@@ -98,103 +98,83 @@ class PoseEstimate:
 
 
 def _residual_norms(res):
-    """Per-keypoint residual norms (S, K) of residuals (S, 2, K)."""
-    return np.sqrt(np.add.reduce(res * res, axis=1))
+    """Per-keypoint residual norms (K,) of residuals (2, K)."""
+    return np.sqrt(np.add.reduce(res * res, axis=0))
 
 
-def _huber_objective(norms, wts, delta) -> np.ndarray:
-    """Per-start sum of per-detection weighted Huber costs on the residual norm."""
+def _huber_objective(norms, wts, delta) -> float:
+    """Sum of per-detection weighted Huber costs on the residual norm."""
     cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
-    return np.add.reduce(wts * cost, axis=-1)
+    return np.add.reduce(wts * cost)
 
 
 def _normal_equations(res, jac, norms, wts, delta):
-    """Huber-reweighted Gauss-Newton system: (hessian (S, 3, 3), gradient (S, 3))."""
-    n = len(res)
+    """Huber-reweighted Gauss-Newton system: (hessian (3, 3), gradient (3,))."""
     w = wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
-    jw = (jac * w[:, None, None]).reshape(n, 3, -1)
-    return jw @ jac.reshape(n, 3, -1).transpose(0, 2, 1), (jw @ res.reshape(n, -1, 1))[..., 0]
+    jw = (jac * w).reshape(3, -1)
+    return jw @ jac.reshape(3, -1).T, jw @ res.reshape(-1)
 
 
-def _small_gradient(grad):
-    """Starts (S,) whose gradient norm is below 1e-14: already stationary."""
-    return np.sqrt(np.add.reduce(grad * grad, axis=1)) < 1e-14
+def _small_gradient(grad) -> bool:
+    """Whether the gradient norm is below 1e-14: already stationary."""
+    return np.sqrt(np.add.reduce(grad * grad)) < 1e-14
 
 
-def _solve_steps(hess, lam, grad):
-    """Solve the stacked damped 3x3 systems (H + lam * D) @ step = -grad,
-    with D = diag(max(diag(H), 1e-12)).
-
-    A singular system gets a NaN step, which no objective test accepts;
-    the other rows keep their own solutions.
-    """
+def _damped_step(hess, lam: float, grad):
+    """Solve the damped 3x3 system (H + lam * D) @ step = -grad, with
+    D = diag(max(diag(H), 1e-12)). A singular system gets a NaN step, which
+    no objective test accepts."""
     damped = hess.copy()
-    damped.reshape(-1, 9)[:, ::4] += lam[:, None] * np.maximum(
-        np.diagonal(hess, axis1=1, axis2=2), 1e-12)
+    damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), 1e-12)
     try:
-        return -np.linalg.solve(damped, grad[..., None])[..., 0]
+        return -np.linalg.solve(damped, grad)
     except np.linalg.LinAlgError:
-        steps = np.full_like(grad, np.nan)
-        for i in range(len(damped)):
-            try:
-                steps[i] = -np.linalg.solve(damped[i], grad[i])
-            except np.linalg.LinAlgError:
-                pass
-        return steps
+        return np.full(3, np.nan)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _levenberg_marquardt(starts, obs: FlatObservations, config: SolverConfig):
-    """Minimize the Huber objective from each row of starts (S, 3).
+def _levenberg_marquardt(start, obs: FlatObservations, config: SolverConfig):
+    """Minimize the Huber objective by LM from one start (x, y, theta).
 
-    Every start runs its own LM with its own damping schedule; batching
-    only stacks the arithmetic, so a start's result does not depend on the
-    other starts. Each trial pose is evaluated with its Jacobian, which
-    becomes the next linearization when the step is accepted. Returns
-    (params (S, 3), objective (S,), iterations (S,), diverged (S,),
-    hessian (S, 3, 3)); the Hessian is the Gauss-Newton one of the last
-    linearization. A diverged start ended in a non-finite state; the
+    A trial is accepted iff it lowers the objective. Each trial pose is
+    evaluated with its Jacobian, which becomes the next linearization when
+    the trial is accepted. Returns (params (3,), objective, iterations,
+    diverged, hessian (3, 3)); the Hessian is the Gauss-Newton one of the
+    last linearization. A diverged start ended in a non-finite state; the
     overflow on its way there is detected here, not reported by numpy.
     """
     delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
-    params = np.array(starts, dtype=float).reshape(-1, 3)
-    n = len(params)
+    params = np.array(start, dtype=float).reshape(3)
     res, jac, _ = reprojection_kernel(params, obs)
     norms = _residual_norms(res)
     obj = _huber_objective(norms, wts, delta)
     hess, grad = _normal_equations(res, jac, norms, wts, delta)
-    iters = np.ones(n, dtype=int)
-    running = ~_small_gradient(grad)
-    diverged = np.zeros(n, dtype=bool)
-    lam = np.full(n, config.lm_lambda_init)
-    while running.any():
-        trial = params + _solve_steps(hess, lam, grad)
-        trial[:, 2] = wrap_angles(trial[:, 2])
+    iters, lam, diverged = 1, config.lm_lambda_init, False
+    running = not _small_gradient(grad)
+    while running:
+        trial = params + _damped_step(hess, lam, grad)
+        # an infinite angle becomes NaN, as np.fmod makes it; math.fmod raises
+        trial[2] = wrap_angle(trial[2]) if math.isfinite(trial[2]) else math.nan
         res, jac, _ = reprojection_kernel(trial, obs)
         norms = _residual_norms(res)
         t_obj = _huber_objective(norms, wts, delta)
-        accept = running & (t_obj < obj)
-        rel = (obj - t_obj) / np.maximum(obj, 1e-300)
-        np.copyto(params, trial, where=accept[:, None])
-        np.copyto(obj, t_obj, where=accept)
-        running &= ~(accept & ((rel < config.convergence_tol) | (iters >= config.max_iterations)))
-        relinearize = accept & running
-        if relinearize.any():
-            iters += relinearize
-            t_hess, t_grad = _normal_equations(res, jac, norms, wts, delta)
-            np.copyto(hess, t_hess, where=relinearize[:, None, None])
-            np.copyto(grad, t_grad, where=relinearize[:, None])
-            running &= ~(relinearize & _small_gradient(grad))
-        rejected = running & ~accept
-        lam = np.where(accept, np.maximum(lam / scale, 1e-12), lam)
-        lam = np.where(rejected, lam * scale, lam)
-        # Infinite damping shrinks the step to nothing: no descent direction
-        # improves the objective within machine precision, so this is a
-        # stationary point, not divergence, unless the state is non-finite.
-        stuck = rejected & (lam > 1e12)
-        if stuck.any():
-            running &= ~stuck
-            diverged |= stuck & ~(np.isfinite(obj) & np.isfinite(params).all(axis=1))
+        if t_obj < obj:
+            rel = (obj - t_obj) / max(obj, 1e-300)
+            params, obj, lam = trial, t_obj, max(lam / scale, 1e-12)
+            if rel < config.convergence_tol or iters >= config.max_iterations:
+                break
+            iters += 1
+            hess, grad = _normal_equations(res, jac, norms, wts, delta)
+            running = not _small_gradient(grad)
+        else:
+            lam *= scale
+            # Infinite damping shrinks the step to nothing: no descent
+            # direction improves the objective within machine precision, so
+            # this is a stationary point, not divergence, unless the state is
+            # non-finite.
+            if lam > 1e12:
+                diverged = not (math.isfinite(obj) and np.isfinite(params).all())
+                break
     return params, obj, iters, diverged, hess
 
 
@@ -219,22 +199,22 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
     raise InsufficientObservations(f"{n_rows} keypoint observations leave the pose unconstrained")
 
 
-def _best_solve(obs: FlatObservations, starts, config: SolverConfig):
-    """Run LM from each start and keep the lowest objective among the starts
-    that did not diverge, the first start on ties, as a PoseEstimate."""
-    params, obj, iters, diverged, hess = _levenberg_marquardt(starts, obs, config)
-    kept = np.flatnonzero(~diverged)
-    if not kept.size:
-        raise SolverDiverged(f"all {len(obj)} LM starts ended in a non-finite state")
-    best = kept[np.argmin(obj[kept])]
+def _best_solve(obs: FlatObservations, start, config: SolverConfig):
+    """Run LM from one start and return its answer as a PoseEstimate.
+
+    Raises SolverDiverged when the start ends in a non-finite state.
+    """
+    params, obj, iters, diverged, hess = _levenberg_marquardt(start, obs, config)
+    if diverged:
+        raise SolverDiverged("the LM start ended in a non-finite state")
     return PoseEstimate(
-        pose=PoseSE2(*params[best]),
-        covariance=_solve_covariance(hess[best], obj[best], obs.n_rows),
-        rms_residual=math.sqrt(obj[best] / obs.n_rows),
+        pose=PoseSE2(*params),
+        covariance=_solve_covariance(hess, obj, obs.n_rows),
+        rms_residual=math.sqrt(obj / obs.n_rows),
         n_cameras=obs.n_cameras,
         n_keypoints=obs.n_rows,
         stamp=obs.stamp,
-        n_iterations=int(iters[best]),
+        n_iterations=iters,
     )
 
 
@@ -245,7 +225,7 @@ def solve_multiview(
     config = config or SolverConfig()
     if obs.n_rows < 3:
         raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
-    return _best_solve(obs, init.as_array()[None], config)
+    return _best_solve(obs, init.as_array(), config)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -286,7 +266,7 @@ def single_view_candidate(
     if obs.n_rows < MIN_SEED_KEYPOINTS:
         raise InsufficientKeypoints(f"{obs.n_rows} keypoints from one camera "
                                     f"(need {MIN_SEED_KEYPOINTS})")
-    return _best_solve(obs, _algebraic_seed(obs)[None], config)
+    return _best_solve(obs, _algebraic_seed(obs), config)
 
 
 def initialize_global(

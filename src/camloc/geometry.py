@@ -285,31 +285,30 @@ _POINT_AND_DERIVATIVES = np.array([[0.0, 0.0, 0.0, 0.0, 1.0],
                                    [0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
-def reprojection_kernel(params, obs: FlatObservations):
-    """Reprojection residuals of S robot poses against K flattened keypoints.
+def reprojection_kernel(pose, obs: FlatObservations):
+    """Reprojection residuals of one robot pose against K flattened keypoints.
 
-    params: (S, 3) rows of (x, y, theta). Returns (residuals (S, 2, K),
-    Jacobian (S, 3, 2, K) w.r.t. (x, y, theta), depth (S, K)). The residual
-    is observed pixel minus projection. Depth is the camera-frame z before
-    the projection clamps it at MIN_DEPTH, which keeps the residual and its
-    gradient finite when a trial pose puts a keypoint behind a camera.
+    pose: (x, y, theta). Returns (residuals (2, K), Jacobian (3, 2, K) w.r.t.
+    (x, y, theta), depth (K,)). The residual is observed pixel minus
+    projection. Depth is the camera-frame z before the projection clamps it
+    at MIN_DEPTH, which keeps the residual and its gradient finite when a
+    trial pose puts a keypoint behind a camera.
     """
-    params = np.asarray(params, dtype=float)
-    n = len(params)
-    c, s = np.cos(params[:, 2]), np.sin(params[:, 2])
-    rows = np.repeat(_POINT_AND_DERIVATIVES[None], n, axis=0)
-    rows[:, 0, 0] = rows[:, 3, 1] = c
-    rows[:, 0, 1] = s
-    rows[:, 3, 0] = -s
-    rows[:, 0, 2:4] = params[:, :2]
-    point_and_derivatives = (rows @ obs.linear_map).reshape(n, 4, 3, obs.n_rows)
-    pc, d_pc = point_and_derivatives[:, 0], point_and_derivatives[:, 1:]
-    depth = pc[:, 2]
-    z = np.maximum(depth, MIN_DEPTH)[:, None]
-    offset = pc[:, :2] / z  # projection minus principal point
+    x, y, theta = pose
+    c, s = math.cos(theta), math.sin(theta)
+    rows = _POINT_AND_DERIVATIVES.copy()
+    rows[0, 0] = rows[3, 1] = c
+    rows[0, 1] = s
+    rows[3, 0] = -s
+    rows[0, 2:4] = x, y
+    point_and_derivatives = (rows @ obs.linear_map).reshape(4, 3, obs.n_rows)
+    pc, d_pc = point_and_derivatives[0], point_and_derivatives[1:]
+    depth = pc[2]
+    z = np.maximum(depth, MIN_DEPTH)
+    offset = pc[:2] / z  # projection minus principal point
     res = obs.pixel - (offset + obs.center)
     # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z
-    jac = (offset[:, None] * d_pc[:, :, 2:] - d_pc[:, :, :2]) / z[:, None]
+    jac = (offset * d_pc[:, 2:] - d_pc[:, :2]) / z
     return res, jac, depth
 
 

@@ -26,9 +26,13 @@ class DetectionMessage:
     confidence: np.ndarray  # (n,) in [0, 1]
 
     def __post_init__(self):
-        ids = np.asarray(self.keypoints, dtype=int).reshape(-1)
-        pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
-        conf = np.asarray(self.confidence, dtype=float).reshape(-1)
+        # reshape only when needed: a reshaped view keeps its input alive
+        ids = np.asarray(self.keypoints, dtype=int)
+        ids = ids if ids.ndim == 1 else ids.reshape(-1)
+        pixels = np.asarray(self.pixels, dtype=float)
+        pixels = pixels if pixels.ndim == 2 and pixels.shape[1] == 2 else pixels.reshape(-1, 2)
+        conf = np.asarray(self.confidence, dtype=float)
+        conf = conf if conf.ndim == 1 else conf.reshape(-1)
         object.__setattr__(self, "keypoints", ids)
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "confidence", conf)

@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route different from the
 library code: scalar pinhole projection for the vectorised kernel, dense
 grid search for solver optimality, central finite differences for
 Jacobians, random search for alignment, and closed-form normal equations
-for small graphs. The 8-heading multi-start is the reference that the
-single algebraic seed of a single-view candidate must match.
+for small graphs. The 8-heading multi-start, a loop of one-start LM
+solves, is the reference that the single algebraic seed of a single-view
+candidate must match.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from camloc import estimation
 from camloc.geometry import wrap_angles
 
 try:
@@ -247,6 +249,16 @@ def heading_starts(obs, camera, model):
     back-projected keypoint centroid of one camera's columns."""
     x, y = backproject_centroid(obs, camera, model)
     return np.column_stack([np.full(8, x), np.full(8, y), HEADINGS])
+
+
+def multi_start(obs, starts, config):
+    """Run the LM from each start alone. Returns (the index of the first
+    start with the lowest objective among those that did not diverge, or
+    None when all diverged; the list of each start's LM result)."""
+    results = [estimation._levenberg_marquardt(start, obs, config) for start in starts]
+    kept = [i for i, (_, _, _, diverged, _) in enumerate(results) if not diverged]
+    best = min(kept, key=lambda i: results[i][1]) if kept else None  # first on ties
+    return best, results
 
 
 # -- finite differences ---------------------------------------------------

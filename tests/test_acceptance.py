@@ -135,8 +135,8 @@ class TestAcceptance:
             n += 1
             msg = DetectionMessage(0, 0.0, [j], [(0.0, 0.0)], [1.0])
             obs = flatten_observations(FrameSet(0.0, {0: msg}), [cam], robot_model)
-            _, jac, _ = reprojection_kernel(pose.as_array()[None], obs)
-            analytic = jac[0, :, :, 0].T  # (2, 3): pixel row by pose column
+            _, jac, _ = reprojection_kernel(pose.as_array(), obs)
+            analytic = jac[:, :, 0].T  # (2, 3): pixel row by pose column
             # residual = observed - projected, so its jacobian is the
             # negated projection jacobian
             fd = -oracles.central_difference_jacobian(

@@ -160,9 +160,9 @@ class TestSolveCovariance:
     def _solve(fs, truth, rig, model):
         obs = flatten_observations(fs, rig, model)
         est = solve_multiview(obs, truth)
-        _, obj, _, _, hess = estimation._levenberg_marquardt(truth.as_array()[None], obs,
+        _, obj, _, _, hess = estimation._levenberg_marquardt(truth.as_array(), obs,
                                                             SolverConfig())
-        return est, obs, obj[0], hess[0]
+        return est, obs, obj, hess
 
     def test_residual_variance_scale(self, rig, robot_model):
         truth = PoseSE2(5.0, 4.0, 0.3)
@@ -289,9 +289,9 @@ class TestInterpolateCandidates:
 
 
 class TestBatchedMultiStart:
-    """The LM runs a batch of starts as one computation, here the 8-heading
-    multi-start of the oracle; each start must end exactly where it ends
-    when solved alone."""
+    """The 8-heading multi-start of the oracle, each start one LM run: every
+    start converges, and the first lowest start's answer is what
+    `_best_solve` returns from that start."""
 
     @staticmethod
     def _single_camera_messages(rig, model, n=50):
@@ -315,27 +315,22 @@ class TestBatchedMultiStart:
         for msg in self._single_camera_messages(rig, robot_model):
             cam = cams[msg.camera_id]
             obs, starts = self._starts(msg, cam, robot_model)
-            params, obj, iters, diverged, hess = estimation._levenberg_marquardt(
-                starts, obs, config)
-            assert params.shape == (8, 3) and hess.shape == (8, 3, 3) and not diverged.any()
-            for i in range(8):
-                p1, o1, it1, d1, h1 = estimation._levenberg_marquardt(
-                    starts[i:i + 1], obs, config)
-                assert np.abs(p1[0] - params[i]).max() <= 1e-12
-                assert abs(o1[0] - obj[i]) <= 1e-12
-                assert it1[0] == iters[i] and not d1[0]
-                np.testing.assert_allclose(h1[0], hess[i], rtol=1e-9)
-            best = estimation._best_solve(obs, starts, config)
+            best_start, results = oracles.multi_start(obs, starts, config)
+            for params, _, _, diverged, hess in results:
+                assert params.shape == (3,) and hess.shape == (3, 3) and not diverged
+            obj = np.array([r[1] for r in results])
             first_best = int(np.flatnonzero(obj == obj.min())[0])
-            assert best.pose == PoseSE2(*params[first_best])
+            assert best_start == first_best
+            params, _, _, _, hess = results[first_best]
+            best = estimation._best_solve(obs, starts[first_best], config)
+            assert best.pose == PoseSE2(*params)
             assert best.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
             assert (best.n_cameras, best.n_keypoints, best.stamp) == (1, obs.n_rows, msg.stamp)
             sigma2 = max(obj[first_best] / (2 * obs.n_rows - 3), estimation.R_MIN**2)
-            np.testing.assert_allclose(best.covariance,
-                                       sigma2 * np.linalg.inv(hess[first_best]), rtol=1e-9)
+            np.testing.assert_allclose(best.covariance, sigma2 * np.linalg.inv(hess), rtol=1e-9)
             # the candidate is the solve from its one algebraic seed
             cand = single_view_candidate(lone(msg, cam, robot_model), config)
-            alone = estimation._best_solve(obs, estimation._algebraic_seed(obs)[None], config)
+            alone = estimation._best_solve(obs, estimation._algebraic_seed(obs), config)
             assert cand.pose == alone.pose and cand.n_iterations == alone.n_iterations
             assert cand.rms_residual == alone.rms_residual
             assert (cand.n_cameras, cand.n_keypoints, cand.stamp) == (1, obs.n_rows, msg.stamp)
@@ -346,21 +341,72 @@ class TestBatchedMultiStart:
         cam = next(c for c in rig if c.camera_id == msg.camera_id)
         obs, starts = self._starts(msg, cam, robot_model)
         config = SolverConfig()
-        clean = estimation._levenberg_marquardt(starts, obs, config)
+        _, clean = oracles.multi_start(obs, starts, config)
         broken = starts.copy()
         broken[3] = np.nan  # a non-finite start can only diverge
-        params, obj, iters, diverged, hess = estimation._levenberg_marquardt(broken, obs, config)
+        best, results = oracles.multi_start(obs, broken, config)
         keep = np.arange(8) != 3
-        assert diverged.tolist() == (~keep).tolist()
-        np.testing.assert_array_equal(params[keep], clean[0][keep])
-        np.testing.assert_array_equal(obj[keep], clean[1][keep])
-        np.testing.assert_array_equal(iters[keep], clean[2][keep])
-        np.testing.assert_array_equal(hess[keep], clean[4][keep])
+        assert [r[3] for r in results] == (~keep).tolist()
+        for i in np.flatnonzero(keep):
+            for got, want in zip(results[i], clean[i]):
+                np.testing.assert_array_equal(got, want)
 
-        best = np.flatnonzero(keep)[np.argmin(obj[keep])]
-        assert estimation._best_solve(obs, broken, config).pose == PoseSE2(*params[best])
+        obj = np.array([r[1] for r in results])
+        assert best == np.flatnonzero(keep)[np.argmin(obj[keep])]
+        assert estimation._best_solve(obs, broken[best], config).pose == PoseSE2(*results[best][0])
         with pytest.raises(SolverDiverged):
-            estimation._best_solve(obs, np.full((8, 3), np.nan), config)
+            estimation._best_solve(obs, broken[3], config)
+        assert oracles.multi_start(obs, np.full((8, 3), np.nan), config)[0] is None
+
+
+class TestScalarLM:
+    """The one-start LM's stop paths: the iteration cap, divergence from a
+    non-finite start, and relocalization skipping a diverged candidate."""
+
+    @staticmethod
+    def _noisy(rig, model):
+        truth = PoseSE2(5.0, 4.0, 0.7)
+        noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0, timestamp_jitter=0.0)
+        fs = make_frameset(truth, rig, model, noise, np.random.default_rng(11))
+        return truth, fs, flatten_observations(fs, rig, model)
+
+    def test_iteration_cap(self, rig, robot_model):
+        truth, _, obs = self._noisy(rig, robot_model)
+        start = truth.as_array() + [0.3, -0.2, 0.3]
+        _, _, free, _, _ = estimation._levenberg_marquardt(start, obs, SolverConfig())
+        assert free > 2
+        params, obj, iters, diverged, _ = estimation._levenberg_marquardt(
+            start, obs, SolverConfig(max_iterations=2))
+        assert iters == 2 and not diverged
+        assert math.isfinite(obj) and np.isfinite(params).all()
+
+    def test_nan_start_diverges(self, rig, robot_model):
+        _, _, obs = self._noisy(rig, robot_model)
+        start = np.full(3, np.nan)
+        params, obj, _, diverged, _ = estimation._levenberg_marquardt(start, obs, SolverConfig())
+        assert diverged is True
+        assert not math.isfinite(obj) and not np.isfinite(params).all()
+        with pytest.raises(SolverDiverged):
+            estimation._best_solve(obs, start, SolverConfig())
+
+    def test_diverged_candidate_skipped(self, rig, robot_model, monkeypatch):
+        truth, fs, obs = self._noisy(rig, robot_model)
+        eligible = [i for i in range(obs.n_cameras)
+                    if obs.camera(i).n_rows >= estimation.MIN_SEED_KEYPOINTS]
+        assert len(eligible) >= 2
+        bad = obs.cameras[eligible[0]].camera_id
+        seed = estimation._algebraic_seed
+        monkeypatch.setattr(estimation, "_algebraic_seed", lambda view: (
+            np.full(3, np.nan) if view.cameras[0].camera_id == bad else seed(view)))
+        with pytest.raises(SolverDiverged):
+            single_view_candidate(obs.camera(eligible[0]))
+        good = [single_view_candidate(obs.camera(i)) for i in eligible[1:]]
+        est = initialize_global(fs, rig, robot_model)
+        assert est.pose == solve_multiview(obs, average_estimates(good).pose).pose
+        assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 0.05
+        monkeypatch.setattr(estimation, "_algebraic_seed", lambda view: np.full(3, np.nan))
+        with pytest.raises(NoEligibleCamera):
+            initialize_global(fs, rig, robot_model)
 
 
 class TestAlgebraicSeed:
@@ -387,7 +433,8 @@ class TestAlgebraicSeed:
         config = SolverConfig()
         for msg in TestBatchedMultiStart._single_camera_messages(rig, robot_model):
             obs, starts = TestBatchedMultiStart._starts(msg, cams[msg.camera_id], robot_model)
-            oracle = estimation._best_solve(obs, starts, config)
+            best, _ = oracles.multi_start(obs, starts, config)
+            oracle = estimation._best_solve(obs, starts[best], config)
             cand = single_view_candidate(obs, config)
             assert cand.rms_residual**2 <= oracle.rms_residual**2 * (1 + 1e-9)
             assert np.linalg.norm(cand.pose.xy - oracle.pose.xy) <= 1e-6

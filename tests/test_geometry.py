@@ -164,16 +164,16 @@ def _residuals(pose, cameras, fs, model):
     """The kernel's residuals of one pose over a frame-set, one (2,) row per
     detected keypoint, and the detection weights."""
     obs = flatten_observations(fs, cameras, model)
-    res, _, _ = reprojection_kernel(pose.as_array()[None], obs)
-    return res[0].T, obs.weight
+    res, _, _ = reprojection_kernel(pose.as_array(), obs)
+    return res.T, obs.weight
 
 
 def _keypoint_jacobian(pose, camera, model, j):
     """The kernel's 2x3 residual Jacobian and depth of keypoint j in one camera."""
     message = DetectionMessage(camera.camera_id, 0.0, [j], [(0.0, 0.0)], [1.0])
     obs = flatten_observations(FrameSet(0.0, {camera.camera_id: message}), [camera], model)
-    _, jac, depth = reprojection_kernel(pose.as_array()[None], obs)
-    return jac[0, :, :, 0].T, depth[0, 0]
+    _, jac, depth = reprojection_kernel(pose.as_array(), obs)
+    return jac[:, :, 0].T, depth[0]
 
 
 class TestReprojectionResiduals:
@@ -288,8 +288,9 @@ class TestResidualJacobian:
 
 class TestReprojectionKernel:
     def test_batch_of_poses_matches_oracle(self, rig, robot_model):
-        """S = 3 poses against one 4-camera frame-set: the true pose, a
-        perturbed one, and one that puts a camera's keypoints behind it."""
+        """3 poses, each evaluated alone, against one 4-camera frame-set: the
+        true pose, a perturbed one, and one that puts a camera's keypoints
+        behind it."""
         truth = PoseSE2(5.0, 4.0, 0.7)
         fs = _noise_free_frameset(truth, rig, robot_model)
         assert len(fs.per_camera) == 4
@@ -299,7 +300,7 @@ class TestReprojectionKernel:
         behind = cam0.ground_position() - 5.0 * forward / np.linalg.norm(forward)
         params = np.array([truth.as_array(), [5.1, 3.9, 0.9], [behind[0], behind[1], -2.0]])
         obs = flatten_observations(fs, rig, robot_model)
-        res, jac, depth = reprojection_kernel(params, obs)
+        res, jac, depth = map(np.array, zip(*(reprojection_kernel(p, obs) for p in params)))
         n = obs.n_rows
         assert res.shape == (3, 2, n) and jac.shape == (3, 3, 2, n) and depth.shape == (3, n)
         # columns follow camera id, then detection order
@@ -326,10 +327,6 @@ class TestReprojectionKernel:
                 assert np.abs(block - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
         assert in_front[0] == in_front[1] == n
         assert 0 < in_front[2] < n and depth[2].min() < 0
-        for s in range(3):  # a pose alone gives its batch row bit for bit
-            alone = reprojection_kernel(params[s:s + 1], obs)
-            for whole, single in zip((res, jac, depth), alone):
-                np.testing.assert_array_equal(single[0], whole[s])
 
 
 class TestCircularWeightedMean:

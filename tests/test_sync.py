@@ -31,6 +31,21 @@ class TestMessageInvariants:
         empty = DetectionMessage(0, 0.0, [], [], [])
         assert empty.pixels.shape == (0, 2) and len(empty.keypoints) == 0
 
+    def test_built_from_lists_retains_no_base(self):
+        """Lists as simulate_frame passes them become arrays that own their
+        data, not views that keep a temporary array alive."""
+        ids = [np.int64(2), np.int64(5)]
+        pixels = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        msg = DetectionMessage(0, 0.0, ids, pixels, [0.5, 0.9])
+        for array in (msg.keypoints, msg.pixels, msg.confidence):
+            assert array.base is None
+        assert msg.pixels.shape == (2, 2)
+
+    def test_flat_pixels_reshaped(self):
+        msg = DetectionMessage(0, 0.0, [0, 1, 2], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0] * 3)
+        assert msg.pixels.shape == (3, 2)
+        np.testing.assert_array_equal(msg.pixels, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
     def test_duplicate_keypoint_indices_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             DetectionMessage(0, 0.0, [0, 0], [[1, 2], [3, 4]], [0.5, 0.5])
