@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import ConfigError, SolverDiverged
 from .pipeline import run_pipeline, simulate_detections, write_outputs
 from .scenario import generate_scenarios, load_config
+from .simulation import script_trajectory
 from .sync import message_from_json, message_to_json
 
 EXIT_OK = 0
@@ -63,8 +64,9 @@ def _cmd_run(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = load_config(args.scenario, overrides)
-    messages = simulate_detections(config)
-    result = run_pipeline(config, messages)
+    samples = script_trajectory(config.trajectory)
+    messages = simulate_detections(config, samples)
+    result = run_pipeline(config, messages, samples)
     rmse = write_outputs(result, config, args.out)
     if messages:
         stream = "\n".join(message_to_json(m) for m in messages) + "\n"

@@ -1,14 +1,15 @@
 """Multi-view pose estimation from synchronized keypoint detections.
 
-Implements the weighted nonlinear least-squares pose solve (Levenberg-
-Marquardt with a Huber-robustified pixel residual), per-camera candidates
-for prior-free initialization, each solved from one algebraic seed, the
-single-camera bearing-only outlier gate, and information-weighted
-averaging. Every solve's covariance is sigma^2 * H^-1 from its own
-Gauss-Newton Hessian H, with sigma^2 the residual variance (cf. Triggs et
-al., "Bundle Adjustment - A Modern Synthesis", 2000), and that one
-covariance weights every blend: of the per-camera candidates that seed
-relocalization, of consecutive static estimates, and in the pose graph.
+Implements the one Levenberg-Marquardt loop, which the pose graph shares;
+the weighted nonlinear least-squares pose solve it runs, on a Huber-
+robustified pixel residual; per-camera candidates for prior-free
+initialization, each solved from one algebraic seed; the single-camera
+bearing-only outlier gate; and information-weighted averaging. Every
+solve's covariance is sigma^2 * H^-1 from its own Gauss-Newton Hessian H,
+with sigma^2 the residual variance (cf. Triggs et al., "Bundle Adjustment
+- A Modern Synthesis", 2000), and that one covariance weights every blend:
+of the per-camera candidates that seed relocalization, of consecutive
+static estimates, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -97,17 +98,6 @@ class PoseEstimate:
         np.linalg.cholesky(cov)  # raises if not positive-definite
 
 
-def _residual_norms(res):
-    """Per-keypoint residual norms (K,) of residuals (2, K)."""
-    return np.sqrt(np.add.reduce(res * res, axis=0))
-
-
-def _huber_objective(norms, wts, delta) -> float:
-    """Sum of per-detection weighted Huber costs on the residual norm."""
-    cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
-    return np.add.reduce(wts * cost)
-
-
 def _normal_equations(res, jac, norms, wts, delta):
     """Huber-reweighted Gauss-Newton system: (hessian (3, 3), gradient (3,))."""
     w = wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
@@ -115,67 +105,82 @@ def _normal_equations(res, jac, norms, wts, delta):
     return jw @ jac.reshape(3, -1).T, jw @ res.reshape(-1)
 
 
-def _small_gradient(grad) -> bool:
-    """Whether the gradient norm is below 1e-14: already stationary."""
-    return np.sqrt(np.add.reduce(grad * grad)) < 1e-14
-
-
-def _damped_step(hess, lam: float, grad):
-    """Solve the damped 3x3 system (H + lam * D) @ step = -grad, with
-    D = diag(max(diag(H), 1e-12)). A singular system gets a NaN step, which
-    no objective test accepts."""
-    damped = hess.copy()
-    damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), 1e-12)
-    try:
-        return -np.linalg.solve(damped, grad)
-    except np.linalg.LinAlgError:
-        return np.full(3, np.nan)
-
-
 @np.errstate(over="ignore", invalid="ignore")
+def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol: float,
+                        config: SolverConfig):
+    """Levenberg-Marquardt from ``start``: the one loop of the pose solve
+    and the pose graph, which pass ``evaluate(state) -> (objective,
+    residuals)``, ``linearize(state, residuals) -> (system, gradient)`` and
+    ``trial(state, system, gradient, lam) -> state``, the step damped by lam.
+
+    A trial is accepted iff it lowers the objective, so the NaN trial of a
+    system with no solution never is. lam is divided by ``lm_lambda_scale``
+    on accept, floored at 1e-12, and multiplied by it on reject. The loop
+    stops at a relative objective change below ``convergence_tol``, after
+    ``max_iterations`` linearizations, at a gradient norm below
+    ``grad_tol``, or once lam exceeds 1e12: no step improves the objective
+    within machine precision, a stationary point unless the state is
+    non-finite. That is divergence, and the overflow on its way is not
+    reported by numpy. Returns (state, objective, iterations, diverged,
+    system), the system of the last linearization.
+    """
+    obj, res = evaluate(start)
+    state, scale = start, config.lm_lambda_scale
+    for iters in range(1, config.max_iterations + 1):
+        system, grad = linearize(state, res)
+        if np.sqrt(np.add.reduce(grad * grad)) < grad_tol:
+            break
+        while True:
+            t_state = trial(state, system, grad, lam)
+            t_obj, t_res = evaluate(t_state)
+            if t_obj < obj:
+                break
+            lam *= scale
+            if lam > 1e12:
+                diverged = not (math.isfinite(obj) and np.isfinite(state).all())
+                return state, obj, iters, diverged, system
+        rel = (obj - t_obj) / max(obj, 1e-300)
+        state, obj, res, lam = t_state, t_obj, t_res, max(lam / scale, 1e-12)
+        if rel < config.convergence_tol:
+            break
+    return state, obj, iters, False, system
+
+
 def _levenberg_marquardt(start, obs: FlatObservations, config: SolverConfig):
     """Minimize the Huber objective by LM from one start (x, y, theta).
 
-    A trial is accepted iff it lowers the objective. Each trial pose is
-    evaluated with its Jacobian, which becomes the next linearization when
-    the trial is accepted. Returns (params (3,), objective, iterations,
-    diverged, hessian (3, 3)); the Hessian is the Gauss-Newton one of the
-    last linearization. A diverged start ended in a non-finite state; the
-    overflow on its way there is detected here, not reported by numpy.
+    Each trial pose is evaluated with its Jacobian, the next linearization
+    once the trial is accepted. Returns (params (3,), objective, iterations,
+    diverged, Gauss-Newton hessian (3, 3) of the last linearization).
     """
-    delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
-    params = np.array(start, dtype=float).reshape(3)
-    res, jac, _ = reprojection_kernel(params, obs)
-    norms = _residual_norms(res)
-    obj = _huber_objective(norms, wts, delta)
-    hess, grad = _normal_equations(res, jac, norms, wts, delta)
-    iters, lam, diverged = 1, config.lm_lambda_init, False
-    running = not _small_gradient(grad)
-    while running:
-        trial = params + _damped_step(hess, lam, grad)
+    delta, wts = config.huber_delta, obs.weight
+
+    def evaluate(params):
+        res, jac, _ = reprojection_kernel(params, obs)
+        norms = np.sqrt(np.add.reduce(res * res, axis=0))
+        # the sum of per-detection weighted Huber costs on the residual norm
+        cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
+        return np.add.reduce(wts * cost), (res, jac, norms)
+
+    def linearize(params, residuals):
+        return _normal_equations(*residuals, wts, delta)
+
+    def trial(params, hess, grad, lam):
+        """params + the step solving (H + lam * D) step = -grad, with
+        D = diag(max(diag(H), 1e-12)); NaN for a singular system."""
+        damped = hess.copy()
+        damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), 1e-12)
+        try:
+            params = params - np.linalg.solve(damped, grad)
+        except np.linalg.LinAlgError:
+            return np.full(3, np.nan)
         # an infinite angle becomes NaN, as np.fmod makes it; math.fmod raises
-        trial[2] = wrap_angle(trial[2]) if math.isfinite(trial[2]) else math.nan
-        res, jac, _ = reprojection_kernel(trial, obs)
-        norms = _residual_norms(res)
-        t_obj = _huber_objective(norms, wts, delta)
-        if t_obj < obj:
-            rel = (obj - t_obj) / max(obj, 1e-300)
-            params, obj, lam = trial, t_obj, max(lam / scale, 1e-12)
-            if rel < config.convergence_tol or iters >= config.max_iterations:
-                break
-            iters += 1
-            hess, grad = _normal_equations(res, jac, norms, wts, delta)
-            running = not _small_gradient(grad)
-        else:
-            lam *= scale
-            # Infinite damping shrinks the step to nothing: no descent
-            # direction improves the objective within machine precision, so
-            # this is a stationary point, not divergence, unless the state is
-            # non-finite.
-            if lam > 1e12:
-                diverged = not (math.isfinite(obj) and np.isfinite(params).all())
-                break
-    return params, obj, iters, diverged, hess
+        params[2] = wrap_angle(params[2]) if math.isfinite(params[2]) else math.nan
+        return params
+
+    start = np.array(start, dtype=float).reshape(3)
+    return levenberg_marquardt(start, evaluate, linearize, trial, config.lm_lambda_init,
+                               1e-14, config)
 
 
 def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:

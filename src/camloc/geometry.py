@@ -16,7 +16,7 @@ import numpy as np
 from .errors import AllZeroWeights, UnknownCamera, UnknownKeypoint
 
 _TWO_PI = 2.0 * math.pi
-MIN_DEPTH = 0.05  # m; projection depth clamp, see reprojection_kernel
+MIN_DEPTH = 0.05  # m; projection depth clamp and visibility bound, see _pixel_offset
 
 
 def wrap_angle(a: float) -> float:
@@ -157,38 +157,6 @@ class RobotModel:
         return self.keypoints.shape[0]
 
 
-def project_points(camera: CameraModel, pts_world: np.ndarray):
-    """Vectorized projection. Returns (pixels (N,2), valid depth mask (N,))."""
-    pc = camera.world_to_camera.apply(pts_world)
-    valid = pc[:, 2] > 1e-9
-    z = np.where(valid, pc[:, 2], 1.0)
-    pix = np.stack(
-        [camera.fx * pc[:, 0] / z + camera.cx, camera.fy * pc[:, 1] / z + camera.cy],
-        axis=1,
-    )
-    return pix, valid
-
-
-def in_image(camera: CameraModel, pix: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Mask (N,) of projections from ``project_points`` that are in front of
-    the camera and, rounded to the pixel grid, land inside the image."""
-    col, row = np.round(pix[:, 0]), np.round(pix[:, 1])
-    return valid & (col >= 0) & (col < camera.width) & (row >= 0) & (row < camera.height)
-
-
-def visible_keypoints(camera: CameraModel, pts_world: np.ndarray) -> np.ndarray:
-    """Mask (N,) of the points whose projection is ``in_image``."""
-    return in_image(camera, *project_points(camera, pts_world))
-
-
-def keypoints_world(pose: PoseSE2, model: RobotModel) -> np.ndarray:
-    """World positions of all keypoints, shape (M, 3): the body keypoints
-    rotated about z by theta and shifted by (x, y) on the ground plane."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return model.keypoints @ rot.T + np.array([pose.x, pose.y, 0.0])
-
-
 @dataclass(frozen=True)
 class FlatObservations:
     """A frame-set flattened once, one column per detected keypoint.
@@ -255,24 +223,59 @@ def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservatio
     if bad.any():
         raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
                               f"{model.n_keypoints}-keypoint robot model")
-    rot = np.array([c.world_to_camera.rotation for c in cams]).reshape(-1, 3, 3)
-    trans = np.array([c.world_to_camera.translation for c in cams]).reshape(-1, 3, 1)
-    intrinsics = np.array([(c.fx, c.fy, 1.0, c.cx, c.cy) for c in cams]).reshape(-1, 5)
-    # [R | t] with its x and y rows scaled by fx and fy, per camera
-    extrinsic = np.concatenate([rot, trans], axis=2) * intrinsics[:, :3, None]
     cam_row = np.repeat(np.arange(len(cams)), [len(m.keypoints) for m in messages])
-    r0, r1, r2, t = extrinsic[cam_row].transpose(2, 1, 0)  # (3, K) each
-    bx, by, bz = model.keypoints[idx].T
-    linear_map = np.stack([bx * r0 + by * r1, bx * r1 - by * r0, r0, r1, bz * r2 + t])
+    linear_map, center = _linear_map(cams, cam_row, model.keypoints[idx])
     return FlatObservations(
-        linear_map=linear_map.reshape(5, -1),
-        center=intrinsics[cam_row, 3:].T.copy(),
+        linear_map=linear_map,
+        center=center,
         pixel=np.concatenate([m.pixels for m in messages]).T.copy(),
         weight=np.concatenate([m.confidence for m in messages]),
         stamp=frameset.anchor_stamp,
         cameras=cams,
         offsets=offsets,
     )
+
+
+def _linear_map(cams, cam_row, body_points):
+    """The (5, 3K) linear map of FlatObservations and the (2, K) principal
+    points of K columns: column k is body point body_points[k] (K, 3) seen
+    by camera cams[cam_row[k]]."""
+    rot = np.array([c.world_to_camera.rotation for c in cams]).reshape(-1, 3, 3)
+    trans = np.array([c.world_to_camera.translation for c in cams]).reshape(-1, 3, 1)
+    intrinsics = np.array([(c.fx, c.fy, 1.0, c.cx, c.cy) for c in cams]).reshape(-1, 5)
+    # [R | t] with its x and y rows scaled by fx and fy, per camera
+    extrinsic = np.concatenate([rot, trans], axis=2) * intrinsics[:, :3, None]
+    r0, r1, r2, t = extrinsic[cam_row].transpose(2, 1, 0)  # (3, K) each
+    bx, by, bz = body_points.T
+    linear_map = np.stack([bx * r0 + by * r1, bx * r1 - by * r0, r0, r1, bz * r2 + t])
+    return linear_map.reshape(5, -1), intrinsics[cam_row, 3:].T.copy()
+
+
+def _pixel_offset(pc):
+    """Pixel offset from the principal point (2, K) of camera-frame points
+    pc (3, K) whose x and y are scaled by fx and fy, and the depth it
+    divides by: pc's z clamped at MIN_DEPTH."""
+    z = np.maximum(pc[2], MIN_DEPTH)
+    return pc[:2] / z, z
+
+
+def project_robot(pose: PoseSE2, cameras, model: RobotModel):
+    """Every robot keypoint projected into every camera, with the robot at
+    ``pose``. Returns (pixels (C, M, 2), visible (C, M)), cameras in the
+    given order: keypoint j is visible in camera i iff it lies more than
+    MIN_DEPTH in front of the camera and its pixel, rounded to the pixel
+    grid, lands inside the image."""
+    cams, m = tuple(cameras), model.n_keypoints
+    linear_map, center = _linear_map(cams, np.repeat(np.arange(len(cams)), m),
+                                     np.tile(model.keypoints, (len(cams), 1)))
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    pc = (np.array([c, s, pose.x, pose.y, 1.0]) @ linear_map).reshape(3, -1)
+    pixels = (_pixel_offset(pc)[0] + center).reshape(2, len(cams), m)
+    col, row = np.round(pixels)
+    size = np.array([(cam.width, cam.height) for cam in cams]).reshape(-1, 2, 1)
+    visible = ((pc[2].reshape(len(cams), m) > MIN_DEPTH) & (col >= 0) & (col < size[:, 0])
+               & (row >= 0) & (row < size[:, 1]))
+    return pixels.transpose(1, 2, 0), visible
 
 
 # Rows applied to FlatObservations.linear_map: the camera-frame point,
@@ -303,13 +306,11 @@ def reprojection_kernel(pose, obs: FlatObservations):
     rows[0, 2:4] = x, y
     point_and_derivatives = (rows @ obs.linear_map).reshape(4, 3, obs.n_rows)
     pc, d_pc = point_and_derivatives[0], point_and_derivatives[1:]
-    depth = pc[2]
-    z = np.maximum(depth, MIN_DEPTH)
-    offset = pc[:2] / z  # projection minus principal point
+    offset, z = _pixel_offset(pc)
     res = obs.pixel - (offset + obs.center)
     # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z
     jac = (offset * d_pc[:, 2:] - d_pc[:, :2]) / z
-    return res, jac, depth
+    return res, jac, pc[2]
 
 
 def circular_weighted_mean(angles, weights) -> float:

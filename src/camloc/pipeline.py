@@ -106,10 +106,11 @@ def _waypoint_windows(samples, waypoints):
     return windows
 
 
-def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
+def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResult:
     """Run the full estimation pipeline on a recorded or simulated detection
     stream; odometry is always regenerated from the seed. Without messages,
-    the stream is simulated only if some output solves frame-sets.
+    the stream is simulated only if some output solves frame-sets. Without
+    samples, the scenario's trajectory is scripted here.
 
     Three passes: every sample's odometry increment; the frame-set solves,
     each started from the last accepted pose moved by the odometry since;
@@ -117,7 +118,7 @@ def run_pipeline(config: ScenarioConfig, messages=None) -> RunResult:
     static estimates and, with feedback, resets the robot's belief to the
     fused pose. Feedback never changes a solve.
     """
-    samples = script_trajectory(config.trajectory)
+    samples = samples or script_trajectory(config.trajectory)
     need_fused = "fused" in config.modes or config.feedback
     need_estimates = any(m in config.modes
                          for m in ("raw", "gated_1frame", "averaged_5frames"))

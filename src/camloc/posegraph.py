@@ -2,12 +2,12 @@
 
 Trajectory nodes form one chain: odometry edge k links node k to node
 k + 1. Sparse camera-network estimates attach as unary absolute
-constraints. The graph is solved by damped Gauss-Newton on the
-ground-plane manifold, with residual and normal-equation assembly
-vectorized across edges. The chain's Hessian is block-tridiagonal in 3x3
-blocks, so each step is one banded Cholesky solve. A solve covers either
-the whole graph (batch) or a fixed-lag window of its newest nodes, with
-the node just before the window held fixed.
+constraints. The graph is solved on the ground-plane manifold by the LM
+loop of the pose solve (estimation.levenberg_marquardt), with residual and
+normal-equation assembly vectorized across edges. The chain's Hessian is
+block-tridiagonal in 3x3 blocks, so each trial step is one banded Cholesky
+solve. A solve covers either the whole graph (batch) or a fixed-lag window
+of its newest nodes, with the node just before the window held fixed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GaugeFree, SolverDiverged, UnknownNode
-from .estimation import PoseEstimate, SolverConfig
+from .estimation import PoseEstimate, SolverConfig, levenberg_marquardt
 from .geometry import PoseSE2, wrap_angles
 from .sync import nearest_stamp_index
 
@@ -65,6 +65,12 @@ def _information(covariance) -> np.ndarray:
     cov = np.asarray(covariance, dtype=float).reshape(3, 3)
     np.linalg.cholesky(cov)  # positive-definite check
     return np.linalg.inv(cov)
+
+
+def _into_frame(theta, d):
+    """Rows of d (n, 2) expressed in frames turned by theta (n,): R(-theta) d."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([c * d[:, 0] + s * d[:, 1], -s * d[:, 0] + c * d[:, 1]], axis=1)
 
 
 def _rot2(c, s):
@@ -147,23 +153,13 @@ class PoseGraph:
     @staticmethod
     def _residuals(poses, od, ui, um):
         xi, xj = poses[:-1], poses[1:]
-        ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
-        d = xj[:, :2] - xi[:, :2]
-        # rel = R(-theta_i) d
-        rel = np.stack([ct * d[:, 0] + st * d[:, 1], -st * d[:, 0] + ct * d[:, 1]], axis=1)
-        ca, sa = np.cos(od[:, 2]), np.sin(od[:, 2])
-        diff = rel - od[:, :2]
-        et = np.stack(
-            [ca * diff[:, 0] + sa * diff[:, 1], -sa * diff[:, 0] + ca * diff[:, 1]],
-            axis=1,
-        )
+        rel = _into_frame(xi[:, 2], xj[:, :2] - xi[:, :2])
+        et = _into_frame(od[:, 2], rel - od[:, :2])
         eth = wrap_angles(xj[:, 2] - xi[:, 2] - od[:, 2])
         r_odo = np.concatenate([et, eth[:, None]], axis=1)
 
         xu = poses[ui]
-        cm, sm = np.cos(um[:, 2]), np.sin(um[:, 2])
-        du = xu[:, :2] - um[:, :2]
-        etu = np.stack([cm * du[:, 0] + sm * du[:, 1], -sm * du[:, 0] + cm * du[:, 1]], axis=1)
+        etu = _into_frame(um[:, 2], xu[:, :2] - um[:, :2])
         ethu = wrap_angles(xu[:, 2] - um[:, 2])
         r_un = np.concatenate([etu, ethu[:, None]], axis=1)
         return r_odo, r_un
@@ -198,44 +194,31 @@ class PoseGraph:
         arrays, base = self._edge_arrays(first)
         fixed = first - base  # 1 for a window: its leading node is held fixed
         poses = self._poses.view[base:].copy()
-        obj, res = self._objective_from(poses, arrays)
+
+        def evaluate(state):
+            return self._objective_from(state, arrays)
+
+        def linearize(state, residuals):
+            return self._normal_equations(state, arrays, fixed, residuals)
+
+        def trial(state, band, grad, lam):
+            damped = band.copy()
+            damped[-1] += lam * np.maximum(band[-1], 1e-12)
+            try:
+                step = scipy.linalg.solveh_banded(damped, -grad, check_finite=False)
+            except np.linalg.LinAlgError:  # not positive definite: a NaN step
+                step = np.full_like(grad, np.nan)
+            state = state.copy()
+            state[fixed:] += step.reshape(-1, 3)
+            state[fixed:, 2] = wrap_angles(state[fixed:, 2])
+            return state
+
         # warm starts leave the problem near-quadratic, so begin with
         # almost-undamped Gauss-Newton and let LM raise damping on demand
-        lam = min(config.lm_lambda_init, 1e-8)
-        for _ in range(config.max_iterations):
-            band, grad = self._normal_equations(poses, arrays, fixed, res)
-            if np.linalg.norm(grad) < 1e-12:
-                break
-            improved = False
-            rel = 0.0
-            while True:
-                damped = band.copy()
-                damped[-1] += lam * np.maximum(band[-1], 1e-12)
-                try:
-                    step = scipy.linalg.solveh_banded(damped, -grad, check_finite=False)
-                except np.linalg.LinAlgError:  # not positive definite
-                    step = None
-                if step is not None and np.all(np.isfinite(step)):
-                    trial = poses.copy()
-                    trial[fixed:] += step.reshape(-1, 3)
-                    trial[fixed:, 2] = wrap_angles(trial[fixed:, 2])
-                    t_obj, t_res = self._objective_from(trial, arrays)
-                    if t_obj < obj:
-                        rel = (obj - t_obj) / max(obj, 1e-300)
-                        poses, obj, res = trial, t_obj, t_res
-                        lam = max(lam / config.lm_lambda_scale, 1e-12)
-                        improved = True
-                        break
-                lam *= config.lm_lambda_scale
-                if lam > 1e12:
-                    # step shrunk to nothing: stationary within precision
-                    if not np.isfinite(obj) or not np.all(np.isfinite(poses)):
-                        raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
-                    break
-            if not improved:
-                break
-            if rel < config.convergence_tol:
-                break
+        poses, obj, _, diverged, _ = levenberg_marquardt(
+            poses, evaluate, linearize, trial, min(config.lm_lambda_init, 1e-8), 1e-12, config)
+        if diverged:
+            raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
         self._poses.view[first:] = poses[fixed:]
 
     def _normal_equations(self, poses, arrays, fixed, residuals):

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimation import MIN_SEED_KEYPOINTS, GateThresholds, SolverConfig
-from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, visible_keypoints
-from .geometry import keypoints_world
+from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, project_robot
 from .simulation import (
     NoiseModel,
     OdometryNoise,
@@ -257,8 +256,8 @@ def _apply_override(doc, dotted_key, value):
 
 def camera_visibility_count(pose: PoseSE2, cameras, model: RobotModel) -> int:
     """Number of cameras that see MIN_SEED_KEYPOINTS or more robot keypoints."""
-    pts = keypoints_world(pose, model)
-    return sum(int(visible_keypoints(cam, pts).sum()) >= MIN_SEED_KEYPOINTS for cam in cameras)
+    _, visible = project_robot(pose, cameras, model)
+    return int((visible.sum(axis=1) >= MIN_SEED_KEYPOINTS).sum())
 
 
 # -- bundled scenarios ----------------------------------------------------

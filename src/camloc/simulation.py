@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import PoseSE2, RobotModel, angle_diff, in_image, keypoints_world, project_points
+from .geometry import PoseSE2, RobotModel, angle_diff, project_robot
 from .sync import DetectionMessage, ns_to_stamp, stamp_to_ns
 
 
@@ -196,12 +196,11 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     replaced by uniform-offset outliers. Confidence reflects only the
     Gaussian component, so outliers keep a deceptively plausible confidence.
     """
-    pts = keypoints_world(sample.pose, model)
+    cameras = sorted(cameras, key=lambda c: c.camera_id)
     messages = []
-    for camera in sorted(cameras, key=lambda c: c.camera_id):
-        pix, valid = project_points(camera, pts)
+    for camera, pix, visible in zip(cameras, *project_robot(sample.pose, cameras, model)):
         ids, pixels, confidence = [], [], []
-        for j in np.nonzero(in_image(camera, pix, valid))[0]:
+        for j in np.nonzero(visible)[0]:
             if rng.random() < noise.dropout_prob:
                 continue
             offset = rng.normal(0.0, noise.pixel_sigma, size=2) if noise.pixel_sigma > 0 else np.zeros(2)

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from camloc import estimation
-from camloc.geometry import wrap_angles
+from camloc.errors import GaugeFree, SolverDiverged
+from camloc.geometry import reprojection_kernel, wrap_angle, wrap_angles
 
 try:
     from numba import njit
@@ -259,6 +260,104 @@ def multi_start(obs, starts, config):
     kept = [i for i, (_, _, _, diverged, _) in enumerate(results) if not diverged]
     best = min(kept, key=lambda i: results[i][1]) if kept else None  # first on ties
     return best, results
+
+
+# -- the two LM loops as they were before they shared one ------------------
+#
+# Verbatim copies of the pose LM and of PoseGraph.optimize from before both
+# went through estimation.levenberg_marquardt; the shared loop must match
+# each bit for bit.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_pose_lm(start, obs, config):
+    """The pose LM's own loop: (params, objective, iterations, diverged,
+    hessian), as estimation._levenberg_marquardt returns them."""
+    delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
+    params = np.array(start, dtype=float).reshape(3)
+    res, jac, _ = reprojection_kernel(params, obs)
+    norms = np.sqrt(np.add.reduce(res * res, axis=0))
+    cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
+    obj = np.add.reduce(wts * cost)
+    hess, grad = estimation._normal_equations(res, jac, norms, wts, delta)
+    iters, lam, diverged = 1, config.lm_lambda_init, False
+    running = not np.sqrt(np.add.reduce(grad * grad)) < 1e-14
+    while running:
+        damped = hess.copy()
+        damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), 1e-12)
+        try:
+            step = -np.linalg.solve(damped, grad)
+        except np.linalg.LinAlgError:
+            step = np.full(3, np.nan)
+        trial = params + step
+        trial[2] = wrap_angle(trial[2]) if math.isfinite(trial[2]) else math.nan
+        res, jac, _ = reprojection_kernel(trial, obs)
+        norms = np.sqrt(np.add.reduce(res * res, axis=0))
+        cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
+        t_obj = np.add.reduce(wts * cost)
+        if t_obj < obj:
+            rel = (obj - t_obj) / max(obj, 1e-300)
+            params, obj, lam = trial, t_obj, max(lam / scale, 1e-12)
+            if rel < config.convergence_tol or iters >= config.max_iterations:
+                break
+            iters += 1
+            hess, grad = estimation._normal_equations(res, jac, norms, wts, delta)
+            running = not np.sqrt(np.add.reduce(grad * grad)) < 1e-14
+        else:
+            lam *= scale
+            if lam > 1e12:
+                diverged = not (math.isfinite(obj) and np.isfinite(params).all())
+                break
+    return params, obj, iters, diverged, hess
+
+
+def reference_graph_optimize(graph, config=None, lag=None):
+    """PoseGraph.optimize's own loop, run on ``graph`` in place."""
+    import scipy.linalg
+
+    config = config or estimation.SolverConfig()
+    if not graph.unary_edges:
+        raise GaugeFree("graph has no absolute constraint")
+    first = max(len(graph.nodes) - lag, 0) if lag is not None else 0
+    arrays, base = graph._edge_arrays(first)
+    fixed = first - base
+    poses = graph._poses.view[base:].copy()
+    obj, res = graph._objective_from(poses, arrays)
+    lam = min(config.lm_lambda_init, 1e-8)
+    for _ in range(config.max_iterations):
+        band, grad = graph._normal_equations(poses, arrays, fixed, res)
+        if np.linalg.norm(grad) < 1e-12:
+            break
+        improved = False
+        rel = 0.0
+        while True:
+            damped = band.copy()
+            damped[-1] += lam * np.maximum(band[-1], 1e-12)
+            try:
+                step = scipy.linalg.solveh_banded(damped, -grad, check_finite=False)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                trial = poses.copy()
+                trial[fixed:] += step.reshape(-1, 3)
+                trial[fixed:, 2] = wrap_angles(trial[fixed:, 2])
+                t_obj, t_res = graph._objective_from(trial, arrays)
+                if t_obj < obj:
+                    rel = (obj - t_obj) / max(obj, 1e-300)
+                    poses, obj, res = trial, t_obj, t_res
+                    lam = max(lam / config.lm_lambda_scale, 1e-12)
+                    improved = True
+                    break
+            lam *= config.lm_lambda_scale
+            if lam > 1e12:
+                if not np.isfinite(obj) or not np.all(np.isfinite(poses)):
+                    raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
+                break
+        if not improved:
+            break
+        if rel < config.convergence_tol:
+            break
+    graph._poses.view[first:] = poses[fixed:]
 
 
 # -- finite differences ---------------------------------------------------

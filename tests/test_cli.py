@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camloc import cli, pipeline
+from camloc import cli, pipeline, simulation
 from camloc.errors import ConfigError, SolverDiverged
 from camloc.estimation import GateThresholds, SolverConfig
 from camloc.geometry import PoseSE2, RobotModel
@@ -320,12 +320,29 @@ class TestRun:
     def test_detection_stream_pinned(self, scenario_dir, tmp_path):
         # The simulated stream depends only on the scenario and the seed, so a
         # change to estimation or fusion leaves these bytes alone; a change to
-        # the simulator's draws updates the digest openly.
+        # the simulator's draws or projection updates the digest openly. The
+        # one rig projection (project_robot) moved pixels by <= 7e-13 px.
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_dir / "traj1.json"),
                          "--out", str(out), "--seed", "7"]) == 0
         digest = hashlib.sha256((out / "detections.jsonl").read_bytes()).hexdigest()
-        assert digest == "5ad84708590ec13bf9d00ae9b0cdd8f2cce75b05aaced79e004fc3f2e6e3730f"
+        assert digest == "93d69e89b103f6741e1454ecef2bb7f1fd102b3051a7019b36b362ac849fda89"
+
+    def test_trajectory_scripted_once(self, small_scenario, tmp_path, monkeypatch):
+        """camloc run scripts the trajectory once and hands the samples to
+        both the simulator and the pipeline."""
+        calls = []
+
+        def counted(script, original=simulation.script_trajectory):
+            calls.append(script)
+            return original(script)
+
+        for module in (cli, pipeline):
+            if hasattr(module, "script_trajectory"):
+                monkeypatch.setattr(module, "script_trajectory", counted)
+        assert cli.main(["run", "--scenario", str(small_scenario),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_zero_pixel_noise_raw_mode_exact(self, small_scenario, tmp_path):
         out = tmp_path / "out"
@@ -367,7 +384,7 @@ class TestRun:
             assert solves == 1
 
     def test_solver_divergence_exit_code(self, small_scenario, tmp_path, monkeypatch):
-        def boom(config, messages=None):
+        def boom(*args, **kwargs):
             raise SolverDiverged("non-finite state")
 
         monkeypatch.setattr(cli, "run_pipeline", boom)

@@ -409,6 +409,64 @@ class TestScalarLM:
             initialize_global(fs, rig, robot_model)
 
 
+class TestOneLMLoop:
+    """The pose LM runs the loop it shares with the pose graph; it matches
+    its own loop from before the sharing, oracles.reference_pose_lm, bit for
+    bit: pose, objective, iterations, divergence flag and Hessian, after as
+    many kernel evaluations."""
+
+    @staticmethod
+    def _counted(module, monkeypatch):
+        calls, kernel = [], module.reprojection_kernel
+        monkeypatch.setattr(module, "reprojection_kernel",
+                            lambda *args: calls.append(1) or kernel(*args))
+        return calls
+
+    def _assert_same(self, start, obs, config, monkeypatch):
+        calls, calls0 = (self._counted(m, monkeypatch) for m in (estimation, oracles))
+        got = estimation._levenberg_marquardt(start, obs, config)
+        want = oracles.reference_pose_lm(start, obs, config)
+        assert len(calls) == len(calls0)
+        monkeypatch.undo()
+        (params, obj, iters, diverged, hess), (params0, obj0, iters0, diverged0, hess0) = got, want
+        assert params.tobytes() == params0.tobytes()
+        assert np.float64(obj).tobytes() == np.float64(obj0).tobytes()
+        assert (iters, diverged) == (iters0, diverged0)
+        assert hess.tobytes() == hess0.tobytes()
+
+    def test_seeded_framesets(self, rig, robot_model, monkeypatch):
+        rng = np.random.default_rng(29)
+        noise = NoiseModel(timestamp_jitter=0.0)  # dropouts and outliers on
+        capped = SolverConfig(max_iterations=2)
+        framesets = 0
+        while framesets < 60:
+            truth = PoseSE2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 7.5),
+                            rng.uniform(-math.pi, math.pi))
+            obs = flatten_observations(make_frameset(truth, rig, robot_model, noise, rng),
+                                       rig, robot_model)
+            if obs.n_rows < 3:
+                continue
+            start = truth.as_array() + rng.normal(0.0, 0.3, 3)
+            for config in (SolverConfig(), capped):
+                self._assert_same(start, obs, config, monkeypatch)
+            for view in map(obs.camera, range(obs.n_cameras)):
+                if view.n_rows >= estimation.MIN_SEED_KEYPOINTS:
+                    self._assert_same(estimation._algebraic_seed(view), view, SolverConfig(),
+                                      monkeypatch)
+            framesets += 1
+
+    def test_stop_paths(self, rig, robot_model, monkeypatch):
+        truth = PoseSE2(5.0, 4.0, 0.7)
+        fs = make_frameset(truth, rig, robot_model, NoiseModel(timestamp_jitter=0.0),
+                           np.random.default_rng(11))
+        obs = flatten_observations(fs, rig, robot_model)
+        far = truth.as_array() + [0.3, -0.2, 0.3]
+        self._assert_same(far, obs, SolverConfig(max_iterations=2), monkeypatch)
+        self._assert_same(np.full(3, np.nan), obs, SolverConfig(), monkeypatch)
+        blind = flatten_observations(zero_confidence(fs, fs.per_camera), rig, robot_model)
+        self._assert_same(far, blind, SolverConfig(), monkeypatch)
+
+
 class TestAlgebraicSeed:
     """A single-view candidate starts its LM from one weighted linear solve
     in (cos, sin, x, y) instead of 8 heading starts."""

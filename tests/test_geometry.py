@@ -13,9 +13,7 @@ from camloc.geometry import (
     angle_diff,
     circular_weighted_mean,
     flatten_observations,
-    in_image,
-    keypoints_world,
-    project_points,
+    project_robot,
     reprojection_kernel,
     wrap_angle,
 )
@@ -80,53 +78,111 @@ class TestCameraModel:
             np.testing.assert_array_equal(cam.ground_position(), center[:2])
 
 
+# A camera at the world origin looking along world +x: camera x is world -y,
+# camera y is world -z, so a point (d, -u, -v) has depth d and, at d = 1,
+# pixel offset (fx u, fy v) from the principal point.
+_FORWARD = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+# Keypoint 0 at the body origin, keypoint 1 half a metre to the body's right.
+_PROBE = RobotModel(keypoints=np.array([[0, 0, 0], [0, -0.5, 0], [0.1, 0, 0.2], [0, 0.3, 0.1]]),
+                    body_width=0.35)
+
+
+def _forward_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
+    return CameraModel(0, fx, fy, cx, cy, 848, 480, RigidTransform3(_FORWARD, np.zeros(3)))
+
+
+def _random_camera(rng, camera_id):
+    """A camera somewhere in the 10 x 8 m room, 1-3 m high, with a random
+    orientation."""
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    q *= np.sign(np.linalg.det(q))
+    center = np.array([*rng.uniform((0, 0), (10, 8)), rng.uniform(1, 3)])
+    return CameraModel(camera_id, *rng.uniform(400, 800, 2), 424.0, 240.0, 848, 480,
+                       RigidTransform3(q, -q @ center))
+
+
 class TestProjection:
     def test_principal_point(self):
-        pix, valid = project_points(_axis_camera(), np.array([[0, 0, 2.0]]))
-        assert valid.tolist() == [True]
-        np.testing.assert_allclose(pix, [[424, 240]])
+        pix, visible = project_robot(PoseSE2(2.0, 0.0, 0.0), [_forward_camera()], _PROBE)
+        assert visible[0, 0]
+        np.testing.assert_allclose(pix[0, 0], [424, 240])
 
     def test_pinhole_offset(self):
-        pix, _ = project_points(_axis_camera(), np.array([[0.5, 0, 2.0]]))
-        np.testing.assert_allclose(pix, [[574, 240]])
+        pix, _ = project_robot(PoseSE2(2.0, 0.0, 0.0), [_forward_camera()], _PROBE)
+        np.testing.assert_allclose(pix[0, 1], [574, 240])
 
     def test_behind_camera(self):
         # the point behind the camera projects inside the image once its
-        # depth is replaced, so only the depth mask keeps it out
-        cam = _axis_camera()
-        pix, valid = project_points(cam, np.array([[0, 0, -1.0]]))
-        assert 0 <= pix[0, 0] < cam.width and 0 <= pix[0, 1] < cam.height
-        assert in_image(cam, pix, valid).tolist() == [False]
+        # depth is clamped, so only the depth bound keeps it out
+        cam = _forward_camera()
+        pix, visible = project_robot(PoseSE2(-1.0, 0.0, 0.0), [cam], _PROBE)
+        assert 0 <= pix[0, 0, 0] < cam.width and 0 <= pix[0, 0, 1] < cam.height
+        assert not visible[0, 0]
 
-    def test_project_points_marks_invalid_depth(self):
-        cam = _axis_camera()
-        pix, valid = project_points(cam, np.array([[0, 0, 2.0], [0, 0, -1.0]]))
-        assert valid.tolist() == [True, False]
-        np.testing.assert_allclose(pix[0], [424, 240])
+    def test_marks_points_within_min_depth(self):
+        cam = _forward_camera()
+        for depth in (0.5 * MIN_DEPTH, MIN_DEPTH):
+            pix, visible = project_robot(PoseSE2(depth, 0.0, 0.0), [cam], _PROBE)
+            np.testing.assert_allclose(pix[0, 0], [424, 240])
+            assert not visible[0, 0]
+        _, visible = project_robot(PoseSE2(2.0 * MIN_DEPTH, 0.0, 0.0), [cam], _PROBE)
+        assert visible[0, 0]
+
+    def test_matches_scalar_oracle(self, rig, robot_model, rng):
+        """Every keypoint in every camera against the scalar oracle, on random
+        poses and cameras: the pixel within 1e-9 px wherever the keypoint is
+        more than MIN_DEPTH in front of the camera, and visible iff it is and
+        its rounded pixel lies in the image."""
+        behind = in_front = 0
+        for trial in range(200):
+            cams = rig if trial % 2 else [_random_camera(rng, i) for i in range(3)]
+            pose = PoseSE2(*rng.uniform((0, 0), (10, 8)), rng.uniform(-math.pi, math.pi))
+            pix, visible = project_robot(pose, cams, robot_model)
+            assert pix.shape == (len(cams), robot_model.n_keypoints, 2)
+            assert visible.shape == pix.shape[:2]
+            for i, cam in enumerate(cams):
+                for j in range(robot_model.n_keypoints):
+                    world = keypoint_world(pose, robot_model, j)
+                    if cam.world_to_camera.apply(world)[2] <= MIN_DEPTH:
+                        assert not visible[i, j]
+                        behind += 1
+                        continue
+                    in_front += 1
+                    expected = project(cam, world)
+                    np.testing.assert_allclose(pix[i, j], expected, rtol=0, atol=1e-9)
+                    col, row = np.round(expected)
+                    assert visible[i, j] == (0 <= col < cam.width and 0 <= row < cam.height)
+        assert behind > 100 and in_front > 100
 
 
 class TestKeypointWorld:
+    """project_robot places the body keypoints in the world: rotated about z
+    by theta and shifted by (x, y), seen here by a camera 3 m above the
+    origin looking straight down."""
+
     MODEL = RobotModel(
         keypoints=np.array([[0.1, 0.2, 0.3], [0.1, 0, 0], [0.1, 0, 0.5], [0, 0, 0.1]]),
         body_width=0.35,
     )
+    CAMERA = CameraModel(0, 600.0, 600.0, 424.0, 240.0, 848, 480,
+                         RigidTransform3(np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 3.0])))
+
+    def _assert_world(self, pose, world):
+        pix, visible = project_robot(pose, [self.CAMERA], self.MODEL)
+        assert visible.all()
+        expected = [project(self.CAMERA, w) for w in world]
+        np.testing.assert_allclose(pix[0], expected, rtol=0, atol=1e-9)
 
     def test_identity_pose(self):
-        np.testing.assert_allclose(
-            keypoints_world(PoseSE2(), self.MODEL), self.MODEL.keypoints, atol=1e-15
-        )
+        self._assert_world(PoseSE2(), self.MODEL.keypoints)
 
     def test_half_turn(self):
-        np.testing.assert_allclose(
-            keypoints_world(PoseSE2(1, 0, math.pi), self.MODEL)[1], [0.9, 0, 0], atol=1e-12
-        )
+        self._assert_world(PoseSE2(1, 0, math.pi),
+                           [[0.9, -0.2, 0.3], [0.9, 0, 0], [0.9, 0, 0.5], [1, 0, 0.1]])
 
     def test_z_preserved(self):
-        np.testing.assert_allclose(
-            keypoints_world(PoseSE2(0, 0, math.pi / 2), self.MODEL),
-            [[-0.2, 0.1, 0.3], [0, 0.1, 0], [0, 0.1, 0.5], [0, 0, 0.1]],
-            atol=1e-12,
-        )
+        self._assert_world(PoseSE2(0, 0, math.pi / 2),
+                           [[-0.2, 0.1, 0.3], [0, 0.1, 0], [0, 0.1, 0.5], [0, 0, 0.1]])
 
 
 class TestRobotModelInvariants:
@@ -143,12 +199,11 @@ class TestRobotModelInvariants:
 
 def _noise_free_frameset(pose, cameras, model):
     per_camera = {}
-    pts = keypoints_world(pose, model)
     for cam in cameras:
         ids, pixels = [], []
         for j in range(model.n_keypoints):
             try:
-                pix = project(cam, pts[j])
+                pix = project(cam, keypoint_world(pose, model, j))
             except BehindCamera:
                 continue
             if 0 <= pix[0] < cam.width and 0 <= pix[1] < cam.height:
@@ -258,7 +313,7 @@ class TestResidualJacobian:
             j = int(rng.integers(robot_model.n_keypoints))
 
             def residual(p):
-                pt = keypoints_world(PoseSE2(*p), robot_model)[j]
+                pt = keypoint_world(PoseSE2(*p), robot_model, j)
                 return -project(cam, pt)
 
             analytic, depth = _keypoint_jacobian(pose, cam, robot_model, j)

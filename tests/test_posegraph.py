@@ -9,13 +9,14 @@ import pytest
 import scipy.linalg
 
 from camloc.errors import GaugeFree, SolverDiverged, UnknownNode
-from camloc.estimation import PoseEstimate
+from camloc.estimation import PoseEstimate, SolverConfig
 from camloc.geometry import PoseSE2, angle_diff
 from camloc.pipeline import run_pipeline
 from camloc.posegraph import PoseGraph
 from camloc.scenario import load_config
 from camloc.simulation import script_trajectory
 
+import oracles
 from oracles import central_difference_jacobian, two_node_unary_optimum
 
 SMALL_COV = np.diag([1e-4, 1e-4, 1e-4])
@@ -275,6 +276,51 @@ class TestSolveSchedule:
         g = build_chain(drifting_chain(0, n=20))
         with pytest.raises(ValueError):
             g.optimize(lag=0)
+
+
+class TestOneLMLoop:
+    """optimize runs the loop it shares with the pose solve; it matches its
+    own loop from before the sharing, oracles.reference_graph_optimize, bit
+    for bit."""
+
+    @staticmethod
+    def _both(steps):
+        return build_chain(steps), build_chain(steps)
+
+    @pytest.mark.parametrize("lag", [None, 1, 25, 500])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_and_windows(self, seed, lag):
+        got, want = self._both(drifting_chain(seed))
+        got.optimize(lag=lag)
+        oracles.reference_graph_optimize(want, lag=lag)
+        assert got._poses.view.tobytes() == want._poses.view.tobytes()
+
+    def test_warm_started_windows(self):
+        got, want = PoseGraph(), PoseGraph()
+        capped = SolverConfig(max_iterations=2)
+        for nid, delta, fix in drifting_chain(5):
+            for g in (got, want):
+                g.add_odometry(delta, np.diag([1e-4, 1e-4, 2.5e-5]), stamp=float(nid))
+                if fix is not None:
+                    g.add_camera_estimate(nid, fix)
+            if fix is not None:
+                config = capped if nid % 20 else None
+                got.optimize(config, lag=30)
+                oracles.reference_graph_optimize(want, config, lag=30)
+                assert got._poses.view.tobytes() == want._poses.view.tobytes()
+
+    def test_nan_odometry(self):
+        got, want = PoseGraph(), PoseGraph()
+        for g in (got, want):
+            g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=1.0)
+            g.add_odometry(PoseSE2(math.nan, 0, 0), SMALL_COV, stamp=2.0)
+            g.add_camera_estimate(0, unary(PoseSE2()))
+        with pytest.raises(SolverDiverged) as raised:
+            got.optimize()
+        with pytest.raises(SolverDiverged) as expected:
+            oracles.reference_graph_optimize(want)
+        assert str(raised.value) == str(expected.value)
+        assert got._poses.view.tobytes() == want._poses.view.tobytes()
 
 
 class TestNormalEquations:

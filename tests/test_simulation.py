@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camloc.geometry import PoseSE2, keypoints_world
+from camloc.geometry import PoseSE2
 from camloc.simulation import (
     NoiseModel,
     OdometryNoise,
@@ -15,7 +15,7 @@ from camloc.simulation import (
     simulate_odometry_step,
 )
 
-from oracles import project
+from oracles import keypoint_world, project
 
 
 class TestDefaultRobotModel:
@@ -102,12 +102,12 @@ class TestSimulateFrame:
                               noise, rng)
         assert len(msgs) == 4
         cams = {c.camera_id: c for c in rig}
-        pts = keypoints_world(pose, robot_model)
         for m in msgs:
             assert m.stamp == 1.0
             assert (m.confidence == 1.0).all()
             for j, pixel in zip(m.keypoints, m.pixels):
-                np.testing.assert_allclose(pixel, project(cams[m.camera_id], pts[j]))
+                expected = project(cams[m.camera_id], keypoint_world(pose, robot_model, j))
+                np.testing.assert_allclose(pixel, expected, rtol=0, atol=1e-9)
 
     def test_total_dropout(self, rig, robot_model, rng):
         from camloc.simulation import GroundTruthSample
@@ -123,14 +123,13 @@ class TestSimulateFrame:
                            timestamp_jitter=0.0)
         pose = PoseSE2(5.0, 4.0, 0.3)
         cams = {c.camera_id: c for c in rig}
-        pts = keypoints_world(pose, robot_model)
         rng = np.random.default_rng(3)
         records = []
         for _ in range(50):
             for m in simulate_frame(GroundTruthSample(0.0, pose, True, 0), rig,
                                     robot_model, noise, rng):
                 for j, pixel, conf in zip(m.keypoints, m.pixels, m.confidence):
-                    exact = project(cams[m.camera_id], pts[j])
+                    exact = project(cams[m.camera_id], keypoint_world(pose, robot_model, j))
                     offset = float(np.linalg.norm(pixel - exact))
                     assert offset <= 6.0 * noise.pixel_sigma + 1e-9
                     assert noise.confidence_floor <= conf <= 1.0

@@ -17,7 +17,8 @@ from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
 from camloc.sync import FrameSet
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
-# The single-camera gate is reached on no bundled scenario (ROADMAP item 1).
+# The single-camera gate is reached on no bundled scenario (see the ROADMAP item
+# on making the single-camera gate do work).
 NOT_REACHED = {"estimation.gate_single_view"}
 
 
