@@ -23,7 +23,6 @@ from .geometry import (
     wrap_angle,
     RigidTransform3,
     RobotModel,
-    circular_weighted_mean,
 )
 from .evaluation import (
     Trajectory,

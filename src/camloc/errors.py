@@ -13,10 +13,6 @@ class UnknownKeypoint(CamlocError):
     pass
 
 
-class AllZeroWeights(CamlocError):
-    pass
-
-
 class InsufficientObservations(CamlocError):
     pass
 

@@ -7,9 +7,9 @@ initialization, each solved from one algebraic seed; the single-camera
 bearing-only outlier gate; and information-weighted averaging. Every
 solve's covariance is sigma^2 * H^-1 from its own Gauss-Newton Hessian H,
 with sigma^2 the residual variance (cf. Triggs et al., "Bundle Adjustment
-- A Modern Synthesis", 2000), and that one covariance weights every blend:
-of the per-camera candidates that seed relocalization, of consecutive
-static estimates, and in the pose graph.
+- A Modern Synthesis", 2000), and that one covariance, by its full 3x3
+information, weights every blend: of the per-camera candidates that seed
+relocalization, of consecutive static estimates, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .geometry import (
     PoseSE2,
     RobotModel,
     angle_diff,
-    circular_weighted_mean,
     flatten_observations,
     reprojection_kernel,
     wrap_angle,
@@ -336,29 +335,29 @@ def gate_single_view(
 
 
 def average_estimates(estimates) -> PoseEstimate:
-    """Information-weighted mean of estimates taken at a static robot."""
+    """Information-weighted mean of estimates taken at a static robot.
+
+    Each estimate's full 3x3 information inv(covariance) weighs its pose,
+    with its heading unwrapped about the first estimate's: the mean is
+    inv(sum Lambda_k) sum Lambda_k m_k and its covariance inv(sum Lambda_k),
+    the optimum of a one-node pose graph holding the estimates as unary
+    constraints.
+    """
     if not estimates:
         raise EmptyInput("no estimates to average")
     stamps = [e.stamp for e in estimates]
     if max(stamps) - min(stamps) > AVERAGE_SPAN:
         raise ValueError(f"estimates span more than {AVERAGE_SPAN:g} s")
-    info_pos = np.zeros((2, 2))
-    weighted_pos = np.zeros(2)
-    theta_info = []
+    theta0 = estimates[0].pose.theta
+    info = np.zeros((3, 3))
+    weighted = np.zeros(3)
     for e in estimates:
-        lam = np.linalg.inv(e.covariance[:2, :2])
-        info_pos += lam
-        weighted_pos += lam @ e.pose.xy
-        theta_info.append(1.0 / e.covariance[2, 2])
-    cov_pos = np.linalg.inv(info_pos)
-    pos = cov_pos @ weighted_pos
-    theta = circular_weighted_mean([e.pose.theta for e in estimates], theta_info)
-    var_theta = 1.0 / sum(theta_info)
-    cov = np.zeros((3, 3))
-    cov[:2, :2] = cov_pos
-    cov[2, 2] = var_theta
+        lam = np.linalg.inv(e.covariance)
+        info += lam
+        weighted += lam @ (e.pose.x, e.pose.y, theta0 + angle_diff(e.pose.theta, theta0))
+    cov = np.linalg.inv(info)
     return PoseEstimate(
-        pose=PoseSE2(pos[0], pos[1], theta),
+        pose=PoseSE2(*(cov @ weighted)),
         covariance=cov,
         rms_residual=float(np.mean([e.rms_residual for e in estimates])),
         n_cameras=max(e.n_cameras for e in estimates),

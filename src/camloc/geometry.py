@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroWeights, UnknownCamera, UnknownKeypoint
+from .errors import UnknownCamera, UnknownKeypoint
 
 _TWO_PI = 2.0 * math.pi
 MIN_DEPTH = 0.05  # m; projection depth clamp and visibility bound, see _pixel_offset
@@ -183,6 +183,7 @@ class FlatObservations:
     stamp: float  # the frame-set's anchor stamp
     cameras: tuple  # the contributing CameraModels, in camera-id order
     offsets: tuple  # camera i's keypoints are offsets[i]:offsets[i + 1]
+    rejected: int = 0  # detections dropped as lying far outside their image
 
     @property
     def n_rows(self) -> int:
@@ -202,8 +203,13 @@ class FlatObservations:
 
 
 def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
-    """Flatten a frame-set into one FlatObservations. A message without
-    keypoints adds no camera.
+    """Flatten a frame-set into one FlatObservations.
+
+    A detection more than one image width (u) or height (v) outside its
+    camera's image is dropped and counted in ``rejected``: no camera could
+    have produced it, and its residual would swamp the solve. The simulated
+    noise moves a pixel at most 6 * pixel_sigma + outlier_spread (62 px by
+    default) past the edge. A camera left without keypoints adds none.
 
     Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
     for a keypoint index outside the robot model.
@@ -212,27 +218,32 @@ def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservatio
     unknown = frameset.per_camera.keys() - rig.keys()
     if unknown:
         raise UnknownCamera(f"camera {min(unknown)} not in rig")
-    ids = [i for i in sorted(frameset.per_camera) if len(frameset.per_camera[i].keypoints)]
-    cams, messages = tuple(rig[i] for i in ids), [frameset.per_camera[i] for i in ids]
-    offsets = tuple(itertools.accumulate((len(m.keypoints) for m in messages), initial=0))
-    if not messages:  # an empty frame-set has zero columns
-        return FlatObservations(np.zeros((5, 0)), np.zeros((2, 0)), np.zeros((2, 0)),
-                                np.zeros(0), frameset.anchor_stamp, cams, offsets)
-    idx = np.concatenate([m.keypoints for m in messages])
+    ids = sorted(frameset.per_camera)
+    messages = [frameset.per_camera[i] for i in ids]
+    idx = np.concatenate([m.keypoints for m in messages] + [np.zeros(0, int)])
     bad = (idx < 0) | (idx >= model.n_keypoints)
     if bad.any():
         raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
                               f"{model.n_keypoints}-keypoint robot model")
-    cam_row = np.repeat(np.arange(len(cams)), [len(m.keypoints) for m in messages])
-    linear_map, center = _linear_map(cams, cam_row, model.keypoints[idx])
+    n_rows = [len(m.keypoints) for m in messages]
+    pixel = np.concatenate([m.pixels for m in messages] + [np.zeros((0, 2))])
+    size = np.repeat(np.array([(rig[i].width, rig[i].height) for i in ids], dtype=float)
+                     .reshape(-1, 2), n_rows, axis=0)
+    keep = (np.abs(pixel - 0.5 * size) <= 1.5 * size).all(axis=1)
+    counts = np.bincount(np.repeat(np.arange(len(ids)), n_rows)[keep], minlength=len(ids))
+    cams = tuple(rig[i] for i, n in zip(ids, counts) if n)
+    counts = counts[counts > 0]  # kept keypoints per contributing camera
+    linear_map, center = _linear_map(cams, np.repeat(np.arange(len(cams)), counts),
+                                     model.keypoints[idx[keep]])
     return FlatObservations(
         linear_map=linear_map,
         center=center,
-        pixel=np.concatenate([m.pixels for m in messages]).T.copy(),
-        weight=np.concatenate([m.confidence for m in messages]),
+        pixel=pixel[keep].T.copy(),
+        weight=np.concatenate([m.confidence for m in messages] + [np.zeros(0)])[keep],
         stamp=frameset.anchor_stamp,
         cameras=cams,
-        offsets=offsets,
+        offsets=tuple(itertools.accumulate(counts.tolist(), initial=0)),
+        rejected=len(keep) - int(np.count_nonzero(keep)),
     )
 
 
@@ -312,15 +323,3 @@ def reprojection_kernel(pose, obs: FlatObservations):
     jac = (offset * d_pc[:, 2:] - d_pc[:, :2]) / z
     return res, jac, pc[2]
 
-
-def circular_weighted_mean(angles, weights) -> float:
-    """Weighted mean of angles on the unit circle, result in (-pi, pi]."""
-    angles = np.asarray(angles, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    if not np.any(weights > 0):
-        raise AllZeroWeights("all weights are zero")
-    s = float(np.sum(weights * np.sin(angles)))
-    c = float(np.sum(weights * np.cos(angles)))
-    return wrap_angle(math.atan2(s, c))

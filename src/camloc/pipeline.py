@@ -137,7 +137,7 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
 
     # Pass 2: the frame-set solves, in stream order.
     solves = []  # (sample index, raw estimate, gated estimate)
-    skipped = 0
+    skipped = rejected = 0
     prior = None  # last accepted estimate pose
     odo_since_prior, odo_upto = PoseSE2(), 0  # the steps after prior, up to sample odo_upto
     for i, fs in zip(nearest.tolist(), framesets):
@@ -149,11 +149,12 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
         odo_upto = i
         predicted = None if prior is None else prior.compose(odo_since_prior)
         try:
+            obs = flatten_observations(fs, config.cameras, config.robot_model)
+            rejected += obs.rejected
             if predicted is None:
                 est = gated = initialize_global(fs, config.cameras, config.robot_model,
                                                 config.solver)
             else:
-                obs = flatten_observations(fs, config.cameras, config.robot_model)
                 est = gated = solve_multiview(obs, predicted, config.solver)
                 if est.n_cameras == 1:
                     gated = gate_single_view(predicted, est, obs.cameras[0], config.gate)
@@ -182,6 +183,7 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
         "gated_estimates": sum(gated.gated for _, _, gated in solves),
         "solver_iterations": sum(est.n_iterations for _, est, _ in solves),
         "skipped_framesets": skipped,
+        "rejected_detections": rejected,
         "feedback_applications": 0,
         "pose_graph_solves": 0,
     }
@@ -190,10 +192,6 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
     robot = []
     graph = PoseGraph(initial_pose=robot_pose, initial_stamp=samples[0].stamp)
     fixes = deque(static if need_fused else [])  # the graph's absolute constraints
-    if need_fused:
-        # anchor node so the first dwell's estimates have a home
-        cov = _odometry_covariance(config.odometry_noise, 0.0, 0.0)
-        graph.add_odometry(PoseSE2(), cov, stamp=samples[0].stamp + 1e-6)
     pending, pending_len, pending_turn = PoseSE2(), 0.0, 0.0
     for i, sample in enumerate(samples):
         if i > 0:
@@ -207,7 +205,6 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
                 cov = _odometry_covariance(config.odometry_noise, pending_len, pending_turn)
                 graph.add_odometry(pending, cov, stamp=sample.stamp)
                 pending, pending_len, pending_turn = PoseSE2(), 0.0, 0.0
-        robot.append((sample.stamp, robot_pose))
 
         while fixes and fixes[0][0] == i:
             _, fix = fixes.popleft()
@@ -221,6 +218,7 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
                 counters["pose_graph_solves"] += 1
                 robot_pose = graph.nodes[node_id].pose
                 counters["feedback_applications"] += 1
+        robot.append((sample.stamp, robot_pose))
 
     counters["stale_messages"] = sync.stale_count
     counters["stamp_mismatch_warnings"] = graph.stamp_mismatch_warnings

@@ -1,13 +1,19 @@
 """Pose graph fusing drifting odometry with absolute camera estimates.
 
 Trajectory nodes form one chain: odometry edge k links node k to node
-k + 1. Sparse camera-network estimates attach as unary absolute
-constraints. The graph is solved on the ground-plane manifold by the LM
-loop of the pose solve (estimation.levenberg_marquardt), with residual and
-normal-equation assembly vectorized across edges. The chain's Hessian is
-block-tridiagonal in 3x3 blocks, so each trial step is one banded Cholesky
-solve. A solve covers either the whole graph (batch) or a fixed-lag window
-of its newest nodes, with the node just before the window held fixed.
+k + 1, and node 0, the anchor, is made with the graph. Sparse camera-network
+estimates attach as unary absolute constraints. Each residual is written in
+the frame its information matrix is written in (cf. Grisetti et al., "A
+Tutorial on Graph-Based SLAM", 2010): a unary residual is (p - m,
+wrap(theta - theta_m)) in the world frame of the estimate's covariance, and
+an odometry residual is R(-theta_i)(p_j - p_i) - delta_xy, wrap(theta_j -
+theta_i - delta_theta) in node i's frame, where odometry draws its noise.
+The graph is solved on the ground-plane manifold by the LM loop of the pose
+solve (estimation.levenberg_marquardt), with residual and normal-equation
+assembly vectorized across edges. The chain's Hessian is block-tridiagonal
+in 3x3 blocks, so each trial step is one banded Cholesky solve. A solve
+covers either the whole graph (batch) or a fixed-lag window of its newest
+nodes, with the node just before the window held fixed.
 """
 
 from __future__ import annotations
@@ -85,14 +91,13 @@ _BLOCK = np.indices((3, 3)).reshape(2, -1)
 
 class PoseGraph:
     def __init__(self, initial_pose: PoseSE2 | None = None, initial_stamp: float = 0.0):
-        self._anchor_pose = initial_pose or PoseSE2()
-        self._anchor_stamp = initial_stamp
         self.nodes: list[Node] = []
         self._stamps = _Rows()
         self._poses = _Rows(shape=(3,))
         self.odometry_edges = _Rows(ODOMETRY_EDGE)
         self.unary_edges = _Rows(UNARY_EDGE)
         self.stamp_mismatch_warnings = 0
+        self._add_node(initial_stamp, initial_pose or PoseSE2())  # the anchor, node 0
 
     def _add_node(self, stamp: float, pose: PoseSE2) -> Node:
         self.nodes.append(Node(len(self.nodes), stamp, self._poses))
@@ -103,8 +108,6 @@ class PoseGraph:
     def add_odometry(self, delta: PoseSE2, covariance, stamp: float | None = None) -> int:
         """Append a node at previous ∘ delta with a binary odometry edge."""
         info = _information(covariance)
-        if not self.nodes:
-            self._add_node(self._anchor_stamp, self._anchor_pose)
         prev = self.nodes[-1]
         if stamp is None:
             stamp = prev.stamp + 1.0
@@ -116,15 +119,13 @@ class PoseGraph:
 
     def add_camera_estimate(self, node_id: int, estimate: PoseEstimate) -> None:
         """Attach an absolute unary constraint to an existing node."""
-        if not 0 <= node_id < len(self.nodes) or self.nodes[node_id].id != node_id:
+        if not 0 <= node_id < len(self.nodes):
             raise UnknownNode(f"node {node_id} does not exist")
         info = _information(estimate.covariance)
         self.unary_edges.append((node_id, estimate.pose.as_array(), info))
 
     def nearest_node(self, stamp: float, warn_beyond: float = 0.1) -> int:
         """Node id with stamp closest to the given stamp."""
-        if not self.nodes:
-            raise UnknownNode("graph is empty")
         best = self.nodes[int(nearest_stamp_index(self._stamps.view, stamp))]
         if abs(best.stamp - stamp) > warn_beyond:
             self.stamp_mismatch_warnings += 1
@@ -153,15 +154,12 @@ class PoseGraph:
     @staticmethod
     def _residuals(poses, od, ui, um):
         xi, xj = poses[:-1], poses[1:]
-        rel = _into_frame(xi[:, 2], xj[:, :2] - xi[:, :2])
-        et = _into_frame(od[:, 2], rel - od[:, :2])
+        et = _into_frame(xi[:, 2], xj[:, :2] - xi[:, :2]) - od[:, :2]
         eth = wrap_angles(xj[:, 2] - xi[:, 2] - od[:, 2])
         r_odo = np.concatenate([et, eth[:, None]], axis=1)
 
-        xu = poses[ui]
-        etu = _into_frame(um[:, 2], xu[:, :2] - um[:, :2])
-        ethu = wrap_angles(xu[:, 2] - um[:, 2])
-        r_un = np.concatenate([etu, ethu[:, None]], axis=1)
+        r_un = poses[ui] - um
+        r_un[:, 2] = wrap_angles(r_un[:, 2])
         return r_odo, r_un
 
     def _objective_from(self, poses, arrays):
@@ -227,22 +225,20 @@ class PoseGraph:
         edge residuals at ``poses``. The chain's Hessian is block-tridiagonal
         in 3x3 blocks: entry (i, j), i <= j, sits at band[5 + i - j, j], as
         scipy.linalg.solveh_banded reads it."""
-        od, o_info, ui, um, u_info = arrays
+        od, o_info, ui, _, u_info = arrays
         r_odo, r_un = residuals
 
         xi = poses[:-1]
         d = poses[1:, :2] - xi[:, :2]
         ct, st = np.cos(xi[:, 2]), np.sin(xi[:, 2])
-        a = _rot2(np.cos(od[:, 2]), np.sin(od[:, 2]))
         # R(-theta_i) and its derivative w.r.t. theta_i
         b, db = _rot2(ct, st), _rot2(-st, ct)
-        ab = np.einsum("eij,ejk->eik", a, b)
         ji = np.zeros((len(od), 3, 3))
         jj = np.zeros((len(od), 3, 3))
-        ji[:, :2, :2] = -ab
-        ji[:, :2, 2] = np.einsum("eij,ejk,ek->ei", a, db, d)
+        ji[:, :2, :2] = -b
+        ji[:, :2, 2] = np.einsum("eij,ej->ei", db, d)
         ji[:, 2, 2] = -1.0
-        jj[:, :2, :2] = ab
+        jj[:, :2, :2] = b
         jj[:, 2, 2] = 1.0
         ji_t = ji.transpose(0, 2, 1)
         jj_t = jj.transpose(0, 2, 1)
@@ -258,12 +254,9 @@ class PoseGraph:
         grad[:-1] += (ji_t @ wr)[:, :, 0]
         grad[1:] += (jj_t @ wr)[:, :, 0]
 
-        ju = np.zeros((len(ui), 3, 3))
-        ju[:, :2, :2] = _rot2(np.cos(um[:, 2]), np.sin(um[:, 2]))
-        ju[:, 2, 2] = 1.0
-        ju_t = ju.transpose(0, 2, 1)
-        np.add.at(diag, ui, ju_t @ (u_info @ ju))
-        np.add.at(grad, ui, (ju_t @ (u_info @ r_un[:, :, None]))[:, :, 0])
+        # a unary residual's Jacobian is the identity
+        np.add.at(diag, ui, u_info)
+        np.add.at(grad, ui, (u_info @ r_un[:, :, None])[:, :, 0])
 
         diag, off, grad = diag[fixed:], off[fixed:], grad[fixed:]
         band = np.zeros((6, len(diag), 3))  # (band row, block column, column in block)

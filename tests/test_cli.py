@@ -20,7 +20,7 @@ from camloc.posegraph import PoseGraph
 from camloc.scenario import config_from_dict, generate_scenarios, load_config
 from camloc.simulation import (NoiseModel, OdometryNoise, TrajectoryScript, Waypoint,
                                default_robot_model)
-from camloc.sync import SyncConfig
+from camloc.sync import SyncConfig, message_from_json, message_to_json
 
 ZERO_PIXEL_NOISE = [
     "--override", "noise.pixel_sigma_px=0",
@@ -503,20 +503,29 @@ class TestReplay:
         clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
         assert bad["stale_messages"] == clean["stale_messages"]
 
-    def test_diverged_solve_costs_one_frameset(self, small_scenario, tmp_path):
-        # a pixel of 1e200 makes the squared residual overflow, so the solve
-        # of that frame-set ends in a non-finite state and diverges
-        def corrupt(msg):
-            msg["keypoints"][0]["u"] = 1e200
+    def test_diverged_solve_costs_one_frameset(self, small_scenario, tmp_path, monkeypatch):
+        # detections that flatten_observations keeps cannot drive a solve to
+        # a non-finite state, so the divergence is planted: the solve of the
+        # frame-set that holds the marked confidence diverges
+        marker, solve = 0.123, pipeline.solve_multiview
 
+        def diverging(obs, init, config=None):
+            if (obs.weight == marker).any():
+                raise SolverDiverged("planted")
+            return solve(obs, init, config)
+
+        def corrupt(msg):
+            msg["keypoints"][0]["conf"] = marker
+
+        monkeypatch.setattr(pipeline, "solve_multiview", diverging)
         clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
         assert bad["stale_messages"] == clean["stale_messages"]
         assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1
 
-    def test_absurd_pixel_costs_its_framesets(self, small_scenario, tmp_path):
-        # u = 1e154 is finite, but it swamps the objective of every solve it
-        # joins: its frame-sets are skipped, never answered with an infinite
-        # covariance that leaves the candidate blend no weight
+    def test_absurd_pixels_cost_themselves(self, small_scenario, tmp_path):
+        # u = 1e154 is finite, but it would swamp the objective of every
+        # solve it joined: each such detection is dropped and counted, and
+        # its frame-set is solved from the rest
         out = tmp_path / "run"
         cli.main(["run", "--scenario", str(small_scenario), "--out", str(out)])
         lines = (out / "detections.jsonl").read_text().splitlines()
@@ -529,8 +538,33 @@ class TestReplay:
         rc = cli.main(["replay", "--stream", str(stream),
                        "--scenario", str(small_scenario), "--out", str(tmp_path / "bad")])
         assert rc == 0
-        assert json.loads((tmp_path / "bad" / "run_meta.json").read_text())[
-            "counters"]["skipped_framesets"] >= 1
+        clean = json.loads((out / "run_meta.json").read_text())["counters"]
+        bad = json.loads((tmp_path / "bad" / "run_meta.json").read_text())["counters"]
+        assert bad["rejected_detections"] == 6 and clean["rejected_detections"] == 0
+        assert bad["skipped_framesets"] == clean["skipped_framesets"]
+
+    def test_far_pixel_costs_only_itself(self, scenario_dir):
+        """One keypoint of traj3's seed-7 stream (line 1501, camera 3 at
+        t = 38.10 s) moved to u = 1e20 is dropped: the run equals a run on
+        the stream without that keypoint, and counts the one detection."""
+        config = load_config(scenario_dir / "traj3.json", {"seed": 7})
+        lines = [message_to_json(m) for m in pipeline.simulate_detections(config)]
+        far, cut = json.loads(lines[1500]), json.loads(lines[1500])
+        far["keypoints"][0]["u"] = 1e20
+        del cut["keypoints"][0]
+        runs = {}
+        for name, msg in (("far", far), ("cut", cut)):
+            stream = lines[:1500] + [json.dumps(msg)] + lines[1501:]
+            runs[name] = run_pipeline(config, [message_from_json(line) for line in stream])
+        assert runs["far"].counters["rejected_detections"] == 1
+        assert runs["cut"].counters["rejected_detections"] == 0
+        stamp = far["stamp_ns"] * 1e-9
+        for mode in ("raw", "gated_1frame", "averaged_5frames", "fused"):
+            a, b = runs["far"].mode_trajectories[mode], runs["cut"].mode_trajectories[mode]
+            assert a.stamps.tobytes() == b.stamps.tobytes(), mode
+            assert (np.array([p.as_array() for p in a.poses]).tobytes()
+                    == np.array([p.as_array() for p in b.poses]).tobytes()), mode
+        assert np.abs(runs["far"].mode_trajectories["raw"].stamps - stamp).min() < 0.05
 
     def test_empty_stream_succeeds(self, small_scenario, tmp_path):
         stream = tmp_path / "empty.jsonl"

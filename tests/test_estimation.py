@@ -508,11 +508,12 @@ class TestAlgebraicSeed:
                                 msg.confidence[keep])
 
     @staticmethod
-    def _absurd_pixel(msg, model):
-        """The message with its first pixel at u = 1e200."""
-        pixels = msg.pixels.copy()
-        pixels[0, 0] = 1e200
-        return DetectionMessage(msg.camera_id, msg.stamp, msg.keypoints, pixels, msg.confidence)
+    def _absurd_pixel(obs, i):
+        """obs with camera i's first pixel at u = 1e200, a pixel that
+        flatten_observations itself would drop."""
+        pixel = obs.pixel.copy()
+        pixel[0, obs.offsets[i]] = 1e200
+        return replace(obs, pixel=pixel)
 
     @pytest.mark.parametrize("case", ["singular", "non_finite"])
     def test_unusable_seed_skips_the_camera(self, rig, robot_model, rng, monkeypatch, case):
@@ -522,9 +523,12 @@ class TestAlgebraicSeed:
             model = replace(robot_model, keypoints=np.vstack([robot_model.keypoints, on_axis]))
         fs = make_frameset(PoseSE2(5.0, 4.0, 0.7), rig, model, ZERO_NOISE, rng)
         bad_id = TestUnknownInputIds._widest(fs)
-        edit = self._on_axis_only if case == "singular" else self._absurd_pixel
-        fs.per_camera[bad_id] = edit(fs.per_camera[bad_id], model)
+        if case == "singular":
+            fs.per_camera[bad_id] = self._on_axis_only(fs.per_camera[bad_id], model)
         obs = flatten_observations(fs, rig, model)
+        if case == "non_finite":  # planted after the flatten, which drops it
+            obs = self._absurd_pixel(obs, [c.camera_id for c in obs.cameras].index(bad_id))
+            monkeypatch.setattr(estimation, "flatten_observations", lambda *args: obs)
         views = {c.camera_id: obs.camera(i) for i, c in enumerate(obs.cameras)}
         if case == "singular":
             with pytest.raises(InsufficientObservations):

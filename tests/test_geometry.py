@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camloc.errors import AllZeroWeights, UnknownCamera, UnknownKeypoint
+from camloc.errors import UnknownCamera, UnknownKeypoint
 from camloc.geometry import (
     MIN_DEPTH,
     CameraModel,
@@ -11,7 +11,6 @@ from camloc.geometry import (
     RigidTransform3,
     RobotModel,
     angle_diff,
-    circular_weighted_mean,
     flatten_observations,
     project_robot,
     reprojection_kernel,
@@ -288,6 +287,28 @@ class TestReprojectionResiduals:
         with pytest.raises(UnknownKeypoint):
             flatten_observations(fs, rig, robot_model)
 
+    def test_far_detections_dropped_and_counted(self, rig, robot_model):
+        # more than one image width (u) or height (v) outside the image: gone
+        a, b = rig[0], rig[1]
+        w, h = a.width, a.height
+        fs = FrameSet(anchor_stamp=0.0, per_camera={
+            a.camera_id: DetectionMessage(a.camera_id, 0.0, [0, 1, 2, 3],
+                                          [[-w, 10.0], [2 * w + 1e-9, 10.0],
+                                           [100.0, 2 * h], [100.0, 200.0]],
+                                          [0.9, 0.8, 0.7, 0.6]),
+            b.camera_id: DetectionMessage(b.camera_id, 0.0, [0], [[100.0, -b.height - 1.0]],
+                                          [1.0]),
+        })
+        obs = flatten_observations(fs, rig, robot_model)
+        assert obs.rejected == 2
+        assert obs.cameras == (a,) and obs.offsets == (0, 3)
+        np.testing.assert_array_equal(obs.pixel.T, [[-w, 10.0], [100.0, 2 * h], [100.0, 200.0]])
+        np.testing.assert_array_equal(obs.weight, [0.9, 0.7, 0.6])
+        kept = FrameSet(anchor_stamp=0.0, per_camera={a.camera_id: DetectionMessage(
+            a.camera_id, 0.0, [0, 2, 3], obs.pixel.T, obs.weight)})
+        assert np.array_equal(flatten_observations(kept, rig, robot_model).linear_map,
+                              obs.linear_map)
+
     def test_objective_invariant_to_detection_order(self, rig, robot_model, rng):
         pose = PoseSE2(5.0, 4.0, 0.3)
         fs = _noise_free_frameset(PoseSE2(5.02, 3.97, 0.33), rig, robot_model)
@@ -382,24 +403,3 @@ class TestReprojectionKernel:
                 assert np.abs(block - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
         assert in_front[0] == in_front[1] == n
         assert 0 < in_front[2] < n and depth[2].min() < 0
-
-
-class TestCircularWeightedMean:
-    def test_symmetric_mean(self):
-        got = circular_weighted_mean([math.radians(10), math.radians(20)], [1, 1])
-        assert got == pytest.approx(math.radians(15))
-
-    def test_wraparound(self):
-        got = circular_weighted_mean([math.radians(170), math.radians(-170)], [1, 1])
-        assert abs(got) == pytest.approx(math.pi)
-
-    def test_single_angle(self):
-        assert circular_weighted_mean([1.234], [0.5]) == pytest.approx(1.234)
-
-    def test_all_zero_weights(self):
-        with pytest.raises(AllZeroWeights):
-            circular_weighted_mean([0.1, 0.2], [0, 0])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            circular_weighted_mean([0.1], [-1.0])

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from camloc.errors import GaugeFree, SolverDiverged, UnknownNode
-from camloc.estimation import PoseEstimate, SolverConfig
+from camloc.estimation import PoseEstimate, SolverConfig, average_estimates
 from camloc.geometry import PoseSE2, angle_diff
 from camloc.pipeline import run_pipeline
 from camloc.posegraph import PoseGraph
@@ -46,13 +46,15 @@ def unary(pose, sigma=0.01, stamp=0.0):
 
 
 class TestGraphConstruction:
-    def test_anchor_node_created_lazily(self):
+    def test_anchor_node_created_by_constructor(self):
         g = PoseGraph(PoseSE2(1.0, 2.0, 0.5), initial_stamp=10.0)
-        assert g.nodes == []
-        nid = g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=10.1)
-        assert nid == 1
+        assert len(g.nodes) == 1 and len(g.odometry_edges) == 0
         assert g.nodes[0].pose == PoseSE2(1.0, 2.0, 0.5)
         assert g.nodes[0].stamp == 10.0
+        assert g.nearest_node(3.0) == 0
+        nid = g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=10.1)
+        assert nid == 1
+        assert g.nodes[1].pose == PoseSE2(1.0, 2.0, 0.5).compose(PoseSE2(0.1, 0, 0))
 
     def test_hundred_deltas(self):
         g = PoseGraph()
@@ -225,6 +227,52 @@ def pose_rows(g):
     return np.array([n.pose.as_array() for n in g.nodes])
 
 
+def random_covariance(rng):
+    """A full 3x3 covariance with random axes and standard deviations from
+    1 mm (1 mrad) to 1 m (1 rad)."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q @ np.diag(10.0 ** rng.uniform(-6, 0, 3)) @ q.T
+
+
+class TestInformationFrames:
+    """A residual is written in the frame its information is written in:
+    unary residuals in the world frame of the estimate's covariance."""
+
+    def test_world_frame_covariances_at_a_quarter_turn(self):
+        # one fix precise in world x, the other precise in world y: their
+        # fusion takes x from the first and y from the second at any heading
+        heading = math.pi / 2
+        g = PoseGraph(PoseSE2(0.0, 0.0, heading))
+        for pose, cov in ((PoseSE2(1.0, 0.0, heading), np.diag([1e-6, 1.0, 1e-4])),
+                          (PoseSE2(0.0, 1.0, heading), np.diag([1.0, 1e-6, 1e-4]))):
+            g.add_camera_estimate(0, PoseEstimate(pose, cov, rms_residual=1.0, n_cameras=2,
+                                                  n_keypoints=8, stamp=0.0))
+        g.optimize()
+        assert g.nodes[0].pose.x == pytest.approx(1.0, abs=1e-3)
+        assert g.nodes[0].pose.y == pytest.approx(1.0, abs=1e-3)
+
+    def test_one_node_graph_is_the_average(self):
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(500):
+            center = PoseSE2(*rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi))
+            ests = []
+            for k in range(rng.integers(1, 6)):
+                cov = random_covariance(rng)
+                pose = PoseSE2(*(center.as_array() + rng.multivariate_normal(np.zeros(3), cov)))
+                ests.append(PoseEstimate(pose, cov, rms_residual=1.0, n_cameras=2,
+                                         n_keypoints=8, stamp=0.1 * k))
+            avg = average_estimates(ests).pose
+            g = PoseGraph(ests[0].pose)
+            for e in ests:
+                g.add_camera_estimate(0, e)
+            g.optimize()
+            got = g.nodes[0].pose
+            worst = max(worst, abs(got.x - avg.x), abs(got.y - avg.y),
+                        abs(angle_diff(got.theta, avg.theta)))
+        assert worst < 1e-8
+
+
 class TestSolveSchedule:
     @pytest.mark.parametrize("seed", range(5))
     def test_one_final_solve_matches_solving_after_every_fix(self, seed):
@@ -336,6 +384,10 @@ class TestNormalEquations:
             g.add_odometry(d, np.diag([1e-2, 2e-2, 5e-3]), stamp=i + 1.0)
         for nid in (1, 5, 5):
             g.add_camera_estimate(nid, unary(PoseSE2(*rng.normal(0, 1.0, 3)), sigma=0.2))
+        # an anisotropic covariance turned off the axes, at a heading far from 0
+        g.add_camera_estimate(3, PoseEstimate(PoseSE2(1.0, 0.5, 2.0), random_covariance(rng),
+                                              rms_residual=1.0, n_cameras=1, n_keypoints=8,
+                                              stamp=3.0))
         # move the poses off the odometry so that every residual is nonzero
         g._poses.view[:] += rng.normal(0, 0.05, (len(g.nodes), 3))
         return g
@@ -371,31 +423,41 @@ class TestNormalEquations:
 
 class TestFeedback:
     def test_feedback_only_while_static(self, scenario_dir, monkeypatch):
-        """Feedback resets the robot's belief only while it stands still: on
-        long_feedback, with feedback on and off, every robot-track step that
-        leaves a moving sample is the same odometry increment."""
-        windowed = []
-        optimize = PoseGraph.optimize
+        """Feedback resets the robot's belief at the sample of its fix, and
+        only while the robot stands still: on long_feedback, the robot row
+        at a fix's sample is the fused pose of the fix's node, and with
+        feedback on and off every step into a moving sample is the same
+        odometry increment."""
+        attached, fed = [], []  # node ids; (newest node's stamp, fused pose of the fix's node)
+        add_camera_estimate, optimize = PoseGraph.add_camera_estimate, PoseGraph.optimize
 
-        def counted(self, config=None, lag=None):
-            windowed.append(lag is not None)
-            return optimize(self, config, lag)
+        def attach(self, node_id, estimate):
+            attached.append(node_id)
+            return add_camera_estimate(self, node_id, estimate)
 
-        monkeypatch.setattr(PoseGraph, "optimize", counted)
+        def solve(self, config=None, lag=None):
+            optimize(self, config, lag)
+            if lag is not None:
+                fed.append((self.nodes[-1].stamp, self.nodes[attached[-1]].pose))
+
+        monkeypatch.setattr(PoseGraph, "add_camera_estimate", attach)
+        monkeypatch.setattr(PoseGraph, "optimize", solve)
         path = scenario_dir / "long_feedback.json"
         on = run_pipeline(load_config(path, {"seed": 7}))
         off = run_pipeline(load_config(path, {"seed": 7, "feedback": "false"}))
-        assert 0 < on.counters["feedback_applications"] == sum(windowed)
+        assert 0 < on.counters["feedback_applications"] == len(fed)
 
         samples = script_trajectory(load_config(path).trajectory)
         p_on, p_off = on.mode_trajectories["robot"].poses, off.mode_trajectories["robot"].poses
         assert len(p_on) == len(p_off) == len(samples)
-        # a sample's feedback lands after its track entry, so it shows in
-        # the step that leaves the sample
-        gaps = {True: [], False: []}  # by is_static of the step's first sample
-        for i in range(len(samples) - 1):
-            a = p_on[i].inverse().compose(p_on[i + 1])
-            b = p_off[i].inverse().compose(p_off[i + 1])
+        # the last fix of a sample sets that sample's row, bit for bit
+        row = dict(zip(on.mode_trajectories["robot"].stamps.tolist(), p_on))
+        for stamp, pose in dict(fed).items():
+            assert row[stamp].as_array().tobytes() == pose.as_array().tobytes(), stamp
+        gaps = {True: [], False: []}  # by is_static of the step's second sample
+        for i in range(1, len(samples)):
+            a = p_on[i - 1].inverse().compose(p_on[i])
+            b = p_off[i - 1].inverse().compose(p_off[i])
             gap = max(abs(a.x - b.x), abs(a.y - b.y), abs(angle_diff(a.theta, b.theta)))
             gaps[samples[i].is_static].append(gap)
         assert max(gaps[False]) < 1e-9
