@@ -9,7 +9,8 @@ solve's covariance is sigma^2 * H^-1 from its own Gauss-Newton Hessian H,
 with sigma^2 the residual variance (cf. Triggs et al., "Bundle Adjustment
 - A Modern Synthesis", 2000), and that one covariance, by its full 3x3
 information, weights every blend: of the per-camera candidates that seed
-relocalization, of consecutive static estimates, and in the pose graph.
+relocalization, of consecutive static estimates, of the robot's belief
+and a fix, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -334,30 +335,32 @@ def gate_single_view(
     return replace(raw, pose=PoseSE2(new_xy[0], new_xy[1], prev.theta), gated=True)
 
 
-def average_estimates(estimates) -> PoseEstimate:
-    """Information-weighted mean of estimates taken at a static robot.
-
-    Each estimate's full 3x3 information inv(covariance) weighs its pose,
-    with its heading unwrapped about the first estimate's: the mean is
-    inv(sum Lambda_k) sum Lambda_k m_k and its covariance inv(sum Lambda_k),
-    the optimum of a one-node pose graph holding the estimates as unary
-    constraints.
+def information_mean(poses, covariances):
+    """(mean, covariance) of poses, each weighed by its full information
+    Lambda_k = inv(covariance), with its heading unwrapped about the first
+    pose's: inv(sum Lambda_k) sum Lambda_k m_k and inv(sum Lambda_k), the
+    optimum of a one-node pose graph holding the poses as unary constraints.
     """
+    theta0 = poses[0].theta
+    info, weighted = np.zeros((3, 3)), np.zeros(3)
+    for pose, covariance in zip(poses, covariances):
+        lam = np.linalg.inv(covariance)
+        info += lam
+        weighted += lam @ (pose.x, pose.y, theta0 + angle_diff(pose.theta, theta0))
+    cov = np.linalg.inv(info)
+    return PoseSE2(*(cov @ weighted)), cov
+
+
+def average_estimates(estimates) -> PoseEstimate:
+    """information_mean of estimates taken at a static robot."""
     if not estimates:
         raise EmptyInput("no estimates to average")
     stamps = [e.stamp for e in estimates]
     if max(stamps) - min(stamps) > AVERAGE_SPAN:
         raise ValueError(f"estimates span more than {AVERAGE_SPAN:g} s")
-    theta0 = estimates[0].pose.theta
-    info = np.zeros((3, 3))
-    weighted = np.zeros(3)
-    for e in estimates:
-        lam = np.linalg.inv(e.covariance)
-        info += lam
-        weighted += lam @ (e.pose.x, e.pose.y, theta0 + angle_diff(e.pose.theta, theta0))
-    cov = np.linalg.inv(info)
+    pose, cov = information_mean([e.pose for e in estimates], [e.covariance for e in estimates])
     return PoseEstimate(
-        pose=PoseSE2(*(cov @ weighted)),
+        pose=pose,
         covariance=cov,
         rms_residual=float(np.mean([e.rms_residual for e in estimates])),
         n_cameras=max(e.n_cameras for e in estimates),

@@ -24,6 +24,7 @@ from .estimation import (
     AVERAGE_SPAN,
     average_estimates,
     gate_single_view,
+    information_mean,
     initialize_global,
     solve_multiview,
 )
@@ -43,8 +44,6 @@ from .sync import Synchronizer, nearest_stamp_index
 # Pose-graph node creation thresholds.
 NODE_TRANS_STEP = 0.05  # m
 NODE_ROT_STEP = math.radians(2.0)
-# Free nodes of the fixed-lag solve that feeds pose-correction feedback.
-FEEDBACK_LAG = 100
 # Covariance floor for (near-)static odometry edges.
 STATIC_VAR_T = 1e-6  # m^2
 STATIC_VAR_R = 1e-8  # rad^2
@@ -89,6 +88,18 @@ def _odometry_covariance(noise, length, turn):
     return np.diag([var_t, var_t, var_r])
 
 
+def _predict(cov, pose, delta, delta_cov):
+    """Covariance F cov F^T + G delta_cov G^T of pose = prev ∘ delta, where
+    cov and delta_cov are those of prev and delta, and F and G the Jacobians
+    of PoseSE2.compose w.r.t. prev, of heading pose.theta - delta.theta, and
+    w.r.t. delta."""
+    c, s = math.cos(pose.theta - delta.theta), math.sin(pose.theta - delta.theta)
+    g = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    f = np.eye(3)
+    f[:2, 2] = g[:2, :2] @ (-delta.y, delta.x)
+    return f @ cov @ f.T + g @ delta_cov @ g.T
+
+
 def _dwell(sample):
     """The waypoint index a sample dwells at, None while moving: consecutive
     samples with one key form one dwell."""
@@ -114,9 +125,9 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
 
     Three passes: every sample's odometry increment; the frame-set solves,
     each started from the last accepted pose moved by the odometry since;
-    then the robot's dead-reckoned track and the pose graph, which takes the
-    static estimates and, with feedback, resets the robot's belief to the
-    fused pose. Feedback never changes a solve.
+    then the robot's track and the pose graph, which takes the static
+    estimates; with feedback, an information filter over the graph's edges
+    keeps the robot's belief. Feedback never changes a solve.
     """
     samples = samples or script_trajectory(config.trajectory)
     need_fused = "fused" in config.modes or config.feedback
@@ -188,7 +199,8 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
         "pose_graph_solves": 0,
     }
     # Pass 3: the robot's track and the pose graph, sample by sample.
-    robot_pose = samples[0].pose  # the robot's own dead-reckoned belief
+    robot_pose = samples[0].pose  # the robot's own belief
+    robot_cov = None  # its covariance, from the first fix on
     robot = []
     graph = PoseGraph(initial_pose=robot_pose, initial_stamp=samples[0].stamp)
     fixes = deque(static if need_fused else [])  # the graph's absolute constraints
@@ -204,19 +216,21 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
                                or pending_turn >= NODE_ROT_STEP):
                 cov = _odometry_covariance(config.odometry_noise, pending_len, pending_turn)
                 graph.add_odometry(pending, cov, stamp=sample.stamp)
+                if robot_cov is not None:
+                    robot_cov = _predict(robot_cov, robot_pose, pending, cov)
                 pending, pending_len, pending_turn = PoseSE2(), 0.0, 0.0
 
         while fixes and fixes[0][0] == i:
             _, fix = fixes.popleft()
-            node_id = graph.nearest_node(fix.stamp)
-            graph.add_camera_estimate(node_id, fix)
+            graph.add_camera_estimate(graph.nearest_node(fix.stamp), fix)
             if config.feedback:
-                # feedback needs the fused pose now: solve the newest nodes
-                # and reset the static robot's belief to it; the fused
-                # output gets the batch solve below
-                graph.optimize(config.solver, lag=FEEDBACK_LAG)
-                counters["pose_graph_solves"] += 1
-                robot_pose = graph.nodes[node_id].pose
+                # a static sample adds a node, so the fix constrains the
+                # belief's, the newest; the fused output gets the batch solve
+                if robot_cov is None:
+                    robot_pose, robot_cov = fix.pose, fix.covariance
+                else:
+                    robot_pose, robot_cov = information_mean(
+                        [robot_pose, fix.pose], [robot_cov, fix.covariance])
                 counters["feedback_applications"] += 1
         robot.append((sample.stamp, robot_pose))
 

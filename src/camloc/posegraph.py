@@ -11,9 +11,8 @@ theta_i - delta_theta) in node i's frame, where odometry draws its noise.
 The graph is solved on the ground-plane manifold by the LM loop of the pose
 solve (estimation.levenberg_marquardt), with residual and normal-equation
 assembly vectorized across edges. The chain's Hessian is block-tridiagonal
-in 3x3 blocks, so each trial step is one banded Cholesky solve. A solve
-covers either the whole graph (batch) or a fixed-lag window of its newest
-nodes, with the node just before the window held fixed.
+in 3x3 blocks, so each trial step is one banded Cholesky solve over the
+whole graph.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from .errors import GaugeFree, SolverDiverged, UnknownNode
 from .estimation import PoseEstimate, SolverConfig, levenberg_marquardt
 from .geometry import PoseSE2, wrap_angles
 from .sync import nearest_stamp_index
+
+STAMP_MISMATCH_WARN = 0.1  # s; a nearest node farther off counts a mismatch
 
 
 class _Rows:
@@ -105,12 +106,10 @@ class PoseGraph:
         self._poses.append(pose.as_array())
         return self.nodes[-1]
 
-    def add_odometry(self, delta: PoseSE2, covariance, stamp: float | None = None) -> int:
+    def add_odometry(self, delta: PoseSE2, covariance, stamp: float) -> int:
         """Append a node at previous ∘ delta with a binary odometry edge."""
         info = _information(covariance)
         prev = self.nodes[-1]
-        if stamp is None:
-            stamp = prev.stamp + 1.0
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")
         node = self._add_node(stamp, prev.pose.compose(delta))
@@ -124,10 +123,10 @@ class PoseGraph:
         info = _information(estimate.covariance)
         self.unary_edges.append((node_id, estimate.pose.as_array(), info))
 
-    def nearest_node(self, stamp: float, warn_beyond: float = 0.1) -> int:
+    def nearest_node(self, stamp: float) -> int:
         """Node id with stamp closest to the given stamp."""
         best = self.nodes[int(nearest_stamp_index(self._stamps.view, stamp))]
-        if abs(best.stamp - stamp) > warn_beyond:
+        if abs(best.stamp - stamp) > STAMP_MISMATCH_WARN:
             self.stamp_mismatch_warnings += 1
         return best.id
 
@@ -136,20 +135,14 @@ class PoseGraph:
 
     # -- optimization -----------------------------------------------------
 
-    def _edge_arrays(self, first: int = 0):
-        """Fields of the edges touching a node at or after ``first``, as
-        C-contiguous arrays, the layout the batched solver math expects.
-
-        Returns the arrays and ``base``, the lowest node they touch: the node
-        just before a window, else 0. Odometry edge k of the arrays links
-        nodes base + k and base + k + 1; unary node ids count from ``base``.
-        """
-        base = max(first - 1, 0)
-        odo, un = self.odometry_edges.view[base:], self.unary_edges.view
-        un = un[un["node_id"] >= first]
+    def _edge_arrays(self):
+        """Fields of the edges as C-contiguous arrays, the layout the batched
+        solver math expects: (deltas, odometry information, unary node ids,
+        measurements, unary information)."""
+        odo, un = self.odometry_edges.view, self.unary_edges.view
         fields = (odo["delta"], odo["information"],
-                  un["node_id"] - base, un["measurement"], un["information"])
-        return tuple(np.ascontiguousarray(f) for f in fields), base
+                  un["node_id"], un["measurement"], un["information"])
+        return tuple(np.ascontiguousarray(f) for f in fields)
 
     @staticmethod
     def _residuals(poses, od, ui, um):
@@ -171,33 +164,23 @@ class PoseGraph:
         return obj, (r_odo, r_un)
 
     def objective(self) -> float:
-        return self._objective_from(self._poses.view, self._edge_arrays()[0])[0]
+        return self._objective_from(self._poses.view, self._edge_arrays())[0]
 
-    def optimize(self, config: SolverConfig | None = None, lag: int | None = None):
-        """Minimize the sum of Mahalanobis residuals.
-
-        With ``lag`` set, only the newest ``lag`` nodes are free: the node
-        before them is held fixed, and edges among older nodes, which are
-        constants then, drop out. Otherwise the whole graph is solved.
-        Node poses are updated in place so that repeated calls warm-start
-        from the previous solution.
-        """
+    def optimize(self, config: SolverConfig | None = None):
+        """Minimize the sum of Mahalanobis residuals over every node, from
+        the current poses; node poses are updated in place."""
         import scipy.linalg  # here, not at module level: the import alone costs ~0.3 s
         config = config or SolverConfig()
         if not self.unary_edges:
             raise GaugeFree("graph has no absolute constraint")
-        if lag is not None and lag < 1:
-            raise ValueError("lag must be at least 1")
-        first = max(len(self.nodes) - lag, 0) if lag is not None else 0
-        arrays, base = self._edge_arrays(first)
-        fixed = first - base  # 1 for a window: its leading node is held fixed
-        poses = self._poses.view[base:].copy()
+        arrays = self._edge_arrays()
+        poses = self._poses.view.copy()
 
         def evaluate(state):
             return self._objective_from(state, arrays)
 
         def linearize(state, residuals):
-            return self._normal_equations(state, arrays, fixed, residuals)
+            return self._normal_equations(state, arrays, residuals)
 
         def trial(state, band, grad, lam):
             damped = band.copy()
@@ -206,25 +189,25 @@ class PoseGraph:
                 step = scipy.linalg.solveh_banded(damped, -grad, check_finite=False)
             except np.linalg.LinAlgError:  # not positive definite: a NaN step
                 step = np.full_like(grad, np.nan)
-            state = state.copy()
-            state[fixed:] += step.reshape(-1, 3)
-            state[fixed:, 2] = wrap_angles(state[fixed:, 2])
+            state = state + step.reshape(-1, 3)
+            state[:, 2] = wrap_angles(state[:, 2])
             return state
 
-        # warm starts leave the problem near-quadratic, so begin with
-        # almost-undamped Gauss-Newton and let LM raise damping on demand
+        # from the dead-reckoned chain every odometry residual starts at 0
+        # and the fixes pull the headings by the small drift only, so the
+        # problem is near-quadratic: begin with almost-undamped Gauss-Newton
+        # and let LM raise damping on demand
         poses, obj, _, diverged, _ = levenberg_marquardt(
             poses, evaluate, linearize, trial, min(config.lm_lambda_init, 1e-8), 1e-12, config)
         if diverged:
             raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
-        self._poses.view[first:] = poses[fixed:]
+        self._poses.view[:] = poses
 
-    def _normal_equations(self, poses, arrays, fixed, residuals):
+    def _normal_equations(self, poses, arrays, residuals):
         """Upper band (6, 3n) and gradient (3n,) of the normal equations in
-        the n free nodes, those after the ``fixed`` leading ones, given the
-        edge residuals at ``poses``. The chain's Hessian is block-tridiagonal
-        in 3x3 blocks: entry (i, j), i <= j, sits at band[5 + i - j, j], as
-        scipy.linalg.solveh_banded reads it."""
+        the n nodes, given the edge residuals at ``poses``. The chain's
+        Hessian is block-tridiagonal in 3x3 blocks: entry (i, j), i <= j,
+        sits at band[5 + i - j, j], as scipy.linalg.solveh_banded reads it."""
         od, o_info, ui, _, u_info = arrays
         r_odo, r_un = residuals
 
@@ -258,7 +241,6 @@ class PoseGraph:
         np.add.at(diag, ui, u_info)
         np.add.at(grad, ui, (u_info @ r_un[:, :, None])[:, :, 0])
 
-        diag, off, grad = diag[fixed:], off[fixed:], grad[fixed:]
         band = np.zeros((6, len(diag), 3))  # (band row, block column, column in block)
         band[5 + _UPPER[0] - _UPPER[1], :, _UPPER[1]] = diag[:, _UPPER[0], _UPPER[1]].T
         band[2 + _BLOCK[0] - _BLOCK[1], 1:, _BLOCK[1]] = off[:, _BLOCK[0], _BLOCK[1]].T

@@ -311,21 +311,19 @@ def reference_pose_lm(start, obs, config):
     return params, obj, iters, diverged, hess
 
 
-def reference_graph_optimize(graph, config=None, lag=None):
+def reference_graph_optimize(graph, config=None):
     """PoseGraph.optimize's own loop, run on ``graph`` in place."""
     import scipy.linalg
 
     config = config or estimation.SolverConfig()
     if not graph.unary_edges:
         raise GaugeFree("graph has no absolute constraint")
-    first = max(len(graph.nodes) - lag, 0) if lag is not None else 0
-    arrays, base = graph._edge_arrays(first)
-    fixed = first - base
-    poses = graph._poses.view[base:].copy()
+    arrays = graph._edge_arrays()
+    poses = graph._poses.view.copy()
     obj, res = graph._objective_from(poses, arrays)
     lam = min(config.lm_lambda_init, 1e-8)
     for _ in range(config.max_iterations):
-        band, grad = graph._normal_equations(poses, arrays, fixed, res)
+        band, grad = graph._normal_equations(poses, arrays, res)
         if np.linalg.norm(grad) < 1e-12:
             break
         improved = False
@@ -338,9 +336,8 @@ def reference_graph_optimize(graph, config=None, lag=None):
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):
-                trial = poses.copy()
-                trial[fixed:] += step.reshape(-1, 3)
-                trial[fixed:, 2] = wrap_angles(trial[fixed:, 2])
+                trial = poses + step.reshape(-1, 3)
+                trial[:, 2] = wrap_angles(trial[:, 2])
                 t_obj, t_res = graph._objective_from(trial, arrays)
                 if t_obj < obj:
                     rel = (obj - t_obj) / max(obj, 1e-300)
@@ -357,7 +354,7 @@ def reference_graph_optimize(graph, config=None, lag=None):
             break
         if rel < config.convergence_tol:
             break
-    graph._poses.view[first:] = poses[fixed:]
+    graph._poses.view[:] = poses
 
 
 # -- finite differences ---------------------------------------------------

@@ -378,10 +378,7 @@ class TestRun:
         solves = json.loads((out / "run_meta.json").read_text())["counters"]["pose_graph_solves"]
         assert solves == calls["optimize"]
         assert calls["add_camera_estimate"] > 0
-        if feedback:
-            assert solves == calls["add_camera_estimate"] + 1
-        else:
-            assert solves == 1
+        assert solves == 1  # feedback is a filter; the fused output is the one solve
 
     def test_solver_divergence_exit_code(self, small_scenario, tmp_path, monkeypatch):
         def boom(*args, **kwargs):

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import os
 import subprocess
@@ -9,9 +11,9 @@ import pytest
 import scipy.linalg
 
 from camloc.errors import GaugeFree, SolverDiverged, UnknownNode
-from camloc.estimation import PoseEstimate, SolverConfig, average_estimates
+from camloc.estimation import PoseEstimate, SolverConfig, average_estimates, information_mean
 from camloc.geometry import PoseSE2, angle_diff
-from camloc.pipeline import run_pipeline
+from camloc.pipeline import _dwell, _predict, run_pipeline
 from camloc.posegraph import PoseGraph
 from camloc.scenario import load_config
 from camloc.simulation import script_trajectory
@@ -284,47 +286,6 @@ class TestSolveSchedule:
         assert np.abs(a[:, :2] - b[:, :2]).max() < 1e-8
         assert max(abs(angle_diff(x, y)) for x, y in zip(a[:, 2], b[:, 2])) < 1e-8
 
-    def test_lag_covering_the_graph_is_the_batch_solve(self):
-        steps = drifting_chain(1)
-        batch = build_chain(steps)
-        batch.optimize()
-        n = len(batch.nodes)
-        for lag in (n, n + 7):
-            windowed = build_chain(steps)
-            windowed.optimize(lag=lag)
-            assert np.array_equal(pose_rows(windowed), pose_rows(batch))
-
-    def test_window_leaves_older_nodes_unchanged(self):
-        g = build_chain(drifting_chain(2))
-        before = pose_rows(g)
-        lag = 25
-        g.optimize(lag=lag)
-        after = pose_rows(g)
-        assert np.array_equal(after[:-lag], before[:-lag])
-        assert not np.array_equal(after[-lag:], before[-lag:])
-
-    def test_window_ignores_constraints_among_fixed_nodes(self):
-        steps = drifting_chain(3)
-        plain, extra = build_chain(steps), build_chain(steps)
-        extra.add_camera_estimate(5, unary(PoseSE2(9.0, 9.0, 1.0)))
-        plain.optimize(lag=30)
-        extra.optimize(lag=30)
-        assert np.array_equal(pose_rows(plain), pose_rows(extra))
-
-    def test_window_reaches_the_batch_optimum_near_the_head(self):
-        # with the older nodes already at the batch optimum, the window has
-        # nothing left to move
-        g = build_chain(drifting_chain(4))
-        g.optimize()
-        settled = pose_rows(g)
-        g.optimize(lag=40)
-        assert np.abs(pose_rows(g) - settled).max() < 1e-8
-
-    def test_non_positive_lag_rejected(self):
-        g = build_chain(drifting_chain(0, n=20))
-        with pytest.raises(ValueError):
-            g.optimize(lag=0)
-
 
 class TestOneLMLoop:
     """optimize runs the loop it shares with the pose solve; it matches its
@@ -335,15 +296,20 @@ class TestOneLMLoop:
     def _both(steps):
         return build_chain(steps), build_chain(steps)
 
-    @pytest.mark.parametrize("lag", [None, 1, 25, 500])
+    @pytest.mark.parametrize("cap", [None, 1, 25, 500])
     @pytest.mark.parametrize("seed", range(3))
-    def test_batch_and_windows(self, seed, lag):
+    def test_batch_and_windows(self, seed, cap):
+        """Batch solves run to convergence (cap None) or stopped after
+        ``cap`` linearizations."""
+        config = None if cap is None else SolverConfig(max_iterations=cap)
         got, want = self._both(drifting_chain(seed))
-        got.optimize(lag=lag)
-        oracles.reference_graph_optimize(want, lag=lag)
+        got.optimize(config)
+        oracles.reference_graph_optimize(want, config)
         assert got._poses.view.tobytes() == want._poses.view.tobytes()
 
     def test_warm_started_windows(self):
+        """Repeated batch solves as fixes arrive, mostly capped at two
+        linearizations, each from where the last one stopped."""
         got, want = PoseGraph(), PoseGraph()
         capped = SolverConfig(max_iterations=2)
         for nid, delta, fix in drifting_chain(5):
@@ -353,8 +319,8 @@ class TestOneLMLoop:
                     g.add_camera_estimate(nid, fix)
             if fix is not None:
                 config = capped if nid % 20 else None
-                got.optimize(config, lag=30)
-                oracles.reference_graph_optimize(want, config, lag=30)
+                got.optimize(config)
+                oracles.reference_graph_optimize(want, config)
                 assert got._poses.view.tobytes() == want._poses.view.tobytes()
 
     def test_nan_odometry(self):
@@ -376,7 +342,7 @@ class TestNormalEquations:
     taken by central differences of the stacked edge residuals."""
 
     @staticmethod
-    def chain():
+    def chain(seed):
         rng = np.random.default_rng(6)
         g = PoseGraph()
         for i in range(7):
@@ -389,22 +355,21 @@ class TestNormalEquations:
                                               rms_residual=1.0, n_cameras=1, n_keypoints=8,
                                               stamp=3.0))
         # move the poses off the odometry so that every residual is nonzero
-        g._poses.view[:] += rng.normal(0, 0.05, (len(g.nodes), 3))
+        g._poses.view[:] += np.random.default_rng(seed).normal(0, 0.05, (len(g.nodes), 3))
         return g
 
-    @pytest.mark.parametrize("first", [0, 3])
-    def test_band_and_gradient_match_finite_differences(self, first):
-        g = self.chain()
-        arrays, base = g._edge_arrays(first)
-        fixed = first - base
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_band_and_gradient_match_finite_differences(self, seed):
+        g = self.chain(seed)
+        arrays = g._edge_arrays()
         od, o_info, ui, um, u_info = arrays
-        poses = g._poses.view[base:].copy()
-        band, grad = g._normal_equations(poses, arrays, fixed, g._residuals(poses, od, ui, um))
+        poses = g._poses.view.copy()
+        band, grad = g._normal_equations(poses, arrays, g._residuals(poses, od, ui, um))
 
         def stacked(params):
             return np.concatenate(g._residuals(params.reshape(-1, 3), od, ui, um)).ravel()
 
-        jac = central_difference_jacobian(stacked, poses.ravel())[:, 3 * fixed:]
+        jac = central_difference_jacobian(stacked, poses.ravel())
         w = scipy.linalg.block_diag(*o_info, *u_info)
         hess = jac.T @ w @ jac
         expected_grad = jac.T @ w @ stacked(poses.ravel())
@@ -414,7 +379,7 @@ class TestNormalEquations:
             for i in range(max(j - 5, 0), j + 1):
                 expected[5 + i - j, j] = hess[i, j]
         scale = np.abs(hess).max()
-        assert len(grad) == n == 3 * (len(g.nodes) - first)
+        assert len(grad) == n == 3 * len(g.nodes)
         assert np.abs(band - expected).max() < 1e-8 * scale
         assert np.abs(grad - expected_grad).max() < 1e-8 * np.abs(expected_grad).max()
         # the chain couples only neighbouring nodes: nothing outside the band
@@ -423,37 +388,54 @@ class TestNormalEquations:
 
 class TestFeedback:
     def test_feedback_only_while_static(self, scenario_dir, monkeypatch):
-        """Feedback resets the robot's belief at the sample of its fix, and
-        only while the robot stands still: on long_feedback, the robot row
-        at a fix's sample is the fused pose of the fix's node, and with
-        feedback on and off every step into a moving sample is the same
-        odometry increment."""
-        attached, fed = [], []  # node ids; (newest node's stamp, fused pose of the fix's node)
-        add_camera_estimate, optimize = PoseGraph.add_camera_estimate, PoseGraph.optimize
-
-        def attach(self, node_id, estimate):
-            attached.append(node_id)
-            return add_camera_estimate(self, node_id, estimate)
-
-        def solve(self, config=None, lag=None):
-            optimize(self, config, lag)
-            if lag is not None:
-                fed.append((self.nodes[-1].stamp, self.nodes[attached[-1]].pose))
-
-        monkeypatch.setattr(PoseGraph, "add_camera_estimate", attach)
-        monkeypatch.setattr(PoseGraph, "optimize", solve)
+        """Feedback keeps the robot's belief at the fused pose of the newest
+        node, and moves it only while the robot stands still: on
+        long_feedback, the robot row at the last fix of each dwell lies
+        within 1e-4 m and 1e-3 rad of the batch solve of the graph cut at
+        that fix's node, and with feedback on and off every step into a
+        moving sample is the same odometry increment."""
         path = scenario_dir / "long_feedback.json"
-        on = run_pipeline(load_config(path, {"seed": 7}))
         off = run_pipeline(load_config(path, {"seed": 7, "feedback": "false"}))
-        assert 0 < on.counters["feedback_applications"] == len(fed)
+        calls = []  # the graph's edges, as (method, args, kwargs) in the order added
+        original = {name: getattr(PoseGraph, name)
+                    for name in ("add_odometry", "add_camera_estimate")}
+        for name, method in original.items():
+            def logged(self, *args, _method=method, **kwargs):
+                calls.append((_method, args, kwargs))
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(PoseGraph, name, logged)
+        on = run_pipeline(load_config(path, {"seed": 7}))
+        monkeypatch.undo()
+        n_fixes = sum(method is original["add_camera_estimate"] for method, _, _ in calls)
+        assert 0 < on.counters["feedback_applications"] == n_fixes
 
         samples = script_trajectory(load_config(path).trajectory)
+        dwell = {}  # sample stamp -> ordinal of its dwell
+        for n, (_, run) in enumerate(itertools.groupby(samples, key=_dwell)):
+            dwell.update((s.stamp, n) for s in run if s.is_static)
         p_on, p_off = on.mode_trajectories["robot"].poses, off.mode_trajectories["robot"].poses
         assert len(p_on) == len(p_off) == len(samples)
-        # the last fix of a sample sets that sample's row, bit for bit
         row = dict(zip(on.mode_trajectories["robot"].stamps.tolist(), p_on))
-        for stamp, pose in dict(fed).items():
-            assert row[stamp].as_array().tobytes() == pose.as_array().tobytes(), stamp
+
+        # replay the edges, cutting the graph at the last fix of each dwell
+        stamps = [samples[0].stamp] + [kwargs["stamp"] for method, _, kwargs in calls
+                                       if method is original["add_odometry"]]
+        last = {dwell[stamps[args[0]]]: k for k, (method, args, _) in enumerate(calls)
+                if method is original["add_camera_estimate"]}  # dwell -> index in calls
+        assert len(last) > 10
+        graph = PoseGraph(samples[0].pose, initial_stamp=samples[0].stamp)
+        for k, (method, args, kwargs) in enumerate(calls):
+            method(graph, *args, **kwargs)
+            if k in last.values():
+                cut = copy.deepcopy(graph)
+                cut.optimize()
+                node = cut.nodes[args[0]]
+                assert node.id == len(cut.nodes) - 1  # the fix's node is the newest
+                got = row[node.stamp]
+                assert math.hypot(got.x - node.pose.x, got.y - node.pose.y) < 1e-4, node.stamp
+                assert abs(angle_diff(got.theta, node.pose.theta)) < 1e-3, node.stamp
+
         gaps = {True: [], False: []}  # by is_static of the step's second sample
         for i in range(1, len(samples)):
             a = p_on[i - 1].inverse().compose(p_on[i])
@@ -472,6 +454,59 @@ class TestFeedback:
                     == np.array([p.as_array() for p in b.poses]).tobytes()), mode
         for key in ("solver_iterations", "skipped_framesets", "gated_estimates"):
             assert on.counters[key] == off.counters[key], key
+
+
+class TestFeedbackFilter:
+    """The filter that carries the robot's belief between fixes: _predict
+    for each odometry edge, information_mean for each fix."""
+
+    def test_predict_uses_the_jacobians_of_compose(self):
+        # F and G by central differences of PoseSE2.compose, away from the
+        # heading wrap
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            pose = PoseSE2(*rng.uniform(-5, 5, 2), rng.uniform(-2.5, 2.5))
+            delta = PoseSE2(*rng.normal(0, 0.3, 2), rng.uniform(-0.3, 0.3))
+            f = central_difference_jacobian(
+                lambda p: PoseSE2(*p).compose(delta).as_array(), pose.as_array())
+            g = central_difference_jacobian(
+                lambda d: pose.compose(PoseSE2(*d)).as_array(), delta.as_array())
+            cov, delta_cov = random_covariance(rng), random_covariance(rng)
+            zero = np.zeros((3, 3))
+            for p, q, want in ((cov, zero, f @ cov @ f.T),
+                               (zero, delta_cov, g @ delta_cov @ g.T)):
+                got = _predict(p, pose.compose(delta), delta, q)
+                assert np.abs(got - want).max() < 1e-6 * max(np.abs(want).max(), 1.0)
+
+    def test_filter_is_the_batch_solve_on_a_straight_chain(self):
+        """Driving along x at heading 0 with fixes at y = theta = 0, the
+        graph's optimum keeps y = theta = 0 and is linear in x: after every
+        fix, the filter's pose is the batch solve's newest node."""
+        rng = np.random.default_rng(29)
+        graph = PoseGraph()
+        pose, cov, worst, n_fixes = PoseSE2(), None, 0.0, 0
+        for nid in range(1, 121):
+            delta = PoseSE2(0.1 + rng.normal(0, 0.01), 0.0, 0.0)
+            delta_cov = np.diag([rng.uniform(0.5, 2.0) * 1e-4, 1e-4, 2.5e-5])
+            graph.add_odometry(delta, delta_cov, stamp=float(nid))
+            pose = pose.compose(delta)
+            if cov is not None:
+                cov = _predict(cov, pose, delta, delta_cov)
+            if nid % 7:
+                continue
+            fix = PoseEstimate(PoseSE2(0.1 * nid + rng.normal(0, 0.02), 0.0, 0.0),
+                               np.diag([rng.uniform(1, 9) * 1e-4, 4e-4, 1e-4]),
+                               rms_residual=1.0, n_cameras=2, n_keypoints=8, stamp=float(nid))
+            graph.add_camera_estimate(nid, fix)
+            pose, cov = ((fix.pose, fix.covariance) if cov is None
+                         else information_mean([pose, fix.pose], [cov, fix.covariance]))
+            graph.optimize()
+            newest = graph.nodes[-1].pose
+            worst = max(worst, abs(newest.x - pose.x), abs(newest.y - pose.y),
+                        abs(angle_diff(newest.theta, pose.theta)))
+            n_fixes += 1
+        assert n_fixes == 17
+        assert worst < 1e-9
 
 
 def test_relocalization_imports_no_scipy(scenario_dir):
