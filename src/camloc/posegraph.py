@@ -8,6 +8,8 @@ Tutorial on Graph-Based SLAM", 2010): a unary residual is (p - m,
 wrap(theta - theta_m)) in the world frame of the estimate's covariance, and
 an odometry residual is R(-theta_i)(p_j - p_i) - delta_xy, wrap(theta_j -
 theta_i - delta_theta) in node i's frame, where odometry draws its noise.
+Nodes and edges are kept as plain lists, each edge with its covariance; a
+solve stacks them into arrays and inverts every covariance in one batch.
 The graph is solved on the ground-plane manifold by the LM loop of the pose
 solve (estimation.levenberg_marquardt), with residual and normal-equation
 assembly vectorized across edges. The chain's Hessian is block-tridiagonal
@@ -17,7 +19,8 @@ whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,49 +32,11 @@ from .sync import nearest_stamp_index
 STAMP_MISMATCH_WARN = 0.1  # s; a nearest node farther off counts a mismatch
 
 
-class _Rows:
-    """Append-only array of equal-shape rows, grown by doubling."""
-
-    def __init__(self, dtype=float, shape=()):
-        self._data = np.empty((8, *shape), dtype=dtype)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, row) -> None:
-        if self._n == len(self._data):
-            self._data = np.concatenate([self._data, np.empty_like(self._data)])
-        self._data[self._n] = row
-        self._n += 1
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._data[: self._n]
-
-
-ODOMETRY_EDGE = np.dtype([("delta", float, 3), ("information", float, (3, 3))])
-UNARY_EDGE = np.dtype(
-    [("node_id", int), ("measurement", float, 3), ("information", float, (3, 3))]
-)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: int
     stamp: float
-    _poses: _Rows = field(repr=False, compare=False)
-
-    @property
-    def pose(self) -> PoseSE2:
-        """Current estimate, read from the graph's pose array."""
-        return PoseSE2(*self._poses.view[self.id])
-
-
-def _information(covariance) -> np.ndarray:
-    cov = np.asarray(covariance, dtype=float).reshape(3, 3)
-    np.linalg.cholesky(cov)  # positive-definite check
-    return np.linalg.inv(cov)
+    pose: PoseSE2
 
 
 def _into_frame(theta, d):
@@ -92,40 +57,36 @@ _BLOCK = np.indices((3, 3)).reshape(2, -1)
 
 class PoseGraph:
     def __init__(self, initial_pose: PoseSE2 | None = None, initial_stamp: float = 0.0):
-        self.nodes: list[Node] = []
-        self._stamps = _Rows()
-        self._poses = _Rows(shape=(3,))
-        self.odometry_edges = _Rows(ODOMETRY_EDGE)
-        self.unary_edges = _Rows(UNARY_EDGE)
+        self.nodes = [Node(0, initial_stamp, initial_pose or PoseSE2())]  # the anchor
+        self._stamps = [initial_stamp]  # the nodes' stamps, for nearest_node
+        self.odometry_edges: list[tuple] = []  # (delta (3,), covariance (3, 3))
+        self.unary_edges: list[tuple] = []  # (node id, measurement (3,), covariance (3, 3))
         self.stamp_mismatch_warnings = 0
-        self._add_node(initial_stamp, initial_pose or PoseSE2())  # the anchor, node 0
-
-    def _add_node(self, stamp: float, pose: PoseSE2) -> Node:
-        self.nodes.append(Node(len(self.nodes), stamp, self._poses))
-        self._stamps.append(stamp)
-        self._poses.append(pose.as_array())
-        return self.nodes[-1]
 
     def add_odometry(self, delta: PoseSE2, covariance, stamp: float) -> int:
         """Append a node at previous ∘ delta with a binary odometry edge."""
-        info = _information(covariance)
+        cov = np.array(covariance, dtype=float).reshape(3, 3)
+        np.linalg.cholesky(cov)  # positive-definite check
         prev = self.nodes[-1]
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")
-        node = self._add_node(stamp, prev.pose.compose(delta))
-        self.odometry_edges.append((delta.as_array(), info))
-        return node.id
+        self.nodes.append(Node(len(self.nodes), stamp, prev.pose.compose(delta)))
+        self._stamps.append(stamp)
+        self.odometry_edges.append((delta.as_array(), cov))
+        return len(self.nodes) - 1
 
     def add_camera_estimate(self, node_id: int, estimate: PoseEstimate) -> None:
-        """Attach an absolute unary constraint to an existing node."""
+        """Attach an absolute unary constraint to an existing node; a
+        PoseEstimate's covariance is positive definite by construction."""
         if not 0 <= node_id < len(self.nodes):
             raise UnknownNode(f"node {node_id} does not exist")
-        info = _information(estimate.covariance)
-        self.unary_edges.append((node_id, estimate.pose.as_array(), info))
+        self.unary_edges.append((node_id, estimate.pose.as_array(), estimate.covariance))
 
     def nearest_node(self, stamp: float) -> int:
         """Node id with stamp closest to the given stamp."""
-        best = self.nodes[int(nearest_stamp_index(self._stamps.view, stamp))]
+        # the nearest stamp is one of the two that bracket the query
+        first = max(bisect.bisect_left(self._stamps, stamp) - 1, 0)
+        best = self.nodes[first + int(nearest_stamp_index(self._stamps[first:first + 2], stamp))]
         if abs(best.stamp - stamp) > STAMP_MISMATCH_WARN:
             self.stamp_mismatch_warnings += 1
         return best.id
@@ -135,14 +96,21 @@ class PoseGraph:
 
     # -- optimization -----------------------------------------------------
 
+    def _pose_array(self) -> np.ndarray:
+        """The node poses as an (n, 3) array of (x, y, theta) rows."""
+        return np.array([(n.pose.x, n.pose.y, n.pose.theta) for n in self.nodes])
+
     def _edge_arrays(self):
-        """Fields of the edges as C-contiguous arrays, the layout the batched
-        solver math expects: (deltas, odometry information, unary node ids,
-        measurements, unary information)."""
-        odo, un = self.odometry_edges.view, self.unary_edges.view
-        fields = (odo["delta"], odo["information"],
-                  un["node_id"], un["measurement"], un["information"])
-        return tuple(np.ascontiguousarray(f) for f in fields)
+        """The edges as arrays, the layout the batched solver math expects:
+        (deltas, odometry information, unary node ids, measurements, unary
+        information). Every covariance is inverted here, in one batch."""
+        odo, un = self.odometry_edges, self.unary_edges
+        deltas = np.array([d for d, _ in odo]).reshape(-1, 3)
+        o_cov = np.array([c for _, c in odo]).reshape(-1, 3, 3)
+        ids = np.array([i for i, _, _ in un], dtype=int)
+        measurements = np.array([m for _, m, _ in un]).reshape(-1, 3)
+        u_cov = np.array([c for _, _, c in un]).reshape(-1, 3, 3)
+        return deltas, np.linalg.inv(o_cov), ids, measurements, np.linalg.inv(u_cov)
 
     @staticmethod
     def _residuals(poses, od, ui, um):
@@ -164,17 +132,17 @@ class PoseGraph:
         return obj, (r_odo, r_un)
 
     def objective(self) -> float:
-        return self._objective_from(self._poses.view, self._edge_arrays())[0]
+        return self._objective_from(self._pose_array(), self._edge_arrays())[0]
 
     def optimize(self, config: SolverConfig | None = None):
         """Minimize the sum of Mahalanobis residuals over every node, from
-        the current poses; node poses are updated in place."""
+        the current poses, and replace ``nodes`` by nodes at the solution."""
         import scipy.linalg  # here, not at module level: the import alone costs ~0.3 s
         config = config or SolverConfig()
         if not self.unary_edges:
             raise GaugeFree("graph has no absolute constraint")
         arrays = self._edge_arrays()
-        poses = self._poses.view.copy()
+        poses = self._pose_array()
 
         def evaluate(state):
             return self._objective_from(state, arrays)
@@ -201,7 +169,7 @@ class PoseGraph:
             poses, evaluate, linearize, trial, min(config.lm_lambda_init, 1e-8), 1e-12, config)
         if diverged:
             raise SolverDiverged(f"non-finite state at objective {obj:.3g}")
-        self._poses.view[:] = poses
+        self.nodes = [Node(n.id, n.stamp, PoseSE2(*p)) for n, p in zip(self.nodes, poses.tolist())]
 
     def _normal_equations(self, poses, arrays, residuals):
         """Upper band (6, 3n) and gradient (3n,) of the normal equations in

@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .estimation import MIN_SEED_KEYPOINTS, GateThresholds, SolverConfig
 from .geometry import CameraModel, PoseSE2, RigidTransform3, RobotModel, project_robot
 from .simulation import (
+    ODOMETRY_SIGMA_MAX,
     NoiseModel,
     OdometryNoise,
     TrajectoryScript,
@@ -145,6 +146,14 @@ def _mode(value, where) -> str:
     return value
 
 
+def _odometry_sigma(value, where) -> float:
+    """An OdometryNoise sigma; one out of range is named by its dotted path."""
+    sigma = wire_float(value, where)
+    if not 0 <= sigma <= ODOMETRY_SIGMA_MAX:
+        raise ValueError(f"{where} {value!r} is not in [0, {ODOMETRY_SIGMA_MAX:.3g}]")
+    return sigma
+
+
 def _waypoint(x, y, theta=0.0, **kwargs) -> Waypoint:
     return Waypoint(pose=PoseSE2(x, y, theta), **kwargs)
 
@@ -198,9 +207,9 @@ _TOP = {
         "timestamp_jitter_s": ("timestamp_jitter", wire_float, False),
     }), False),
     "odometry_noise": ("odometry_noise", _object(OdometryNoise, {
-        "trans_sigma_per_sqrt_m": ("trans_sigma_per_meter", wire_float, False),
-        "rot_sigma_per_sqrt_m": ("rot_sigma_per_meter", wire_float, False),
-        "rot_sigma_per_sqrt_rad": ("rot_sigma_per_rad", wire_float, False),
+        "trans_sigma_per_sqrt_m": ("trans_sigma_per_meter", _odometry_sigma, False),
+        "rot_sigma_per_sqrt_m": ("rot_sigma_per_meter", _odometry_sigma, False),
+        "rot_sigma_per_sqrt_rad": ("rot_sigma_per_rad", _odometry_sigma, False),
         "bias_trans_m_per_m": ("bias_trans", wire_float, False),
         "bias_rot_rad_per_m": ("bias_rot", wire_float, False),
     }), False),

@@ -34,12 +34,20 @@ class NoiseModel:
             raise ValueError("sigmas must be non-negative")
 
 
+ODOMETRY_SIGMA_MAX = float(np.finfo(float).max) ** (1 / 3)  # see OdometryNoise
+
+
 @dataclass
 class OdometryNoise:
     """Drift model for dead-reckoned odometry, scaled by distance traveled.
 
     Defaults are calibrated so that integrating a straight 5 m drive gives a
     median terminal error around 19 cm.
+
+    Each sigma is at most ODOMETRY_SIGMA_MAX (5.6e102). A node's odometry
+    variance is the square of sigma * sqrt(span), and the span is measured
+    from odometry that itself carries noise of sigma * sqrt(step), so the
+    variance grows as sigma cubed: past the bound it overflows a float.
     """
 
     trans_sigma_per_meter: float = 0.0625  # m / sqrt(m)
@@ -54,8 +62,8 @@ class OdometryNoise:
             self.rot_sigma_per_meter,
             self.rot_sigma_per_rad,
         ):
-            if not s >= 0:
-                raise ValueError("sigmas must be non-negative")
+            if not 0 <= s <= ODOMETRY_SIGMA_MAX:
+                raise ValueError(f"sigmas must be in [0, {ODOMETRY_SIGMA_MAX:.3g}]")
         if not (math.isfinite(self.bias_trans) and math.isfinite(self.bias_rot)):
             raise ValueError("biases must be finite")
 

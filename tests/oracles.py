@@ -17,7 +17,8 @@ import numpy as np
 
 from camloc import estimation
 from camloc.errors import GaugeFree, SolverDiverged
-from camloc.geometry import reprojection_kernel, wrap_angle, wrap_angles
+from camloc.geometry import PoseSE2, reprojection_kernel, wrap_angle, wrap_angles
+from camloc.posegraph import Node
 
 try:
     from numba import njit
@@ -319,7 +320,7 @@ def reference_graph_optimize(graph, config=None):
     if not graph.unary_edges:
         raise GaugeFree("graph has no absolute constraint")
     arrays = graph._edge_arrays()
-    poses = graph._poses.view.copy()
+    poses = np.array([n.pose.as_array() for n in graph.nodes])
     obj, res = graph._objective_from(poses, arrays)
     lam = min(config.lm_lambda_init, 1e-8)
     for _ in range(config.max_iterations):
@@ -354,7 +355,7 @@ def reference_graph_optimize(graph, config=None):
             break
         if rel < config.convergence_tol:
             break
-    graph._poses.view[:] = poses
+    graph.nodes = [Node(n.id, n.stamp, PoseSE2(*p)) for n, p in zip(graph.nodes, poses)]
 
 
 # -- finite differences ---------------------------------------------------

@@ -194,10 +194,20 @@ class TestConfigValidation:
         (lambda d: d["sync"].update(max_open_sets=-3), "max_open_sets"),
         (lambda d: d.update(robot_model={"keypoints_m": [[0, 0, 0]] * 4, "body_width_m": 0.3}),
          "robot_model"),
+        # finite sigmas whose odometry covariance overflows a float
+        (lambda d: d["odometry_noise"].update(trans_sigma_per_sqrt_m=1e200),
+         "odometry_noise.trans_sigma_per_sqrt_m"),
+        (lambda d: d["odometry_noise"].update(rot_sigma_per_sqrt_m=1e200),
+         "odometry_noise.rot_sigma_per_sqrt_m"),
+        (lambda d: d["odometry_noise"].update(rot_sigma_per_sqrt_rad=1e200),
+         "odometry_noise.rot_sigma_per_sqrt_rad"),
+        (lambda d: d["odometry_noise"].update(rot_sigma_per_sqrt_rad=1e154),
+         "odometry_noise.rot_sigma_per_sqrt_rad"),
     ], ids=["feedback_string", "seed_fraction", "seed_bool", "seed_negative",
             "camera_id_fraction", "camera_id_repeated", "stride_fraction", "sample_dt_infinite",
             "dwell_negative", "pixel_sigma_nan", "max_open_sets_negative",
-            "robot_model_coincident"])
+            "robot_model_coincident", "trans_sigma_overflowing", "rot_sigma_per_m_overflowing",
+            "rot_sigma_per_rad_overflowing", "rot_sigma_per_rad_overflowing_through_turn"])
     def test_bad_value_exits_2_naming_key(self, small_scenario, tmp_path, capsys, edit, key):
         doc = json.loads(small_scenario.read_text())
         edit(doc)
