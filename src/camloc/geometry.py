@@ -2,7 +2,10 @@
 
 Everything here is a pure function of immutable value types: a ground-plane
 robot pose (x, y, theta), calibrated pinhole cameras with fixed extrinsics,
-and a rigid set of 3D keypoints on the robot body.
+and a rigid set of 3D keypoints on the robot body. The one cache, of the
+rig's linear map (_rig_map), changes no result: it is built once per
+(cameras, robot model), and the rig projection and every flattened
+frame-set read their columns from it.
 """
 
 from __future__ import annotations
@@ -203,7 +206,8 @@ class FlatObservations:
 
 
 def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
-    """Flatten a frame-set into one FlatObservations.
+    """Flatten a frame-set into one FlatObservations, gathering its columns
+    from the rig's linear map (see _rig_map).
 
     A detection more than one image width (u) or height (v) outside its
     camera's image is dropped and counted in ``rejected``: no camera could
@@ -214,8 +218,9 @@ def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservatio
     Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
     for a keypoint index outside the robot model.
     """
-    rig = {c.camera_id: c for c in cameras}
-    unknown = frameset.per_camera.keys() - rig.keys()
+    rig_cams, rig_map, rig_center, rig_size = _rig_map(cameras, model)
+    position = {c.camera_id: i for i, c in enumerate(rig_cams)}
+    unknown = frameset.per_camera.keys() - position.keys()
     if unknown:
         raise UnknownCamera(f"camera {min(unknown)} not in rig")
     ids = sorted(frameset.per_camera)
@@ -227,17 +232,17 @@ def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservatio
                               f"{model.n_keypoints}-keypoint robot model")
     n_rows = [len(m.keypoints) for m in messages]
     pixel = np.concatenate([m.pixels for m in messages] + [np.zeros((0, 2))])
-    size = np.repeat(np.array([(rig[i].width, rig[i].height) for i in ids], dtype=float)
-                     .reshape(-1, 2), n_rows, axis=0)
+    rig_row = np.repeat(np.array([position[i] for i in ids], dtype=int), n_rows)
+    size = rig_size[rig_row, :, 0]
     keep = (np.abs(pixel - 0.5 * size) <= 1.5 * size).all(axis=1)
     counts = np.bincount(np.repeat(np.arange(len(ids)), n_rows)[keep], minlength=len(ids))
-    cams = tuple(rig[i] for i, n in zip(ids, counts) if n)
+    cams = tuple(rig_cams[position[i]] for i, n in zip(ids, counts) if n)
     counts = counts[counts > 0]  # kept keypoints per contributing camera
-    linear_map, center = _linear_map(cams, np.repeat(np.arange(len(cams)), counts),
-                                     model.keypoints[idx[keep]])
+    m = model.n_keypoints
+    columns = (rig_row * m + idx)[keep]
     return FlatObservations(
-        linear_map=linear_map,
-        center=center,
+        linear_map=rig_map.reshape(5, 3, len(rig_cams) * m).take(columns, axis=2).reshape(5, -1),
+        center=rig_center.take(columns, axis=1),
         pixel=pixel[keep].T.copy(),
         weight=np.concatenate([m.confidence for m in messages] + [np.zeros(0)])[keep],
         stamp=frameset.anchor_stamp,
@@ -262,6 +267,34 @@ def _linear_map(cams, cam_row, body_points):
     return linear_map.reshape(5, -1), intrinsics[cam_row, 3:].T.copy()
 
 
+_last_rig = ((), None, None, None, None)  # (cameras, model, *_rig_map's arrays)
+
+
+def _rig_map(cameras, model: RobotModel):
+    """The cameras as a tuple, and the linear map (5, 3CM), principal points
+    (2, CM) and image sizes (C, 2, 1) of the C cameras: column i * M + j is
+    keypoint j of ``model`` in camera i. _linear_map computes a column from
+    its camera and keypoint alone, so gathered columns have the bits of a
+    fresh map of just those columns.
+
+    Every caller passes one rig, so one entry is kept. It is reused while
+    the cameras, in order, and the model are the same objects, and it holds
+    them, so their ids cannot be reused."""
+    global _last_rig
+    cams, last_model, *arrays = _last_rig
+    if (last_model is not model or len(cams) != len(cameras)
+            or any(a is not b for a, b in zip(cams, cameras))):
+        cams, m = tuple(cameras), model.n_keypoints
+        linear_map, center = _linear_map(cams, np.repeat(np.arange(len(cams)), m),
+                                         np.tile(model.keypoints, (len(cams), 1)))
+        size = np.array([(c.width, c.height) for c in cams], dtype=int).reshape(-1, 2, 1)
+        arrays = [linear_map, center, size]
+        for a in arrays:
+            a.flags.writeable = False
+        _last_rig = (cams, model, *arrays)
+    return (cams, *arrays)
+
+
 def _pixel_offset(pc):
     """Pixel offset from the principal point (2, K) of camera-frame points
     pc (3, K) whose x and y are scaled by fx and fy, and the depth it
@@ -276,14 +309,12 @@ def project_robot(pose: PoseSE2, cameras, model: RobotModel):
     given order: keypoint j is visible in camera i iff it lies more than
     MIN_DEPTH in front of the camera and its pixel, rounded to the pixel
     grid, lands inside the image."""
-    cams, m = tuple(cameras), model.n_keypoints
-    linear_map, center = _linear_map(cams, np.repeat(np.arange(len(cams)), m),
-                                     np.tile(model.keypoints, (len(cams), 1)))
+    cams, linear_map, center, size = _rig_map(cameras, model)
+    m = model.n_keypoints
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     pc = (np.array([c, s, pose.x, pose.y, 1.0]) @ linear_map).reshape(3, -1)
     pixels = (_pixel_offset(pc)[0] + center).reshape(2, len(cams), m)
     col, row = np.round(pixels)
-    size = np.array([(cam.width, cam.height) for cam in cams]).reshape(-1, 2, 1)
     visible = ((pc[2].reshape(len(cams), m) > MIN_DEPTH) & (col >= 0) & (col < size[:, 0])
                & (row >= 0) & (row < size[:, 1]))
     return pixels.transpose(1, 2, 0), visible

@@ -1,9 +1,11 @@
 """End-to-end scenario runner: simulation, synchronization, per-mode
 estimation, pose-graph fusion, feedback, and metric export.
 
-Two independent random streams are derived from the scenario seed, one for
-detections and one for odometry, so that a recorded detection stream can be
-replayed against regenerated odometry with bit-identical results.
+Detections and odometry draw from independent generators derived from the
+scenario seed: one per simulated frame, from the seed and the sample index,
+and one odometry stream. A recorded detection stream can then be replayed
+against regenerated odometry with bit-identical results, and a run can
+simulate only the frames it reads.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ class RunResult:
     counters: dict = field(default_factory=dict)
 
 
-def _detection_rng(seed):
-    return np.random.default_rng([int(seed), 0])
+def _frame_rng(seed, i):
+    """Sample i's detection generator: a frame's draws depend on the seed and
+    the sample index alone, not on the frames simulated before it."""
+    return np.random.default_rng([int(seed), 0, i])
 
 
 def _odometry_rng(seed):
@@ -69,14 +73,15 @@ def _odometry_rng(seed):
 def simulate_detections(config: ScenarioConfig, samples=None):
     """Generate the detection message stream for a scenario, stamp-ordered."""
     samples = samples or script_trajectory(config.trajectory)
-    rng = _detection_rng(config.seed)
+    return _simulate(config, samples, range(0, len(samples), config.frame_stride))
+
+
+def _simulate(config, samples, frames):
+    """The stamp-ordered detections of the frames at sample indices ``frames``."""
     messages = []
-    for i, sample in enumerate(samples):
-        if i % config.frame_stride:
-            continue
-        messages.extend(
-            simulate_frame(sample, config.cameras, config.robot_model, config.noise, rng)
-        )
+    for i in frames:
+        messages.extend(simulate_frame(samples[i], config.cameras, config.robot_model,
+                                       config.noise, _frame_rng(config.seed, i)))
     messages.sort(key=lambda m: (m.stamp, m.camera_id))
     return messages
 
@@ -120,8 +125,12 @@ def _waypoint_windows(samples, waypoints):
 def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResult:
     """Run the full estimation pipeline on a recorded or simulated detection
     stream; odometry is always regenerated from the seed. Without messages,
-    the stream is simulated only if some output solves frame-sets. Without
-    samples, the scenario's trajectory is scripted here.
+    only the frames some output solves are simulated: every frame for a
+    per-frame mode (raw, gated_1frame, averaged_5frames), none for the
+    robot's track alone, and for fused or feedback alone the static ones,
+    when no two samples can share a frame-set. Each frame has its own
+    generator, so the result is that of simulate_detections' stream.
+    Without samples, the scenario's trajectory is scripted here.
 
     Three passes: every sample's odometry increment; the frame-set solves,
     each started from the last accepted pose moved by the odometry since;
@@ -134,7 +143,13 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
     need_estimates = any(m in config.modes
                          for m in ("raw", "gated_1frame", "averaged_5frames"))
     if messages is None:
-        messages = simulate_detections(config, samples) if need_estimates or need_fused else []
+        frames = range(0, len(samples), config.frame_stride)
+        # samples farther apart than a sync window and the jitter's span
+        # never share a frame-set, so the static frames stand alone
+        apart = config.trajectory.sample_dt > config.sync.window + 6 * config.noise.timestamp_jitter
+        if not need_estimates and (apart or not need_fused):
+            frames = [i for i in frames if need_fused and samples[i].is_static]
+        messages = _simulate(config, samples, frames)
 
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
     framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()

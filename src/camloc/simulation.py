@@ -3,7 +3,9 @@ detections with noise/confidence/dropout, and drifting odometry.
 
 Stands in for a real detection pipeline so the estimator can be exercised
 against exact ground truth. All randomness flows through a caller-provided
-seeded generator; identical seeds give bit-identical outputs.
+seeded generator; identical seeds give bit-identical outputs. A frame's
+detection noise is drawn as arrays in one fixed layout (see
+simulate_frame), so its detections depend on its generator alone.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class Waypoint:
             raise ValueError("dwell must be finite and non-negative")
 
 
+MAX_SAMPLES = 10**6  # a longer TrajectoryScript is rejected; long_feedback takes 1814
+
+
 @dataclass
 class TrajectoryScript:
     waypoints: list
@@ -93,6 +98,9 @@ class TrajectoryScript:
             raise ValueError("speed, turn_rate and sample_dt must be finite and positive")
         self.waypoints = [wp if wp.label is not None else replace(wp, label=i)
                           for i, wp in enumerate(self.waypoints)]
+        n = sum(ph.duration for ph in _phases(self)[0]) / self.sample_dt
+        if not n <= MAX_SAMPLES:
+            raise ValueError(f"the script takes {n:.3g} samples, more than {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +148,8 @@ def _drive_phase(p0, p1, heading, speed):
     return _Phase(duration, pose_fn, False)
 
 
-def script_trajectory(script: TrajectoryScript):
-    """Sample the scripted motion every sample_dt.
-
-    Between waypoints the robot turns in place toward the travel direction,
-    drives straight, turns to the waypoint's commanded heading, then dwells
-    (is_static) for the waypoint's dwell time.
-    """
+def _phases(script: TrajectoryScript):
+    """The script's motion phases, and the pose it ends at."""
     phases = []
     wps = script.waypoints
     first = wps[0]
@@ -170,7 +173,18 @@ def script_trajectory(script: TrajectoryScript):
         if wp.dwell > 0:
             phases.append(_dwell_phase(wp.pose, wp.dwell, idx))
         cur = wp.pose
+    return phases, cur
 
+
+def script_trajectory(script: TrajectoryScript):
+    """Sample the scripted motion every sample_dt.
+
+    Between waypoints the robot turns in place toward the travel direction,
+    drives straight, turns to the waypoint's commanded heading, then dwells
+    (is_static) for the waypoint's dwell time.
+    """
+    phases, cur = _phases(script)
+    wps = script.waypoints
     total = sum(p.duration for p in phases)
     n = int(math.floor(total / script.sample_dt + 1e-9))
     samples = []
@@ -192,7 +206,7 @@ def script_trajectory(script: TrajectoryScript):
             sample = GroundTruthSample(t, cur, bool(wps[-1].dwell > 0), len(wps) - 1)
         samples.append(sample)
     if not phases:  # single waypoint, zero dwell
-        samples = [GroundTruthSample(0.0, first.pose, True, 0)]
+        samples = [GroundTruthSample(0.0, wps[0].pose, True, 0)]
     return samples
 
 
@@ -203,38 +217,39 @@ def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
     pixel noise (clipped at 6 sigma), dropped out at random, and occasionally
     replaced by uniform-offset outliers. Confidence reflects only the
     Gaussian component, so outliers keep a deceptively plausible confidence.
+
+    The noise is drawn as arrays over the C cameras, in camera-id order, by
+    the M model keypoints, in this order and whether or not a keypoint is
+    visible or a sigma is 0: the dropout uniforms (C, M), the pixel normals
+    (C, M, 2), the outlier uniforms (C, M), the outlier angles (C, M) and
+    radii (C, M), and the stamp jitter (C,).
     """
     cameras = sorted(cameras, key=lambda c: c.camera_id)
+    pixels, visible = project_robot(sample.pose, cameras, model)
+    shape = visible.shape
+    kept = visible & (rng.random(shape) >= noise.dropout_prob)
+    offset = rng.normal(0.0, noise.pixel_sigma, shape + (2,))
+    mag = np.hypot(offset[..., 0], offset[..., 1])
+    limit = 6.0 * noise.pixel_sigma
+    clipped = mag > limit
+    offset[clipped] *= (limit / mag[clipped])[:, None]
+    mag[clipped] = limit
+    confidence = np.clip(1.0 - mag / (3.0 * noise.pixel_sigma + 1e-9),
+                         noise.confidence_floor, 1.0)
+    pixels = pixels + offset  # a C-ordered copy, cheaper to gather per camera
+    outlier = rng.random(shape) < noise.outlier_prob
+    angle = rng.uniform(0.0, 2.0 * math.pi, shape)[outlier]
+    radius = rng.uniform(0.0, noise.outlier_spread, shape)[outlier]
+    pixels[outlier] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    jitter = np.clip(rng.normal(0.0, noise.timestamp_jitter, len(cameras)),
+                     -3 * noise.timestamp_jitter, 3 * noise.timestamp_jitter).tolist()
     messages = []
-    for camera, pix, visible in zip(cameras, *project_robot(sample.pose, cameras, model)):
-        ids, pixels, confidence = [], [], []
-        for j in np.nonzero(visible)[0]:
-            if rng.random() < noise.dropout_prob:
-                continue
-            offset = rng.normal(0.0, noise.pixel_sigma, size=2) if noise.pixel_sigma > 0 else np.zeros(2)
-            mag = float(np.hypot(offset[0], offset[1]))
-            limit = 6.0 * noise.pixel_sigma
-            if mag > limit > 0:
-                offset *= limit / mag
-                mag = limit
-            conf = 1.0 - mag / (3.0 * noise.pixel_sigma + 1e-9) if noise.pixel_sigma > 0 else 1.0
-            conf = min(1.0, max(noise.confidence_floor, conf))
-            p = pix[j] + offset
-            if rng.random() < noise.outlier_prob:
-                ang = rng.uniform(0.0, 2.0 * math.pi)
-                radius = rng.uniform(0.0, noise.outlier_spread)
-                p = p + radius * np.array([math.cos(ang), math.sin(ang)])
-            ids.append(j)
-            pixels.append(p)
-            confidence.append(conf)
-        if not ids:
-            continue
-        jitter = 0.0
-        if noise.timestamp_jitter > 0:
-            jitter = float(np.clip(rng.normal(0.0, noise.timestamp_jitter),
-                                   -3 * noise.timestamp_jitter, 3 * noise.timestamp_jitter))
-        stamp = ns_to_stamp(stamp_to_ns(sample.stamp + jitter))
-        messages.append(DetectionMessage(camera.camera_id, stamp, ids, pixels, confidence))
+    for i, camera in enumerate(cameras):
+        ids = kept[i].nonzero()[0]
+        if len(ids):
+            stamp = ns_to_stamp(stamp_to_ns(sample.stamp + jitter[i]))
+            messages.append(DetectionMessage(camera.camera_id, stamp, ids, pixels[i, ids],
+                                             confidence[i, ids]))
     return messages
 
 

@@ -8,6 +8,7 @@ common window, and emits completed sets in strictly increasing anchor order.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -38,10 +39,12 @@ class DetectionMessage:
         object.__setattr__(self, "confidence", conf)
         if not len(ids) == len(pixels) == len(conf):
             raise ValueError("keypoints, pixels and confidence differ in length")
-        if not np.isfinite(pixels).all():
+        # checked on Python floats: at a few keypoints numpy's per-call cost
+        # is most of the work
+        if not all(map(math.isfinite, pixels.ravel().tolist())):
             bad = pixels[~np.isfinite(pixels).all(axis=1)][0]
             raise ValueError(f"non-finite pixel {bad.tolist()}")
-        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        if not all(0.0 <= c <= 1.0 for c in conf.tolist()):  # NaN fails too
             raise ValueError("confidence outside [0, 1]")
         if len(set(ids.tolist())) != len(ids):
             raise ValueError("duplicate keypoint indices in message")

@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +221,24 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_runaway_sample_count_exits_2(self, scenario_dir, tmp_path):
+        """A script that would take more than MAX_SAMPLES samples is rejected
+        before it is sampled. It runs in a child process limited to 60 s and
+        2 GB, so that a regression fails instead of sampling without end."""
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "camloc.cli", "run", "--scenario",
+             str(scenario_dir / "traj3.json"), "--out", str(tmp_path / "o"),
+             "--override", "trajectory.speed_mps=1e-300"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: trajectory: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override,segment", [
         ("cameras.0.fx_px=700", "cameras"),
         ("seed.x=3", "seed"),
@@ -331,12 +353,14 @@ class TestRun:
         # The simulated stream depends only on the scenario and the seed, so a
         # change to estimation or fusion leaves these bytes alone; a change to
         # the simulator's draws or projection updates the digest openly. The
-        # one rig projection (project_robot) moved pixels by <= 7e-13 px.
+        # one rig projection (project_robot) moved pixels by <= 7e-13 px. The
+        # digest changed again when each frame got its own generator and its
+        # noise became array draws over cameras x keypoints.
         out = tmp_path / "out"
         assert cli.main(["run", "--scenario", str(scenario_dir / "traj1.json"),
                          "--out", str(out), "--seed", "7"]) == 0
         digest = hashlib.sha256((out / "detections.jsonl").read_bytes()).hexdigest()
-        assert digest == "93d69e89b103f6741e1454ecef2bb7f1fd102b3051a7019b36b362ac849fda89"
+        assert digest == "6bcdd4be21cbac89103db26faa961fe5d82008e1b725669477a38b6659d3b3ab"
 
     def test_trajectory_scripted_once(self, small_scenario, tmp_path, monkeypatch):
         """camloc run scripts the trajectory once and hands the samples to
@@ -684,6 +708,46 @@ class TestSimulationOnlyWhenRead:
         assert ours.stamps.tobytes() == theirs.stamps.tobytes()
         assert (np.array([p.as_array() for p in ours.poses]).tobytes()
                 == np.array([p.as_array() for p in theirs.poses]).tobytes())
+
+    @pytest.mark.parametrize("name,overrides,static_only", [
+        ("long_feedback", {}, True),
+        # samples 20 ms apart can share a 50 ms sync window, so every frame is
+        # simulated; simulating only the static ones changes the tracks here
+        ("long_feedback", {"trajectory.sample_dt_s": "0.02"}, False),
+    ], ids=["long_feedback", "frames_within_a_window"])
+    def test_feedback_run_simulates_only_static_frames(self, scenario_dir, monkeypatch,
+                                                       name, overrides, static_only):
+        """With feedback on and no per-frame mode, run_pipeline simulates only
+        the static frames, when no two samples can share a frame-set. They
+        are those frames of the whole stream, bit for bit, and the robot and
+        fused tracks are those of a run on it."""
+        config = load_config(scenario_dir / f"{name}.json", {
+            "seed": 7, "modes": '["robot","fused"]', "feedback": "true", **overrides})
+        samples = simulation.script_trajectory(config.trajectory)
+        whole = pipeline.simulate_detections(config, samples)
+        simulated = []
+
+        def recorded(sample, *args):
+            messages = simulation.simulate_frame(sample, *args)
+            simulated.append((sample, messages))
+            return messages
+
+        monkeypatch.setattr(pipeline, "simulate_frame", recorded)
+        ours = run_pipeline(config)
+        monkeypatch.undo()
+        theirs = run_pipeline(config, whole)
+        frames = samples[::config.frame_stride]
+        static = [s for s in frames if s.is_static]
+        assert len(static) < len(frames) / 2
+        assert [sample for sample, _ in simulated] == (static if static_only else frames)
+        lines = [message_to_json(m) for _, messages in simulated for m in messages]
+        assert set(lines) <= {message_to_json(m) for m in whole}
+        assert ours.counters["feedback_applications"] > 50
+        for mode in ("robot", "fused"):
+            a, b = ours.mode_trajectories[mode], theirs.mode_trajectories[mode]
+            assert a.stamps.tobytes() == b.stamps.tobytes()
+            assert (np.array([p.as_array() for p in a.poses]).tobytes()
+                    == np.array([p.as_array() for p in b.poses]).tobytes())
 
     def test_robot_only_cli_run_records_the_stream(self, small_scenario, tmp_path):
         for name, extra in (("all", []), ("robot", ["--override", 'modes=["robot"]'])):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from camloc import geometry
 from camloc.errors import UnknownCamera, UnknownKeypoint
 from camloc.geometry import (
     MIN_DEPTH,
@@ -403,3 +404,64 @@ class TestReprojectionKernel:
                 assert np.abs(block - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
         assert in_front[0] == in_front[1] == n
         assert 0 < in_front[2] < n and depth[2].min() < 0
+
+
+def _fresh_projection(pose, cameras, model):
+    """project_robot's arithmetic on a linear map built afresh: pixels
+    (C, M, 2) and camera-frame depths (C, M)."""
+    cams, m = tuple(cameras), model.n_keypoints
+    linear_map, center = geometry._linear_map(cams, np.repeat(np.arange(len(cams)), m),
+                                              np.tile(model.keypoints, (len(cams), 1)))
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    pc = (np.array([c, s, pose.x, pose.y, 1.0]) @ linear_map).reshape(3, -1)
+    pixels = (geometry._pixel_offset(pc)[0] + center).reshape(2, len(cams), m)
+    return pixels.transpose(1, 2, 0), pc[2].reshape(len(cams), m)
+
+
+class TestRigMap:
+    """project_robot and flatten_observations read one cached rig map."""
+
+    def test_alternating_rigs_match_a_fresh_map(self, rig, robot_model, single_camera):
+        """Called alternately with two rigs, a reordered camera list and a
+        second robot model, both equal a fresh _linear_map computation bit
+        for bit."""
+        rng = np.random.default_rng(4)
+        other_model = RobotModel(robot_model.keypoints[::-1][:6] * 0.8, body_width=0.3)
+        rigs = [list(rig), list(reversed(rig)), [single_camera], rig[1:3]]
+        models = (robot_model, other_model)
+        # each step changes either the cameras or the model
+        steps = [(cams, models[(i + j) % 2]) for i, cams in enumerate(rigs) for j in range(2)]
+        seen = 0
+        for cams, model in 3 * steps:
+            pose = PoseSE2(*rng.uniform((2, 2), (8, 6)), rng.uniform(-math.pi, math.pi))
+            pixels, visible = project_robot(pose, cams, model)
+            want, depth = _fresh_projection(pose, cams, model)
+            assert pixels.tobytes() == want.tobytes()
+            col, row = np.round(want).transpose(2, 0, 1)
+            size = np.array([(c.width, c.height) for c in cams]).reshape(-1, 2, 1)
+            assert np.array_equal(visible, (depth > MIN_DEPTH) & (col >= 0) & (row >= 0)
+                                  & (col < size[:, 0]) & (row < size[:, 1]))
+            per_camera = {}
+            for cam, cam_pixels, cam_visible in zip(cams, pixels, visible):
+                ids = rng.permutation(np.flatnonzero(cam_visible))
+                if len(ids):
+                    per_camera[cam.camera_id] = DetectionMessage(
+                        cam.camera_id, 0.0, ids, cam_pixels[ids], np.ones(len(ids)))
+            obs = flatten_observations(FrameSet(0.0, per_camera), cams, model)
+            ids = np.concatenate([per_camera[c.camera_id].keypoints for c in obs.cameras]
+                                 + [np.zeros(0, int)])
+            cam_row = np.repeat(np.arange(obs.n_cameras), np.diff(obs.offsets))
+            linear_map, center = geometry._linear_map(obs.cameras, cam_row, model.keypoints[ids])
+            assert obs.linear_map.tobytes() == linear_map.tobytes()
+            assert obs.center.tobytes() == center.tobytes()
+            seen += obs.n_rows
+        assert seen > 100
+
+    def test_built_once_per_rig(self, rig, robot_model):
+        """A new list of the same cameras reuses the map; another order or
+        another model builds a new one."""
+        first = geometry._rig_map(rig, robot_model)[1]
+        assert geometry._rig_map(list(rig), robot_model)[1] is first
+        assert geometry._rig_map(rig, RobotModel(robot_model.keypoints, 0.35))[1] is not first
+        first = geometry._rig_map(rig, robot_model)[1]
+        assert geometry._rig_map(rig[::-1], robot_model)[1] is not first

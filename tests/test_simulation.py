@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from camloc.geometry import PoseSE2
+from camloc.geometry import PoseSE2, project_robot
+from camloc.scenario import WAYPOINTS
 from camloc.simulation import (
+    MAX_SAMPLES,
+    GroundTruthSample,
     NoiseModel,
     OdometryNoise,
     TrajectoryScript,
@@ -78,6 +81,15 @@ class TestScriptTrajectory:
         stamps = [s.stamp for s in script_trajectory(script)]
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
 
+    def test_sample_count_bounded_before_sampling(self):
+        dwell = 0.5 * MAX_SAMPLES * 0.1
+        TrajectoryScript(waypoints=[Waypoint(PoseSE2(0, 0, 0), dwell=dwell)])
+        with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES}"):
+            TrajectoryScript(waypoints=[Waypoint(PoseSE2(0, 0, 0), dwell=4 * dwell)])
+        with pytest.raises(ValueError, match="inf samples"):
+            TrajectoryScript(waypoints=[Waypoint(PoseSE2(0, 0, 0)), Waypoint(PoseSE2(1, 0, 0))],
+                             speed=5e-324)
+
     def test_unlabelled_waypoints_labelled_by_index(self):
         script = TrajectoryScript(waypoints=[Waypoint(PoseSE2(0, 0, 0)),
                                              Waypoint(PoseSE2(1, 0, 0), label=7),
@@ -138,6 +150,83 @@ class TestSimulateFrame:
         # confidence non-increasing in noise magnitude (up to the floor)
         for (o1, c1), (o2, c2) in zip(records, records[1:]):
             assert c2 <= c1 + 1e-9
+
+    @staticmethod
+    def _draws(rig, model, noise, n_frames, rng):
+        """Per visible keypoint draw over n_frames captures at waypoint 7 (all
+        four cameras): whether it was detected, its offset from the exact
+        pixel and its confidence; and every message's stamp jitter."""
+        pose = PoseSE2(*WAYPOINTS[7])
+        cams = sorted(rig, key=lambda c: c.camera_id)
+        exact, visible = project_robot(pose, cams, model)
+        detected, offsets, confidence, jitter = [], [], [], []
+        for i in range(n_frames):
+            sample = GroundTruthSample(float(i), pose, True, 0)
+            seen = np.zeros_like(visible)
+            for m in simulate_frame(sample, rig, model, noise, rng):
+                c = [cam.camera_id for cam in cams].index(m.camera_id)
+                seen[c, m.keypoints] = True
+                offsets.append(m.pixels - exact[c, m.keypoints])
+                confidence.append(m.confidence)
+                jitter.append(m.stamp - sample.stamp)
+            assert not (seen & ~visible).any()
+            detected.append(seen[visible])
+        return (np.concatenate(detected), np.concatenate(offsets),
+                np.concatenate(confidence), np.array(jitter))
+
+    def test_noise_statistics(self, rig, robot_model):
+        """The noise model's shares and spreads over more than 20k keypoint
+        draws. Each share or spread is bound at five standard errors for its
+        sample size."""
+        noise = NoiseModel(outlier_prob=0.0)
+        detected, offsets, confidence, jitter = self._draws(rig, robot_model, noise, 700,
+                                                            np.random.default_rng(11))
+        n = len(detected)
+        assert n >= 20_000
+        p = noise.dropout_prob
+        assert abs(1.0 - detected.mean() - p) <= 5 * math.sqrt(p * (1 - p) / n)
+        sigma = noise.pixel_sigma
+        spread = math.sqrt(np.mean(offsets**2))
+        assert abs(spread - sigma) <= 5 * sigma / math.sqrt(2 * offsets.size)
+        assert np.hypot(*offsets.T).max() <= 6 * sigma * (1 + 1e-12)
+        assert confidence.min() >= noise.confidence_floor and confidence.max() <= 1.0
+        limit = 3 * noise.timestamp_jitter
+        assert np.abs(jitter).max() <= limit + 1e-9  # stamps are whole nanoseconds
+        assert np.abs(jitter).max() > 0.5 * limit
+
+        noise = NoiseModel(pixel_sigma=0.0, dropout_prob=0.0, timestamp_jitter=0.0)
+        detected, offsets, _, _ = self._draws(rig, robot_model, noise, 700,
+                                               np.random.default_rng(12))
+        assert detected.all()
+        radius = np.hypot(*offsets.T)
+        n, p = len(radius), noise.outlier_prob
+        assert n >= 20_000
+        assert abs(np.mean(radius > 0) - p) <= 5 * math.sqrt(p * (1 - p) / n)
+        assert radius.max() <= noise.outlier_spread
+
+    def test_offsets_and_jitter_clipped(self, rig, robot_model):
+        """Normal draws a hundred times too wide are clipped: a pixel offset to a
+        norm of 6 sigma at the floor confidence, a jitter to 3 sigma."""
+        class WideNormals:
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def normal(self, loc, scale, size):
+                return self._rng.normal(loc, 100 * scale, size)
+
+        noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0)
+        detected, offsets, confidence, jitter = self._draws(rig, robot_model, noise, 20,
+                                                            WideNormals(5))
+        radius = np.hypot(*offsets.T)
+        clipped = radius > 5.9 * noise.pixel_sigma
+        assert clipped.mean() > 0.9
+        np.testing.assert_allclose(radius[clipped], 6 * noise.pixel_sigma, rtol=1e-12)
+        assert (confidence[clipped] == noise.confidence_floor).all()
+        limit = 3 * noise.timestamp_jitter
+        assert np.mean(np.abs(np.abs(jitter) - limit) <= 1e-9) > 0.9
 
     def test_deterministic_given_seed(self, rig, robot_model):
         from camloc.simulation import GroundTruthSample
