@@ -1,16 +1,17 @@
 """Multi-view pose estimation from synchronized keypoint detections.
 
-Implements the one Levenberg-Marquardt loop, which the pose graph shares;
-the weighted nonlinear least-squares pose solve it runs, on a Huber-
-robustified pixel residual; per-camera candidates for prior-free
-initialization, each solved from one algebraic seed; the single-camera
-bearing-only outlier gate; and information-weighted averaging. Every
-solve's covariance is sigma^2 * H^-1 from its own Gauss-Newton Hessian H,
-with sigma^2 the residual variance (cf. Triggs et al., "Bundle Adjustment
-- A Modern Synthesis", 2000), and that one covariance, by its full 3x3
-information, weights every blend: of the per-camera candidates that seed
-relocalization, of consecutive static estimates, of the robot's belief
-and a fix, and in the pose graph.
+Implements the scalar Levenberg-Marquardt loop, which the pose graph
+shares; the weighted nonlinear least-squares pose solve it runs, on a
+Huber-robustified pixel residual; that solve for many frame-sets at once,
+each from its own algebraic seed, in one vectorized loop (solve_batch);
+per-camera candidates for prior-free initialization, each solved from one
+algebraic seed; the single-camera bearing-only outlier gate; and
+information-weighted averaging. Every solve's covariance is sigma^2 * H^-1
+from its own Gauss-Newton Hessian H, with sigma^2 the residual variance
+(cf. Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000), and
+that one covariance, by its full 3x3 information, weights every blend: of
+the per-camera candidates that seed relocalization, of consecutive static
+estimates, of the robot's belief and a fix, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .geometry import (
     angle_diff,
     flatten_observations,
     reprojection_kernel,
+    reprojection_kernels,
     wrap_angle,
+    wrap_angles,
 )
 from .sync import FrameSet
 
@@ -46,6 +49,14 @@ AVERAGE_SPAN = 2.0  # s
 # Floor of the residual sd that scales a covariance: noiseless detections
 # leave an objective of 0.
 R_MIN = 0.5  # px
+# The LM's lam is floored at LAMBDA_MIN on accept, and a rejected streak
+# ends once it passes LAMBDA_MAX. DAMPING_FLOOR floors each diagonal entry
+# of the pose solve's damping matrix, and GRAD_TOL is its gradient stop.
+LAMBDA_MIN, LAMBDA_MAX = 1e-12, 1e12
+DAMPING_FLOOR = 1e-12
+GRAD_TOL = 1e-14  # px^2 per unit of (x, y, theta)
+# Frame-sets per block of solve_batch: a block's arrays take about 3 MB.
+BATCH_BLOCK = 128
 
 
 @dataclass
@@ -61,10 +72,12 @@ class SolverConfig:
             self.max_iterations,
             self.convergence_tol,
             self.lm_lambda_init,
-            self.lm_lambda_scale,
             self.huber_delta,
         )):
             raise ValueError("all solver constants must be positive")
+        # a rejected trial retries at lam * scale until lam passes LAMBDA_MAX
+        if not self.lm_lambda_scale > 1:
+            raise ValueError(f"lm_lambda_scale {self.lm_lambda_scale!r} must exceed 1")
 
 
 @dataclass
@@ -98,10 +111,19 @@ class PoseEstimate:
         np.linalg.cholesky(cov)  # raises if not positive-definite
 
 
+def _huber_cost(norms, delta):
+    """Huber cost of each residual norm: norm^2 within delta, linear beyond."""
+    return np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
+
+
+def _huber_weight(norms, wts, delta):
+    """Detection weights times the Huber reweighting of their residual norms."""
+    return wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
+
+
 def _normal_equations(res, jac, norms, wts, delta):
     """Huber-reweighted Gauss-Newton system: (hessian (3, 3), gradient (3,))."""
-    w = wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
-    jw = (jac * w).reshape(3, -1)
+    jw = (jac * _huber_weight(norms, wts, delta)).reshape(3, -1)
     return jw @ jac.reshape(3, -1).T, jw @ res.reshape(-1)
 
 
@@ -115,10 +137,10 @@ def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol:
 
     A trial is accepted iff it lowers the objective, so the NaN trial of a
     system with no solution never is. lam is divided by ``lm_lambda_scale``
-    on accept, floored at 1e-12, and multiplied by it on reject. The loop
-    stops at a relative objective change below ``convergence_tol``, after
-    ``max_iterations`` linearizations, at a gradient norm below
-    ``grad_tol``, or once lam exceeds 1e12: no step improves the objective
+    on accept, floored at LAMBDA_MIN, and multiplied by it on reject. The
+    loop stops at a relative objective change below ``convergence_tol``,
+    after ``max_iterations`` linearizations, at a gradient norm below
+    ``grad_tol``, or once lam exceeds LAMBDA_MAX: no step improves the objective
     within machine precision, a stationary point unless the state is
     non-finite. That is divergence, and the overflow on its way is not
     reported by numpy. Returns (state, objective, iterations, diverged,
@@ -136,11 +158,11 @@ def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol:
             if t_obj < obj:
                 break
             lam *= scale
-            if lam > 1e12:
+            if lam > LAMBDA_MAX:
                 diverged = not (math.isfinite(obj) and np.isfinite(state).all())
                 return state, obj, iters, diverged, system
         rel = (obj - t_obj) / max(obj, 1e-300)
-        state, obj, res, lam = t_state, t_obj, t_res, max(lam / scale, 1e-12)
+        state, obj, res, lam = t_state, t_obj, t_res, max(lam / scale, LAMBDA_MIN)
         if rel < config.convergence_tol:
             break
     return state, obj, iters, False, system
@@ -158,18 +180,16 @@ def _levenberg_marquardt(start, obs: FlatObservations, config: SolverConfig):
     def evaluate(params):
         res, jac, _ = reprojection_kernel(params, obs)
         norms = np.sqrt(np.add.reduce(res * res, axis=0))
-        # the sum of per-detection weighted Huber costs on the residual norm
-        cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
-        return np.add.reduce(wts * cost), (res, jac, norms)
+        return np.add.reduce(wts * _huber_cost(norms, delta)), (res, jac, norms)
 
     def linearize(params, residuals):
         return _normal_equations(*residuals, wts, delta)
 
     def trial(params, hess, grad, lam):
         """params + the step solving (H + lam * D) step = -grad, with
-        D = diag(max(diag(H), 1e-12)); NaN for a singular system."""
+        D = diag(max(diag(H), DAMPING_FLOOR)); NaN for a singular system."""
         damped = hess.copy()
-        damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), 1e-12)
+        damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), DAMPING_FLOOR)
         try:
             params = params - np.linalg.solve(damped, grad)
         except np.linalg.LinAlgError:
@@ -180,7 +200,19 @@ def _levenberg_marquardt(start, obs: FlatObservations, config: SolverConfig):
 
     start = np.array(start, dtype=float).reshape(3)
     return levenberg_marquardt(start, evaluate, linearize, trial, config.lm_lambda_init,
-                               1e-14, config)
+                               GRAD_TOL, config)
+
+
+def _too_few(n_rows: int):
+    return InsufficientObservations(f"{n_rows} keypoint observations (need 3)")
+
+
+def _unconstrained(n_rows: int):
+    return InsufficientObservations(f"{n_rows} keypoint observations leave the pose unconstrained")
+
+
+def _diverged():
+    return SolverDiverged("the LM start ended in a non-finite state")
 
 
 def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
@@ -201,7 +233,19 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
             return cov
     except np.linalg.LinAlgError:
         pass
-    raise InsufficientObservations(f"{n_rows} keypoint observations leave the pose unconstrained")
+    raise _unconstrained(n_rows)
+
+
+def _estimate(obs: FlatObservations, params, objective: float, iters: int, cov) -> PoseEstimate:
+    return PoseEstimate(
+        pose=PoseSE2(*params),
+        covariance=cov,
+        rms_residual=math.sqrt(objective / obs.n_rows),
+        n_cameras=obs.n_cameras,
+        n_keypoints=obs.n_rows,
+        stamp=obs.stamp,
+        n_iterations=int(iters),
+    )
 
 
 def _best_solve(obs: FlatObservations, start, config: SolverConfig):
@@ -211,16 +255,8 @@ def _best_solve(obs: FlatObservations, start, config: SolverConfig):
     """
     params, obj, iters, diverged, hess = _levenberg_marquardt(start, obs, config)
     if diverged:
-        raise SolverDiverged("the LM start ended in a non-finite state")
-    return PoseEstimate(
-        pose=PoseSE2(*params),
-        covariance=_solve_covariance(hess, obj, obs.n_rows),
-        rms_residual=math.sqrt(obj / obs.n_rows),
-        n_cameras=obs.n_cameras,
-        n_keypoints=obs.n_rows,
-        stamp=obs.stamp,
-        n_iterations=iters,
-    )
+        raise _diverged()
+    return _estimate(obs, params, obj, iters, _solve_covariance(hess, obj, obs.n_rows))
 
 
 def solve_multiview(
@@ -229,8 +265,16 @@ def solve_multiview(
     """Refine the robot pose on a flattened frame-set by robust LM from init."""
     config = config or SolverConfig()
     if obs.n_rows < 3:
-        raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
+        raise _too_few(obs.n_rows)
     return _best_solve(obs, init.as_array(), config)
+
+
+def _seed_equations(lin, offset, weight):
+    """The algebraic seed's equations, (5, 2, ...) coefficients of q, and
+    their first four rows weighted, from the linear map (5, 3, ...), the
+    pixel offsets (2, ...) and the confidences (...) of the columns."""
+    eqs = lin[:, :2] - offset * lin[:, 2:]
+    return eqs, eqs[:4] * np.maximum(weight, 1e-6)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -245,15 +289,182 @@ def _algebraic_seed(obs: FlatObservations) -> np.ndarray:
     it is: the LM from it diverges. Raises InsufficientObservations when
     the normal equations are singular.
     """
-    lin = obs.linear_map.reshape(5, 3, obs.n_rows)
-    eqs = (lin[:, :2] - (obs.pixel - obs.center) * lin[:, 2:]).reshape(5, -1)
-    weighted = eqs[:4] * np.tile(np.maximum(obs.weight, 1e-6), 2)
+    eqs, weighted = _seed_equations(obs.linear_map.reshape(5, 3, obs.n_rows),
+                                    obs.pixel - obs.center, obs.weight)
+    eqs, weighted = eqs.reshape(5, -1), weighted.reshape(4, -1)
     try:
         c, s, x, y = np.linalg.solve(weighted @ eqs[:4].T, -(weighted @ eqs[4]))
     except np.linalg.LinAlgError:
         raise InsufficientObservations(
             f"{obs.n_rows} keypoints leave the algebraic seed singular") from None
     return np.array([x, y, math.atan2(s, c)])
+
+
+# -- the batched solve ----------------------------------------------------
+#
+# A block of N frame-sets is held in arrays whose last two axes are
+# (frame-set, column), and each frame-set's columns are padded with zeros to
+# the block's widest, W. A zero column has a zero linear map, pixel,
+# principal point and weight, so its residual, Jacobian and cost are exactly
+# 0. Each projection is its own matmul and each sum over columns runs in
+# column order, which those zeros leave bit for bit, so a frame-set's answer
+# does not depend on the block it is solved in.
+
+
+def _column_dot(a, b):
+    """(a * b).sum(-1) of a and b (..., W), added up column by column: zero
+    columns appended leave it bit for bit, which the pairwise sum of
+    np.add.reduce does not promise, and no (..., W) product is held."""
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, b.shape[-1]):
+        total += a[..., k] * b[..., k]
+    return total
+
+
+def _each(fn, *stacks):
+    """fn over stacks of matrices in one call: (result, raised). Where a
+    matrix makes fn raise LinAlgError, as a singular one makes
+    np.linalg.solve, the stack is redone one matrix at a time, and that
+    matrix's result is NaN and its ``raised`` True."""
+    raised = np.zeros(len(stacks[0]), dtype=bool)
+    try:
+        return fn(*stacks), raised
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(stacks[-1].shape, np.nan)
+    for n in range(len(out)):
+        try:
+            out[n] = fn(*(a[n:n + 1] for a in stacks))[0]
+        except np.linalg.LinAlgError:
+            raised[n] = True
+    return out, raised
+
+
+def _solve_stack(a, b):
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _algebraic_seeds(linear_map, offset, weight):
+    """_algebraic_seed of each frame-set of a block, from its linear map
+    (N, 5, 3W), pixel offsets (2, N, W) and confidences (N, W): (seeds
+    (3, N), singular (N,)), with NaN seeds where the normal equations are
+    singular."""
+    lin = linear_map.reshape(len(weight), 5, 3, -1).transpose(1, 2, 0, 3)
+    eqs, weighted = _seed_equations(lin, offset, weight)
+    u, v = _column_dot(weighted[:, None], eqs).transpose(2, 3, 0, 1)  # (N, 4, 5) each
+    normal = u + v
+    solution, singular = _each(_solve_stack, normal[:, :, :4], -normal[:, :, 4])
+    c, s, x, y = solution.T
+    return np.array([x, y, np.arctan2(s, c)]), singular
+
+
+def solve_batch(observations, config: SolverConfig | None = None) -> list:
+    """solve_multiview of each flattened frame-set from its own algebraic
+    seed, in one vectorized LM per block of up to BATCH_BLOCK frame-sets.
+
+    Each frame-set keeps its own lam, accept test, iteration count and stops,
+    with levenberg_marquardt's rule and constants, and leaves the block once
+    it stops. Returns one entry per frame-set: its PoseEstimate; the error
+    solve_multiview raises for it (InsufficientObservations or
+    SolverDiverged), as an instance; or None where its seed is singular, so
+    that it needs a start of its own.
+    """
+    config = config or SolverConfig()
+    results = [_too_few(obs.n_rows) if obs.n_rows < 3 else None for obs in observations]
+    todo = [n for n, obs in enumerate(observations) if obs.n_rows >= 3]
+    for lo in range(0, len(todo), BATCH_BLOCK):
+        block = todo[lo:lo + BATCH_BLOCK]
+        for n, result in zip(block, _solve_block([observations[n] for n in block], config)):
+            results[n] = result
+    return results
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _solve_block(block, config: SolverConfig) -> list:
+    """solve_batch of one block of frame-sets, each with at least 3 columns."""
+    delta, scale = config.huber_delta, config.lm_lambda_scale
+    rows = np.array([obs.n_rows for obs in block])
+    column = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
+    owner = np.repeat(np.arange(len(block)), rows)
+
+    def padded(lead, parts):
+        """(*lead, N, W) from each frame-set's (*lead, K) array."""
+        out = np.zeros((*lead, len(block), rows.max()))
+        out[..., owner, column] = np.concatenate(parts, axis=-1)
+        return out
+
+    lin = padded((5, 3), [obs.linear_map.reshape(5, 3, -1) for obs in block])
+    lin = lin.transpose(2, 0, 1, 3).reshape(len(block), 5, -1)  # (N, 5, 3W)
+    pixel = padded((2,), [obs.pixel for obs in block])
+    center = padded((2,), [obs.center for obs in block])
+    wts = padded((), [obs.weight for obs in block])
+    seeds, singular = _algebraic_seeds(lin, pixel - center, wts)
+
+    def evaluate(params, lin, pixel, center, wts):
+        """The objective (N,) at params and the Gauss-Newton system (N, 3, 4)
+        there: the hessian, then the gradient, as _normal_equations."""
+        res, jac = reprojection_kernels(params, lin, pixel, center)
+        norms = np.sqrt(res[0] * res[0] + res[1] * res[1])
+        jw = (jac * _huber_weight(norms, wts, delta))[:, None]
+        u, v = _column_dot(jw, np.concatenate([jac, res[None]])).transpose(2, 3, 0, 1)
+        return _column_dot(wts, _huber_cost(norms, delta)), u + v
+
+    # the live frame-sets' state; each that stops leaves it for the final_*
+    live = np.flatnonzero(~singular)
+    if singular.any():
+        lin = lin[live]
+        pixel, center, wts = (a[..., live, :] for a in (pixel, center, wts))
+    params = seeds[:, live]
+    obj, system = evaluate(params, lin, pixel, center, wts)
+    lam = np.full(len(live), config.lm_lambda_init)
+    iters = np.ones(len(live), dtype=int)  # linearizations, this round's included
+    final_params, final_obj = np.zeros((3, len(block))), np.zeros(len(block))
+    final_iters = np.zeros(len(block), dtype=int)
+    final_hess = np.tile(np.eye(3), (len(block), 1, 1))  # inverts where no LM ran
+    diverged = np.zeros(len(block), dtype=bool)
+    diagonal = np.arange(3)
+    while len(live):
+        hess, grad = system[:, :, :3], system[:, :, 3]
+        stop = np.sqrt(np.add.reduce(grad * grad, axis=1)) < GRAD_TOL
+        damped = hess.copy()
+        damped[:, diagonal, diagonal] += lam[:, None] * np.maximum(
+            hess[:, diagonal, diagonal], DAMPING_FLOOR)
+        trial = params - _each(_solve_stack, damped, grad)[0].T
+        trial[2] = wrap_angles(trial[2])
+        t_obj, t_system = evaluate(trial, lin, pixel, center, wts)
+        accept = (t_obj < obj) & ~stop
+        rel = (obj - t_obj) / np.maximum(obj, 1e-300)
+        lam = np.where(accept, np.maximum(lam / scale, LAMBDA_MIN), lam * scale)
+        give_up = ~accept & ~stop & (lam > LAMBDA_MAX)
+        done = stop | give_up | accept & ((rel < config.convergence_tol)
+                                          | (iters == config.max_iterations))
+        params = np.where(accept, trial, params)
+        obj = np.where(accept, t_obj, obj)
+        system = np.where(accept[:, None, None], t_system, system)
+        iters += accept & ~done
+        if done.any():  # the state after this round, the hessian before its step
+            out = live[done]
+            final_params[:, out], final_obj[out] = params[:, done], obj[done]
+            final_iters[out], final_hess[out] = iters[done], hess[done]
+            diverged[out] = give_up[done] & ~(np.isfinite(obj[done])
+                                              & np.isfinite(params[:, done]).all(axis=0))
+            keep = ~done
+            live, params, obj, system, lam, iters, lin = (
+                live[keep], params[:, keep], obj[keep], system[keep], lam[keep], iters[keep],
+                lin[keep])
+            pixel, center, wts = (a[..., keep, :] for a in (pixel, center, wts))
+
+    # sigma^2 * H^-1 as _solve_covariance forms it, from one batched inverse
+    sigma2 = np.maximum(final_obj / (2 * rows - 3), R_MIN**2)
+    cov = sigma2[:, None, None] * _each(np.linalg.inv, final_hess)[0]
+    definite = (np.isfinite(cov).all(axis=(1, 2))
+                & np.isfinite(_each(np.linalg.cholesky, cov)[0]).all(axis=(1, 2)))
+    return [None if singular[n]
+            else _diverged() if diverged[n]
+            else _unconstrained(obs.n_rows) if not definite[n]
+            else _estimate(obs, final_params[:, n], final_obj[n], final_iters[n], cov[n])
+            for n, obs in enumerate(block)]
 
 
 def single_view_candidate(

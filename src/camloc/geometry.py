@@ -347,10 +347,40 @@ def reprojection_kernel(pose, obs: FlatObservations):
     rows[3, 0] = -s
     rows[0, 2:4] = x, y
     point_and_derivatives = (rows @ obs.linear_map).reshape(4, 3, obs.n_rows)
-    pc, d_pc = point_and_derivatives[0], point_and_derivatives[1:]
-    offset, z = _pixel_offset(pc)
-    res = obs.pixel - (offset + obs.center)
-    # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z
-    jac = (offset * d_pc[:, 2:] - d_pc[:, :2]) / z
+    pc = point_and_derivatives[0]
+    res, jac = _residual(pc, point_and_derivatives[1:], obs.pixel, obs.center)
     return res, jac, pc[2]
+
+
+def reprojection_kernels(params, linear_map, pixel, center):
+    """reprojection_kernel of N poses, params (3, N), each against its own
+    frame-set of W columns: linear_map (N, 5, 3W), pixel and center
+    (2, N, W). Returns (residuals (2, N, W), Jacobian (3, 2, N, W)). Each
+    frame-set's projection is the one matmul of reprojection_kernel, so
+    its bits do not depend on the other frame-sets or on zero columns
+    appended to its own.
+    """
+    x, y, theta = params
+    c, s = np.cos(theta), np.sin(theta)
+    rows = np.tile(_POINT_AND_DERIVATIVES, (len(theta), 1, 1))
+    rows[:, 0, 0] = rows[:, 3, 1] = c
+    rows[:, 0, 1] = s
+    rows[:, 3, 0] = -s
+    rows[:, 0, 2], rows[:, 0, 3] = x, y
+    point_and_derivatives = np.matmul(rows, linear_map).reshape(len(theta), 4, 3, -1)
+    point_and_derivatives = point_and_derivatives.transpose(1, 2, 0, 3)
+    return _residual(point_and_derivatives[0], point_and_derivatives[1:], pixel, center)
+
+
+def _residual(pc, d_pc, pixel, center):
+    """Observed pixel (2, ...) minus the projection of camera-frame points
+    pc (3, ...), as _pixel_offset makes it, and its Jacobian (3, 2, ...)
+    from d_pc (3, 3, ...), pc's derivatives in (x, y, theta)."""
+    offset, z = _pixel_offset(pc)
+    # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z,
+    # formed in place to hold one (3, 2, ...) array
+    jac = offset * d_pc[:, 2:]
+    jac -= d_pc[:, :2]
+    jac /= z
+    return pixel - (offset + center), jac
 

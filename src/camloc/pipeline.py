@@ -20,14 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientObservations, InsufficientOverlap, NoEligibleCamera
-from .errors import SolverDiverged, UnknownCamera, UnknownKeypoint
+from .errors import CamlocError, InsufficientObservations, InsufficientOverlap
+from .errors import NoEligibleCamera, SolverDiverged, UnknownCamera, UnknownKeypoint
 from .estimation import (
     AVERAGE_SPAN,
+    BATCH_BLOCK,
     average_estimates,
     gate_single_view,
     information_mean,
     initialize_global,
+    solve_batch,
     solve_multiview,
 )
 from .evaluation import (
@@ -105,6 +107,67 @@ def _predict(cov, pose, delta, delta_cov):
     return f @ cov @ f.T + g @ delta_cov @ g.T
 
 
+def _solve_framesets(config, steps, needed):
+    """The solves of pass 2: (solves, skipped, rejected), with solves a list
+    of (sample index, raw estimate, gated estimate) for the (sample index,
+    frame-set) pairs ``needed``, in stream order, and skipped and rejected
+    the skipped frame-sets and the dropped detections.
+
+    Frame-sets go to initialize_global one by one until the first fix.
+    After it, each block of BATCH_BLOCK frame-sets is flattened and solved
+    in one solve_batch, each from its own algebraic seed, so that only a
+    block's flattened frame-sets are held at once. A sweep in stream order
+    then predicts each pose from the last accepted one moved by the
+    odometry since, for the single-camera gate and for a frame-set whose
+    seed is singular, which is solved from that prediction. A frame-set
+    holding an unknown id, or whose solve fails, is skipped.
+    """
+    solves, skipped, rejected = [], 0, 0
+    pending = iter(needed)
+    while block := list(itertools.islice(pending, BATCH_BLOCK if solves else 1)):
+        flat = []  # (sample index, frame-set, FlatObservations)
+        for i, fs in block:
+            try:
+                obs = flatten_observations(fs, config.cameras, config.robot_model)
+            except (UnknownCamera, UnknownKeypoint):
+                skipped += 1
+                continue
+            rejected += obs.rejected
+            flat.append((i, fs, obs))
+        if not solves:
+            for i, fs, _ in flat:
+                try:
+                    est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
+                except (NoEligibleCamera, InsufficientObservations, SolverDiverged):
+                    skipped += 1
+                    continue
+                solves.append((i, est, est))
+                prior, odo_upto = est.pose, i
+                odo_since_prior = PoseSE2()  # the steps after prior, up to sample odo_upto
+            continue
+
+        estimates = solve_batch([obs for _, _, obs in flat], config.solver)
+        for (i, _, obs), est in zip(flat, estimates):
+            for step in steps[odo_upto:i]:
+                odo_since_prior = odo_since_prior.compose(step)
+            odo_upto = i
+            predicted = prior.compose(odo_since_prior)
+            try:
+                if isinstance(est, CamlocError):
+                    raise est
+                if est is None:  # a singular seed
+                    est = solve_multiview(obs, predicted, config.solver)
+                gated = est
+                if est.n_cameras == 1:
+                    gated = gate_single_view(predicted, est, obs.cameras[0], config.gate)
+            except (InsufficientObservations, SolverDiverged):
+                skipped += 1
+                continue
+            solves.append((i, est, gated))
+            prior, odo_since_prior = gated.pose, PoseSE2()
+    return solves, skipped, rejected
+
+
 def _dwell(sample):
     """The waypoint index a sample dwells at, None while moving: consecutive
     samples with one key form one dwell."""
@@ -132,11 +195,11 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
     generator, so the result is that of simulate_detections' stream.
     Without samples, the scenario's trajectory is scripted here.
 
-    Three passes: every sample's odometry increment; the frame-set solves,
-    each started from the last accepted pose moved by the odometry since;
-    then the robot's track and the pose graph, which takes the static
-    estimates; with feedback, an information filter over the graph's edges
-    keeps the robot's belief. Feedback never changes a solve.
+    Three passes: every sample's odometry increment; the frame-set solves
+    (see _solve_framesets); then the robot's track and the pose graph, which
+    takes the static estimates; with feedback, an information filter over
+    the graph's edges keeps the robot's belief. Feedback never changes a
+    solve.
     """
     samples = samples or script_trajectory(config.trajectory)
     need_fused = "fused" in config.modes or config.feedback
@@ -161,35 +224,10 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
     steps = [simulate_odometry_step(a.pose.inverse().compose(b.pose), config.odometry_noise,
                                     rng_odo) for a, b in zip(samples, samples[1:])]
 
-    # Pass 2: the frame-set solves, in stream order.
-    solves = []  # (sample index, raw estimate, gated estimate)
-    skipped = rejected = 0
-    prior = None  # last accepted estimate pose
-    odo_since_prior, odo_upto = PoseSE2(), 0  # the steps after prior, up to sample odo_upto
-    for i, fs in zip(nearest.tolist(), framesets):
-        # solve only when some requested output needs this frame-set
-        if not (need_estimates or need_fused and samples[i].is_static):
-            continue
-        for step in steps[odo_upto:i]:
-            odo_since_prior = odo_since_prior.compose(step)
-        odo_upto = i
-        predicted = None if prior is None else prior.compose(odo_since_prior)
-        try:
-            obs = flatten_observations(fs, config.cameras, config.robot_model)
-            rejected += obs.rejected
-            if predicted is None:
-                est = gated = initialize_global(fs, config.cameras, config.robot_model,
-                                                config.solver)
-            else:
-                est = gated = solve_multiview(obs, predicted, config.solver)
-                if est.n_cameras == 1:
-                    gated = gate_single_view(predicted, est, obs.cameras[0], config.gate)
-        except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
-                UnknownCamera, UnknownKeypoint):
-            skipped += 1
-            continue
-        solves.append((i, est, gated))
-        prior, odo_since_prior = gated.pose, PoseSE2()
+    # Pass 2: the frame-set solves that some requested output needs.
+    needed = [(i, fs) for i, fs in zip(nearest.tolist(), framesets)
+              if need_estimates or need_fused and samples[i].is_static]
+    solves, skipped, rejected = _solve_framesets(config, steps, needed)
 
     # Each dwell averages its gated estimates in fives. Only estimates within
     # AVERAGE_SPAN of each other are averaged: a stamp far off the

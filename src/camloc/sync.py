@@ -172,18 +172,16 @@ def ns_to_stamp(stamp_ns: int) -> float:
 
 
 def message_to_json(message: DetectionMessage) -> str:
-    """Serialize a message to the one-line JSONL wire format."""
-    payload = {
-        "type": "detections",
-        "camera_id": int(message.camera_id),
-        "stamp_ns": stamp_to_ns(message.stamp),
-        "keypoints": [
-            {"id": j, "u": u, "v": v, "conf": c}
-            for j, (u, v), c in zip(message.keypoints.tolist(), message.pixels.tolist(),
-                                    message.confidence.tolist())
-        ],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """Serialize a message to the one-line JSONL wire format: the line
+    json.dumps writes with separators (",", ":"), formatted directly, since
+    json writes an int or a finite float as its repr. DetectionMessage
+    admits no non-finite value."""
+    keypoints = ",".join(
+        f'{{"id":{j!r},"u":{u!r},"v":{v!r},"conf":{c!r}}}'
+        for j, (u, v), c in zip(message.keypoints.tolist(), message.pixels.tolist(),
+                                message.confidence.tolist()))
+    return (f'{{"type":"detections","camera_id":{int(message.camera_id)!r},'
+            f'"stamp_ns":{stamp_to_ns(message.stamp)!r},"keypoints":[{keypoints}]}}')
 
 
 def wire_int(value, name) -> int:

@@ -6,7 +6,8 @@ grid search for solver optimality, central finite differences for
 Jacobians, random search for alignment, and closed-form normal equations
 for small graphs. The 8-heading multi-start, a loop of one-start LM
 solves, is the reference that the single algebraic seed of a single-view
-candidate must match.
+candidate must match, and the prior-started loop of frame-set solves is
+the reference for the pipeline's batched one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import math
 import numpy as np
 
 from camloc import estimation
-from camloc.errors import GaugeFree, SolverDiverged
-from camloc.geometry import PoseSE2, reprojection_kernel, wrap_angle, wrap_angles
+from camloc.errors import (GaugeFree, InsufficientObservations, NoEligibleCamera, SolverDiverged,
+                           UnknownCamera, UnknownKeypoint)
+from camloc.geometry import (PoseSE2, flatten_observations, reprojection_kernel, wrap_angle,
+                             wrap_angles)
 from camloc.posegraph import Node
 
 try:
@@ -388,3 +391,40 @@ def two_node_unary_optimum(delta, info_odo, a_meas, b_meas, info_a, info_b):
     )
     b = np.array([info_a * a_meas - info_odo * delta, info_b * b_meas + info_odo * delta])
     return np.linalg.solve(h, b)
+
+
+# -- the frame-set solves as one prior-started loop -----------------------
+
+
+def reference_solve_framesets(config, steps, needed):
+    """pipeline._solve_framesets as it was before the solves were batched:
+    every frame-set after the first fix is solved by solve_multiview from
+    the last accepted pose moved by the odometry since. The same arguments
+    and return value."""
+    solves = []
+    skipped = rejected = 0
+    prior = None  # last accepted estimate pose
+    odo_since_prior, odo_upto = PoseSE2(), 0  # the steps after prior, up to sample odo_upto
+    for i, fs in needed:
+        for step in steps[odo_upto:i]:
+            odo_since_prior = odo_since_prior.compose(step)
+        odo_upto = i
+        predicted = None if prior is None else prior.compose(odo_since_prior)
+        try:
+            obs = flatten_observations(fs, config.cameras, config.robot_model)
+            rejected += obs.rejected
+            if predicted is None:
+                est = gated = estimation.initialize_global(fs, config.cameras,
+                                                           config.robot_model, config.solver)
+            else:
+                est = gated = estimation.solve_multiview(obs, predicted, config.solver)
+                if est.n_cameras == 1:
+                    gated = estimation.gate_single_view(predicted, est, obs.cameras[0],
+                                                        config.gate)
+        except (NoEligibleCamera, InsufficientObservations, SolverDiverged,
+                UnknownCamera, UnknownKeypoint):
+            skipped += 1
+            continue
+        solves.append((i, est, gated))
+        prior, odo_since_prior = gated.pose, PoseSE2()
+    return solves, skipped, rejected

@@ -239,6 +239,24 @@ class TestConfigValidation:
         assert proc.stderr.startswith("error: trajectory: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scale,code", [("1", 2), ("0.5", 2), ("1.5", 0)])
+    def test_lambda_scale_must_exceed_1(self, small_scenario, tmp_path, scale, code):
+        """A rejected LM trial retries at lam * lm_lambda_scale until lam
+        passes LAMBDA_MAX, so a scale of at most 1 could retry without end:
+        it exits 2 naming solver. The run is a child process limited to
+        60 s, so that a regression fails instead of hanging."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "camloc.cli", "run", "--scenario", str(small_scenario),
+             "--out", str(tmp_path / "o"), "--override", f"solver.lm_lambda_scale={scale}",
+             "--override", "feedback=true"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("error: solver: lm_lambda_scale "), proc.stderr
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override,segment", [
         ("cameras.0.fx_px=700", "cameras"),
         ("seed.x=3", "seed"),
@@ -536,19 +554,18 @@ class TestReplay:
 
     def test_diverged_solve_costs_one_frameset(self, small_scenario, tmp_path, monkeypatch):
         # detections that flatten_observations keeps cannot drive a solve to
-        # a non-finite state, so the divergence is planted: the solve of the
-        # frame-set that holds the marked confidence diverges
-        marker, solve = 0.123, pipeline.solve_multiview
+        # a non-finite state, so the divergence is planted: the batched solve
+        # of the frame-set that holds the marked confidence diverges
+        marker, solve = 0.123, pipeline.solve_batch
 
-        def diverging(obs, init, config=None):
-            if (obs.weight == marker).any():
-                raise SolverDiverged("planted")
-            return solve(obs, init, config)
+        def diverging(observations, config=None):
+            return [SolverDiverged("planted") if (obs.weight == marker).any() else est
+                    for obs, est in zip(observations, solve(observations, config))]
 
         def corrupt(msg):
             msg["keypoints"][0]["conf"] = marker
 
-        monkeypatch.setattr(pipeline, "solve_multiview", diverging)
+        monkeypatch.setattr(pipeline, "solve_batch", diverging)
         clean, bad = self._replay_one_corrupted(small_scenario, tmp_path, corrupt)
         assert bad["stale_messages"] == clean["stale_messages"]
         assert bad["skipped_framesets"] == clean["skipped_framesets"] + 1

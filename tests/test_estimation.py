@@ -28,7 +28,7 @@ from camloc.geometry import PoseSE2, angle_diff, flatten_observations
 from camloc.pipeline import run_pipeline, simulate_detections
 from camloc.scenario import WAYPOINTS, camera_visibility_count, load_config, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
-from camloc.sync import DetectionMessage, FrameSet
+from camloc.sync import DetectionMessage, FrameSet, Synchronizer
 
 import oracles
 
@@ -467,6 +467,111 @@ class TestOneLMLoop:
         self._assert_same(far, blind, SolverConfig(), monkeypatch)
 
 
+def flattened_stream(config):
+    """Every frame-set of a scenario's simulated stream, flattened."""
+    sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
+    framesets = [fs for msg in simulate_detections(config) for fs in sync.ingest(msg)]
+    return [flatten_observations(fs, config.cameras, config.robot_model)
+            for fs in framesets + sync.flush()]
+
+
+def batch_seed(obs):
+    """The batch's algebraic seed of one frame-set, solved in a block of one."""
+    seeds, singular = estimation._algebraic_seeds(
+        obs.linear_map[None], (obs.pixel - obs.center)[:, None], obs.weight[None])
+    assert not singular[0]
+    return PoseSE2(*seeds[:, 0])
+
+
+def assert_same_bits(got, want):
+    assert (got.pose, got.rms_residual, got.n_iterations, got.n_cameras, got.n_keypoints,
+            got.stamp) == (want.pose, want.rms_residual, want.n_iterations, want.n_cameras,
+                           want.n_keypoints, want.stamp)
+    assert got.covariance.tobytes() == want.covariance.tobytes()
+
+
+class TestSolveBatch:
+    """solve_batch is solve_multiview from the algebraic seed, for every
+    frame-set at once."""
+
+    @pytest.mark.parametrize("name", ["traj1", "traj2", "traj3"])
+    def test_equals_the_scalar_loop(self, scenario_dir, name):
+        config = load_config(scenario_dir / f"{name}.json", {"seed": 7})
+        observations = flattened_stream(config)
+        batch = estimation.solve_batch(observations, config.solver)
+        assert len(batch) == len(observations) > estimation.BATCH_BLOCK * 3
+        for obs, got in zip(observations, batch):
+            want = solve_multiview(obs, batch_seed(obs), config.solver)
+            assert got.n_iterations == want.n_iterations
+            assert (got.n_cameras, got.n_keypoints, got.stamp) == (
+                want.n_cameras, want.n_keypoints, want.stamp)
+            assert abs(got.pose.x - want.pose.x) < 1e-9
+            assert abs(got.pose.y - want.pose.y) < 1e-9
+            assert abs(angle_diff(got.pose.theta, want.pose.theta)) < 1e-9
+            np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
+            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9)
+
+    @pytest.mark.parametrize("solver", [
+        SolverConfig(max_iterations=1),
+        SolverConfig(max_iterations=3, lm_lambda_init=1e4, lm_lambda_scale=1.5),
+        SolverConfig(convergence_tol=1e-3, lm_lambda_init=1e-9, huber_delta=0.5),
+        SolverConfig(lm_lambda_scale=1e30),
+    ], ids=["one_iteration", "heavy_damping", "loose_tolerance", "lam_at_its_bounds"])
+    def test_equals_the_scalar_loop_at_other_settings(self, traj1_config, solver):
+        """The iteration cap, the lam schedule, the tolerance and the Huber
+        threshold mean what they mean to levenberg_marquardt."""
+        observations = flattened_stream(traj1_config)[:150]
+        for obs, got in zip(observations, estimation.solve_batch(observations, solver)):
+            want = solve_multiview(obs, batch_seed(obs), solver)
+            assert got.n_iterations == want.n_iterations
+            assert np.abs(got.pose.as_array() - want.pose.as_array()).max() < 1e-9
+            np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
+
+    def test_bad_frame_sets_fail_alone(self, traj1_config):
+        """Three frame-sets that must fail share a block with 40 that must
+        not: each fails with solve_multiview's error, and every other answer
+        is that of its frame-set solved in a block of one, bit for bit."""
+        good = flattened_stream(traj1_config)[:40]
+        far_pixel = good[7].pixel.copy()
+        far_pixel[0, 0] = 1e200  # past the image: flatten_observations drops it
+        two = good[9]
+        bad = {
+            10: (replace(good[3], weight=np.zeros(good[3].n_rows)), InsufficientObservations),
+            21: (replace(good[7], pixel=far_pixel), SolverDiverged),
+            32: (replace(two, linear_map=two.linear_map.reshape(5, 3, -1)[:, :, :2].reshape(5, -1),
+                         center=two.center[:, :2], pixel=two.pixel[:, :2],
+                         weight=two.weight[:2], offsets=(0, 2)), InsufficientObservations),
+        }
+        block = list(good)
+        for k in sorted(bad):
+            block.insert(k, bad[k][0])
+        assert len({obs.n_rows for obs in good}) > 3  # the block pads most of them
+        results = estimation.solve_batch(block, traj1_config.solver)
+        for k, (obs, error) in bad.items():
+            assert type(results[k]) is error
+            with pytest.raises(error):
+                solve_multiview(obs, batch_seed(obs) if obs.n_rows >= 3 else PoseSE2(),
+                                traj1_config.solver)
+        for k, (obs, got) in enumerate(zip(block, results)):
+            if k not in bad:
+                assert_same_bits(got, estimation.solve_batch([obs], traj1_config.solver)[0])
+
+    def test_a_singular_matrix_fails_alone(self, rng):
+        """_each solves a stack in one call, or, when one matrix is singular,
+        one matrix at a time: NaN and raised for that one, the one-call bits
+        for the rest."""
+        a = rng.standard_normal((6, 4, 4))
+        b = rng.standard_normal((6, 4))
+        solved, raised = estimation._each(estimation._solve_stack, a, b)
+        assert not raised.any()
+        a[2] = 0.0
+        again, raised = estimation._each(estimation._solve_stack, a, b)
+        assert raised.tolist() == [False, False, True, False, False, False]
+        assert np.isnan(again[2]).all()
+        keep = [0, 1, 3, 4, 5]
+        assert again[keep].tobytes() == solved[keep].tobytes()
+
+
 class TestAlgebraicSeed:
     """A single-view candidate starts its LM from one weighted linear solve
     in (cos, sin, x, y) instead of 8 heading starts."""
@@ -885,3 +990,10 @@ class TestSolverConfigValidation:
             SolverConfig(max_iterations=0)
         with pytest.raises(ValueError):
             GateThresholds(d_depth=-1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1e-300])
+    def test_lambda_scale_must_exceed_1(self, scale):
+        # a rejected trial retries at lam * scale until lam passes LAMBDA_MAX
+        with pytest.raises(ValueError, match="lm_lambda_scale"):
+            SolverConfig(lm_lambda_scale=scale)
+        assert SolverConfig(lm_lambda_scale=1.0 + 1e-9).lm_lambda_scale > 1
