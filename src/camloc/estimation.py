@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     CameraModel,
     FlatObservations,
+    ObservationBlock,
     PoseSE2,
     RobotModel,
     angle_diff,
@@ -55,7 +56,8 @@ R_MIN = 0.5  # px
 LAMBDA_MIN, LAMBDA_MAX = 1e-12, 1e12
 DAMPING_FLOOR = 1e-12
 GRAD_TOL = 1e-14  # px^2 per unit of (x, y, theta)
-# Frame-sets per block of solve_batch: a block's arrays take about 3 MB.
+# Frame-sets per block that pass 2 gathers and solve_batch solves: a block's
+# arrays take about 3 MB.
 BATCH_BLOCK = 128
 
 
@@ -106,9 +108,29 @@ class PoseEstimate:
         object.__setattr__(self, "covariance", cov)
         if self.n_cameras < 1:
             raise ValueError("estimate needs at least one camera")
-        if not np.isfinite(cov).all():
+        values = cov.ravel().tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("estimate covariance must be finite")
-        np.linalg.cholesky(cov)  # raises if not positive-definite
+        if not positive_definite(values):
+            raise np.linalg.LinAlgError("estimate covariance is not positive definite")
+
+
+def positive_definite(values) -> bool:
+    """Whether the symmetric 3x3 matrix with row-major entries ``values``
+    is positive definite: its three Cholesky pivots, taken from the lower
+    triangle in the order of LAPACK's potrf, are positive. On Python
+    floats, where at 3x3 numpy's per-call cost would be most of the work;
+    a NaN pivot fails."""
+    a00, _, _, a10, a11, _, a20, a21, a22 = values
+    if not a00 > 0.0:
+        return False
+    l00 = math.sqrt(a00)
+    l10, l20 = a10 / l00, a20 / l00
+    p1 = a11 - l10 * l10
+    if not p1 > 0.0:
+        return False
+    l21 = (a21 - l20 * l10) / math.sqrt(p1)
+    return a22 - l20 * l20 - l21 * l21 > 0.0
 
 
 def _huber_cost(norms, delta):
@@ -236,14 +258,15 @@ def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
     raise _unconstrained(n_rows)
 
 
-def _estimate(obs: FlatObservations, params, objective: float, iters: int, cov) -> PoseEstimate:
+def _estimate(params, objective: float, iters: int, cov, n_rows: int, n_cameras: int,
+              stamp: float) -> PoseEstimate:
     return PoseEstimate(
         pose=PoseSE2(*params),
         covariance=cov,
-        rms_residual=math.sqrt(objective / obs.n_rows),
-        n_cameras=obs.n_cameras,
-        n_keypoints=obs.n_rows,
-        stamp=obs.stamp,
+        rms_residual=math.sqrt(objective / n_rows),
+        n_cameras=n_cameras,
+        n_keypoints=n_rows,
+        stamp=stamp,
         n_iterations=int(iters),
     )
 
@@ -256,7 +279,8 @@ def _best_solve(obs: FlatObservations, start, config: SolverConfig):
     params, obj, iters, diverged, hess = _levenberg_marquardt(start, obs, config)
     if diverged:
         raise _diverged()
-    return _estimate(obs, params, obj, iters, _solve_covariance(hess, obj, obs.n_rows))
+    return _estimate(params, obj, iters, _solve_covariance(hess, obj, obs.n_rows), obs.n_rows,
+                     obs.n_cameras, obs.stamp)
 
 
 def solve_multiview(
@@ -359,47 +383,31 @@ def _algebraic_seeds(linear_map, offset, weight):
     return np.array([x, y, np.arctan2(s, c)]), singular
 
 
-def solve_batch(observations, config: SolverConfig | None = None) -> list:
-    """solve_multiview of each flattened frame-set from its own algebraic
-    seed, in one vectorized LM per block of up to BATCH_BLOCK frame-sets.
-
-    Each frame-set keeps its own lam, accept test, iteration count and stops,
-    with levenberg_marquardt's rule and constants, and leaves the block once
-    it stops. Returns one entry per frame-set: its PoseEstimate; the error
-    solve_multiview raises for it (InsufficientObservations or
-    SolverDiverged), as an instance; or None where its seed is singular, so
-    that it needs a start of its own.
-    """
-    config = config or SolverConfig()
-    results = [_too_few(obs.n_rows) if obs.n_rows < 3 else None for obs in observations]
-    todo = [n for n, obs in enumerate(observations) if obs.n_rows >= 3]
-    for lo in range(0, len(todo), BATCH_BLOCK):
-        block = todo[lo:lo + BATCH_BLOCK]
-        for n, result in zip(block, _solve_block([observations[n] for n in block], config)):
-            results[n] = result
-    return results
+def _rows(arrays, keep):
+    """The block arrays (linear map, pixel, principal point, weight) of the
+    rows ``keep``."""
+    linear_map, *rest = arrays
+    return (linear_map[keep], *(a[..., keep, :] for a in rest))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_block(block, config: SolverConfig) -> list:
-    """solve_batch of one block of frame-sets, each with at least 3 columns."""
+def solve_batch(block: ObservationBlock, config: SolverConfig | None = None) -> list:
+    """solve_multiview of each row of a block of frame-sets (see
+    geometry.gather_observations) from its own algebraic seed, in one
+    vectorized LM.
+
+    Each frame-set keeps its own lam, accept test, iteration count and stops,
+    with levenberg_marquardt's rule and constants, and leaves the block once
+    it stops. Returns one entry per row: its PoseEstimate; the error
+    solve_multiview raises for it (InsufficientObservations, for fewer than
+    3 columns or a Hessian that is not positive definite, or
+    SolverDiverged), as an instance; or None where its seed is singular, so
+    that it needs a start of its own. A row with fewer than 3 columns or a
+    singular seed stays out of the LM.
+    """
+    config = config or SolverConfig()
     delta, scale = config.huber_delta, config.lm_lambda_scale
-    rows = np.array([obs.n_rows for obs in block])
-    column = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
-    owner = np.repeat(np.arange(len(block)), rows)
-
-    def padded(lead, parts):
-        """(*lead, N, W) from each frame-set's (*lead, K) array."""
-        out = np.zeros((*lead, len(block), rows.max()))
-        out[..., owner, column] = np.concatenate(parts, axis=-1)
-        return out
-
-    lin = padded((5, 3), [obs.linear_map.reshape(5, 3, -1) for obs in block])
-    lin = lin.transpose(2, 0, 1, 3).reshape(len(block), 5, -1)  # (N, 5, 3W)
-    pixel = padded((2,), [obs.pixel for obs in block])
-    center = padded((2,), [obs.center for obs in block])
-    wts = padded((), [obs.weight for obs in block])
-    seeds, singular = _algebraic_seeds(lin, pixel - center, wts)
+    rows = block.n_rows
 
     def evaluate(params, lin, pixel, center, wts):
         """The objective (N,) at params and the Gauss-Newton system (N, 3, 4)
@@ -410,19 +418,26 @@ def _solve_block(block, config: SolverConfig) -> list:
         u, v = _column_dot(jw, np.concatenate([jac, res[None]])).transpose(2, 3, 0, 1)
         return _column_dot(wts, _huber_cost(norms, delta)), u + v
 
-    # the live frame-sets' state; each that stops leaves it for the final_*
-    live = np.flatnonzero(~singular)
-    if singular.any():
-        lin = lin[live]
-        pixel, center, wts = (a[..., live, :] for a in (pixel, center, wts))
-    params = seeds[:, live]
-    obj, system = evaluate(params, lin, pixel, center, wts)
+    # the rows in the LM and their arrays; each that stops leaves for the final_*
+    live = np.flatnonzero(rows >= 3)
+    arrays = (block.linear_map, block.pixel, block.center, block.weight)
+    if len(live) < len(rows):
+        arrays = _rows(arrays, live)
+    singular = np.zeros(len(rows), dtype=bool)
+    if len(live):
+        lin, pixel, center, wts = arrays
+        params, singular[live] = _algebraic_seeds(lin, pixel - center, wts)
+        seeded = ~singular[live]
+        if not seeded.all():
+            arrays, live, params = _rows(arrays, seeded), live[seeded], params[:, seeded]
+    if len(live):
+        obj, system = evaluate(params, *arrays)
     lam = np.full(len(live), config.lm_lambda_init)
     iters = np.ones(len(live), dtype=int)  # linearizations, this round's included
-    final_params, final_obj = np.zeros((3, len(block))), np.zeros(len(block))
-    final_iters = np.zeros(len(block), dtype=int)
-    final_hess = np.tile(np.eye(3), (len(block), 1, 1))  # inverts where no LM ran
-    diverged = np.zeros(len(block), dtype=bool)
+    final_params, final_obj = np.zeros((3, len(rows))), np.zeros(len(rows))
+    final_iters = np.zeros(len(rows), dtype=int)
+    final_hess = np.tile(np.eye(3), (len(rows), 1, 1))  # inverts where no LM ran
+    diverged = np.zeros(len(rows), dtype=bool)
     diagonal = np.arange(3)
     while len(live):
         hess, grad = system[:, :, :3], system[:, :, 3]
@@ -432,7 +447,7 @@ def _solve_block(block, config: SolverConfig) -> list:
             hess[:, diagonal, diagonal], DAMPING_FLOOR)
         trial = params - _each(_solve_stack, damped, grad)[0].T
         trial[2] = wrap_angles(trial[2])
-        t_obj, t_system = evaluate(trial, lin, pixel, center, wts)
+        t_obj, t_system = evaluate(trial, *arrays)
         accept = (t_obj < obj) & ~stop
         rel = (obj - t_obj) / np.maximum(obj, 1e-300)
         lam = np.where(accept, np.maximum(lam / scale, LAMBDA_MIN), lam * scale)
@@ -450,21 +465,22 @@ def _solve_block(block, config: SolverConfig) -> list:
             diverged[out] = give_up[done] & ~(np.isfinite(obj[done])
                                               & np.isfinite(params[:, done]).all(axis=0))
             keep = ~done
-            live, params, obj, system, lam, iters, lin = (
-                live[keep], params[:, keep], obj[keep], system[keep], lam[keep], iters[keep],
-                lin[keep])
-            pixel, center, wts = (a[..., keep, :] for a in (pixel, center, wts))
+            live, params, obj, system, lam, iters = (
+                live[keep], params[:, keep], obj[keep], system[keep], lam[keep], iters[keep])
+            arrays = _rows(arrays, keep)
 
     # sigma^2 * H^-1 as _solve_covariance forms it, from one batched inverse
     sigma2 = np.maximum(final_obj / (2 * rows - 3), R_MIN**2)
     cov = sigma2[:, None, None] * _each(np.linalg.inv, final_hess)[0]
     definite = (np.isfinite(cov).all(axis=(1, 2))
                 & np.isfinite(_each(np.linalg.cholesky, cov)[0]).all(axis=(1, 2)))
-    return [None if singular[n]
+    return [_too_few(k) if k < 3
+            else None if singular[n]
             else _diverged() if diverged[n]
-            else _unconstrained(obs.n_rows) if not definite[n]
-            else _estimate(obs, final_params[:, n], final_obj[n], final_iters[n], cov[n])
-            for n, obs in enumerate(block)]
+            else _unconstrained(k) if not definite[n]
+            else _estimate(final_params[:, n], final_obj[n], final_iters[n], cov[n], k,
+                           len(block.cameras[n]), block.stamps[n])
+            for n, k in enumerate(rows.tolist())]
 
 
 def single_view_candidate(

@@ -206,50 +206,148 @@ class FlatObservations:
 
 
 def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
-    """Flatten a frame-set into one FlatObservations, gathering its columns
-    from the rig's linear map (see _rig_map).
-
-    A detection more than one image width (u) or height (v) outside its
-    camera's image is dropped and counted in ``rejected``: no camera could
-    have produced it, and its residual would swamp the solve. The simulated
-    noise moves a pixel at most 6 * pixel_sigma + outlier_spread (62 px by
-    default) past the edge. A camera left without keypoints adds none.
+    """Flatten a frame-set into one FlatObservations: gather_observations of
+    the frame-set alone, whose rule and checks it shares (see _gather).
 
     Raises UnknownCamera for a camera id outside the rig and UnknownKeypoint
     for a keypoint index outside the robot model.
     """
+    (linear_map, center, pixel, weight), rows, failures = _gather([frameset], cameras, model)
+    if failures:
+        raise failures[0][1]
+    _, (stamp,), (cams,), (offsets,), (rejected,) = rows
+    return FlatObservations(linear_map.reshape(5, -1), center, pixel.T.copy(), weight, stamp,
+                            cams, offsets, rejected)
+
+
+@dataclass(frozen=True)
+class ObservationBlock:
+    """N frame-sets flattened at once, in the layout of the batched solve.
+
+    Row n holds frame-set n's K_n columns, as FlatObservations orders them,
+    padded with zero columns to the widest row's W: a zero column has a
+    zero linear map, principal point, pixel and weight. The per-row tuples
+    and arrays hold what FlatObservations holds for one frame-set.
+    """
+
+    linear_map: np.ndarray  # (N, 5, 3W); row n's column j * W + k is component j of keypoint k
+    center: np.ndarray  # (2, N, W)
+    pixel: np.ndarray  # (2, N, W)
+    weight: np.ndarray  # (N, W)
+    n_rows: np.ndarray  # (N,) each row's K_n
+    stamps: tuple
+    cameras: tuple  # each row's contributing CameraModels, in camera-id order
+    offsets: tuple  # each row's camera column ranges
+    rejected: tuple  # each row's detections dropped as far outside their image
+    source: tuple  # each row's position among the gathered frame-sets
+    failures: tuple  # (position, UnknownCamera or UnknownKeypoint) of each frame-set left out
+
+    def __len__(self) -> int:
+        return len(self.n_rows)
+
+    def row(self, n: int) -> FlatObservations:
+        """Row n as the FlatObservations that flatten_observations makes of
+        its frame-set, bit for bit."""
+        k, w = int(self.n_rows[n]), self.weight.shape[1]
+        linear_map = self.linear_map[n].reshape(5, 3, w)[:, :, :k].reshape(5, -1)
+        return FlatObservations(linear_map, self.center[:, n, :k], self.pixel[:, n, :k],
+                                self.weight[n, :k], self.stamps[n], self.cameras[n],
+                                self.offsets[n], self.rejected[n])
+
+
+def gather_observations(framesets, cameras, model: RobotModel) -> ObservationBlock:
+    """Flatten frame-sets into one ObservationBlock, gathering their columns
+    from the rig's linear map (see _rig_map).
+
+    A frame-set with a camera id outside the rig gets no row: it is left out
+    with an UnknownCamera, and one with a keypoint index outside the robot
+    model with an UnknownKeypoint. A detection more than one image width
+    (u) or height (v) outside its camera's image is dropped and counted in
+    its row's ``rejected``: no camera could have produced it, and its
+    residual would swamp the solve. The simulated noise moves a pixel at
+    most 6 * pixel_sigma + outlier_spread (62 px by default) past the edge.
+    A camera left without keypoints adds none.
+    """
+    (linear_map, center, pixel, weight), rows, failures = _gather(framesets, cameras, model)
+    source, stamps, cams, offsets, rejected = rows
+    n_rows = np.array([o[-1] for o in offsets], dtype=int)
+    n, width = len(n_rows), max(n_rows.tolist(), default=0)
+    # kept column c of row r lands in column c - (r's first) of the padded row
+    row_of = np.repeat(np.arange(n), n_rows)
+    col = np.arange(len(row_of)) - (np.cumsum(n_rows) - n_rows)[row_of]
+
+    def padded(values):
+        """(..., N, W) from the kept columns' values (..., sum of K_n)."""
+        out = np.zeros((*values.shape[:-1], n, width))
+        out[..., row_of, col] = values
+        return out
+
+    block_map = np.zeros((n, 15, width))
+    block_map[row_of, :, col] = linear_map.T
+    return ObservationBlock(block_map.reshape(n, 5, 3 * width),
+                            padded(center), padded(pixel.T), padded(weight), n_rows,
+                            tuple(stamps), tuple(cams), tuple(offsets), tuple(rejected),
+                            tuple(source), tuple(failures))
+
+
+def _gather(framesets, cameras, model: RobotModel):
+    """The rule of gather_observations, before the padding: (columns, rows,
+    failures). columns holds the kept columns of all rows, each row's after
+    the row before's: their linear map (15, C), principal points (2, C),
+    pixels (C, 2) and weights (C,). rows holds five lists, of each row's
+    position among the frame-sets, stamp, cameras, offsets and rejected
+    count. failures lists (position, error) in position order."""
     rig_cams, rig_map, rig_center, rig_size = _rig_map(cameras, model)
     position = {c.camera_id: i for i, c in enumerate(rig_cams)}
-    unknown = frameset.per_camera.keys() - position.keys()
-    if unknown:
-        raise UnknownCamera(f"camera {min(unknown)} not in rig")
-    ids = sorted(frameset.per_camera)
-    messages = [frameset.per_camera[i] for i in ids]
-    idx = np.concatenate([m.keypoints for m in messages] + [np.zeros(0, int)])
-    bad = (idx < 0) | (idx >= model.n_keypoints)
-    if bad.any():
-        raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
-                              f"{model.n_keypoints}-keypoint robot model")
-    n_rows = [len(m.keypoints) for m in messages]
-    pixel = np.concatenate([m.pixels for m in messages] + [np.zeros((0, 2))])
-    rig_row = np.repeat(np.array([position[i] for i in ids], dtype=int), n_rows)
+    m = model.n_keypoints
+    source, stamps, failures = [], [], []
+    rows = []  # each row's (rig position, message) pairs, in camera-id order
+    for p, fs in enumerate(framesets):
+        unknown = fs.per_camera.keys() - position.keys()
+        if unknown:
+            failures.append((p, UnknownCamera(f"camera {min(unknown)} not in rig")))
+            continue
+        source.append(p)
+        stamps.append(fs.anchor_stamp)
+        rows.append([(position[i], fs.per_camera[i]) for i in sorted(fs.per_camera)])
+    while True:  # until no row holds an unknown keypoint
+        messages = [msg for row in rows for _, msg in row]
+        lengths = [len(msg.keypoints) for msg in messages]
+        idx = np.concatenate([msg.keypoints for msg in messages] + [np.zeros(0, int)])
+        bad = (idx < 0) | (idx >= m)
+        if not bad.any():
+            break
+        row_of = np.repeat(np.arange(len(rows)),
+                           [sum(len(msg.keypoints) for _, msg in row) for row in rows])
+        drop = np.unique(row_of[bad]).tolist()
+        failures += [(source[r], UnknownKeypoint(f"keypoint index {idx[bad & (row_of == r)][0]} "
+                                                 f"outside the {m}-keypoint robot model"))
+                     for r in drop]
+        source, stamps, rows = ([x for r, x in enumerate(a) if r not in drop]
+                                for a in (source, stamps, rows))
+    failures.sort(key=lambda failure: failure[0])
+
+    pixel = np.concatenate([msg.pixels for msg in messages] + [np.zeros((0, 2))])
+    rig_row = np.repeat(np.array([p for row in rows for p, _ in row], dtype=int), lengths)
     size = rig_size[rig_row, :, 0]
     keep = (np.abs(pixel - 0.5 * size) <= 1.5 * size).all(axis=1)
-    counts = np.bincount(np.repeat(np.arange(len(ids)), n_rows)[keep], minlength=len(ids))
-    cams = tuple(rig_cams[position[i]] for i, n in zip(ids, counts) if n)
-    counts = counts[counts > 0]  # kept keypoints per contributing camera
-    m = model.n_keypoints
+    if keep.all():  # the common case: every detection is a column
+        kept, keep = lengths, slice(None)
+    else:
+        kept = np.bincount(np.repeat(np.arange(len(messages)), lengths)[keep],
+                           minlength=len(messages)).tolist()
+    cams, offsets, rejected = [], [], []
+    k = 0
+    for row in rows:
+        end = k + len(row)
+        cams.append(tuple(itertools.compress([rig_cams[p] for p, _ in row], kept[k:end])))
+        offsets.append(tuple(itertools.accumulate(filter(None, kept[k:end]), initial=0)))
+        rejected.append(sum(lengths[k:end]) - offsets[-1][-1])
+        k = end
     columns = (rig_row * m + idx)[keep]
-    return FlatObservations(
-        linear_map=rig_map.reshape(5, 3, len(rig_cams) * m).take(columns, axis=2).reshape(5, -1),
-        center=rig_center.take(columns, axis=1),
-        pixel=pixel[keep].T.copy(),
-        weight=np.concatenate([m.confidence for m in messages] + [np.zeros(0)])[keep],
-        stamp=frameset.anchor_stamp,
-        cameras=cams,
-        offsets=tuple(itertools.accumulate(counts.tolist(), initial=0)),
-        rejected=len(keep) - int(np.count_nonzero(keep)),
-    )
+    weight = np.concatenate([msg.confidence for msg in messages] + [np.zeros(0)])[keep]
+    return ((rig_map.reshape(15, -1).take(columns, axis=1), rig_center.take(columns, axis=1),
+             pixel[keep], weight), (source, stamps, cams, offsets, rejected), failures)
 
 
 def _linear_map(cams, cam_row, body_points):

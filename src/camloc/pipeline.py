@@ -29,6 +29,7 @@ from .estimation import (
     gate_single_view,
     information_mean,
     initialize_global,
+    positive_definite,
     solve_batch,
     solve_multiview,
 )
@@ -39,7 +40,7 @@ from .evaluation import (
     translation_rmse,
     waypoint_errors,
 )
-from .geometry import PoseSE2, flatten_observations
+from .geometry import PoseSE2, flatten_observations, gather_observations
 from .posegraph import PoseGraph
 from .scenario import ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
@@ -107,64 +108,74 @@ def _predict(cov, pose, delta, delta_cov):
     return f @ cov @ f.T + g @ delta_cov @ g.T
 
 
+def _fuse(pose, cov, fix):
+    """information_mean of the robot's belief (pose, cov) and a fix, or None
+    where it cannot be formed: an information matrix that is singular, or
+    a result that is not finite or not positive definite."""
+    try:
+        mean, fused = information_mean([pose, fix.pose], [cov, fix.covariance])
+    except np.linalg.LinAlgError:
+        return None
+    values = fused.ravel().tolist()
+    if all(map(math.isfinite, [mean.x, mean.y, mean.theta] + values)) and positive_definite(values):
+        return mean, fused
+    return None
+
+
 def _solve_framesets(config, steps, needed):
     """The solves of pass 2: (solves, skipped, rejected), with solves a list
     of (sample index, raw estimate, gated estimate) for the (sample index,
     frame-set) pairs ``needed``, in stream order, and skipped and rejected
     the skipped frame-sets and the dropped detections.
 
-    Frame-sets go to initialize_global one by one until the first fix.
-    After it, each block of BATCH_BLOCK frame-sets is flattened and solved
-    in one solve_batch, each from its own algebraic seed, so that only a
-    block's flattened frame-sets are held at once. A sweep in stream order
-    then predicts each pose from the last accepted one moved by the
-    odometry since, for the single-camera gate and for a frame-set whose
-    seed is singular, which is solved from that prediction. A frame-set
-    holding an unknown id, or whose solve fails, is skipped.
+    Frame-sets are flattened and go to initialize_global one by one until
+    the first fix. After it, each block of BATCH_BLOCK frame-sets is
+    gathered in one gather_observations and solved in one solve_batch, each
+    from its own algebraic seed, so that only one block's arrays are held at
+    once. A sweep in stream order then predicts a pose only where one is
+    read: for the single-camera gate, and for a frame-set whose seed is
+    singular, which is solved from it. The prediction is the last accepted
+    pose moved by the odometry since. A frame-set holding an unknown id, or
+    whose solve fails, is skipped.
     """
     solves, skipped, rejected = [], 0, 0
     pending = iter(needed)
-    while block := list(itertools.islice(pending, BATCH_BLOCK if solves else 1)):
-        flat = []  # (sample index, frame-set, FlatObservations)
-        for i, fs in block:
-            try:
-                obs = flatten_observations(fs, config.cameras, config.robot_model)
-            except (UnknownCamera, UnknownKeypoint):
-                skipped += 1
-                continue
-            rejected += obs.rejected
-            flat.append((i, fs, obs))
-        if not solves:
-            for i, fs, _ in flat:
-                try:
-                    est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
-                except (NoEligibleCamera, InsufficientObservations, SolverDiverged):
-                    skipped += 1
-                    continue
-                solves.append((i, est, est))
-                prior, odo_upto = est.pose, i
-                odo_since_prior = PoseSE2()  # the steps after prior, up to sample odo_upto
+    for i, fs in pending:
+        try:
+            rejected += flatten_observations(fs, config.cameras, config.robot_model).rejected
+            est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
+        except (UnknownCamera, UnknownKeypoint, NoEligibleCamera, InsufficientObservations,
+                SolverDiverged):
+            skipped += 1
             continue
-
-        estimates = solve_batch([obs for _, _, obs in flat], config.solver)
-        for (i, _, obs), est in zip(flat, estimates):
-            for step in steps[odo_upto:i]:
-                odo_since_prior = odo_since_prior.compose(step)
-            odo_upto = i
-            predicted = prior.compose(odo_since_prior)
+        solves.append((i, est, est))
+        break
+    while block := list(itertools.islice(pending, BATCH_BLOCK)):
+        gathered = gather_observations([fs for _, fs in block], config.cameras,
+                                       config.robot_model)
+        skipped += len(gathered.failures)
+        rejected += sum(gathered.rejected)
+        estimates = solve_batch(gathered, config.solver)
+        for n, (p, est) in enumerate(zip(gathered.source, estimates)):
+            i = block[p][0]
             try:
                 if isinstance(est, CamlocError):
                     raise est
+                if est is None or est.n_cameras == 1:  # the prediction is read
+                    prior_at, _, prior = solves[-1]
+                    moved = PoseSE2()
+                    for step in steps[prior_at:i]:
+                        moved = moved.compose(step)
+                    predicted = prior.pose.compose(moved)
                 if est is None:  # a singular seed
-                    est = solve_multiview(obs, predicted, config.solver)
+                    est = solve_multiview(gathered.row(n), predicted, config.solver)
                 gated = est
                 if est.n_cameras == 1:
-                    gated = gate_single_view(predicted, est, obs.cameras[0], config.gate)
+                    gated = gate_single_view(predicted, est, gathered.cameras[n][0], config.gate)
             except (InsufficientObservations, SolverDiverged):
                 skipped += 1
                 continue
             solves.append((i, est, gated))
-            prior, odo_since_prior = gated.pose, PoseSE2()
     return solves, skipped, rejected
 
 
@@ -249,6 +260,7 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
         "skipped_framesets": skipped,
         "rejected_detections": rejected,
         "feedback_applications": 0,
+        "feedback_restarts": 0,
         "pose_graph_solves": 0,
     }
     # Pass 3: the robot's track and the pose graph, sample by sample.
@@ -279,11 +291,11 @@ def run_pipeline(config: ScenarioConfig, messages=None, samples=None) -> RunResu
             if config.feedback:
                 # a static sample adds a node, so the fix constrains the
                 # belief's, the newest; the fused output gets the batch solve
-                if robot_cov is None:
-                    robot_pose, robot_cov = fix.pose, fix.covariance
-                else:
-                    robot_pose, robot_cov = information_mean(
-                        [robot_pose, fix.pose], [robot_cov, fix.covariance])
+                belief = None if robot_cov is None else _fuse(robot_pose, robot_cov, fix)
+                if belief is None:  # the first fix, or a fusion that cannot be formed
+                    counters["feedback_restarts"] += robot_cov is not None
+                    belief = fix.pose, fix.covariance
+                robot_pose, robot_cov = belief
                 counters["feedback_applications"] += 1
         robot.append((sample.stamp, robot_pose))
 

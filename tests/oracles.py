@@ -12,6 +12,7 @@ the reference for the pipeline's batched one.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from camloc import estimation
 from camloc.errors import (GaugeFree, InsufficientObservations, NoEligibleCamera, SolverDiverged,
                            UnknownCamera, UnknownKeypoint)
-from camloc.geometry import (PoseSE2, flatten_observations, reprojection_kernel, wrap_angle,
-                             wrap_angles)
+from camloc.geometry import (FlatObservations, PoseSE2, _rig_map, flatten_observations,
+                             reprojection_kernel, wrap_angle, wrap_angles)
 from camloc.posegraph import Node
 
 try:
@@ -428,3 +429,44 @@ def reference_solve_framesets(config, steps, needed):
         solves.append((i, est, gated))
         prior, odo_since_prior = gated.pose, PoseSE2()
     return solves, skipped, rejected
+
+
+# -- one frame-set flattened on its own ------------------------------------
+
+
+def reference_flatten(frameset, cameras, model):
+    """flatten_observations as it was before frame-sets were gathered a block
+    at a time: one frame-set's columns taken from the rig's linear map, with
+    the same checks, far-pixel drop and rejected count."""
+    rig_cams, rig_map, rig_center, rig_size = _rig_map(cameras, model)
+    position = {c.camera_id: i for i, c in enumerate(rig_cams)}
+    unknown = frameset.per_camera.keys() - position.keys()
+    if unknown:
+        raise UnknownCamera(f"camera {min(unknown)} not in rig")
+    ids = sorted(frameset.per_camera)
+    messages = [frameset.per_camera[i] for i in ids]
+    idx = np.concatenate([m.keypoints for m in messages] + [np.zeros(0, int)])
+    bad = (idx < 0) | (idx >= model.n_keypoints)
+    if bad.any():
+        raise UnknownKeypoint(f"keypoint index {idx[bad][0]} outside the "
+                              f"{model.n_keypoints}-keypoint robot model")
+    n_rows = [len(m.keypoints) for m in messages]
+    pixel = np.concatenate([m.pixels for m in messages] + [np.zeros((0, 2))])
+    rig_row = np.repeat(np.array([position[i] for i in ids], dtype=int), n_rows)
+    size = rig_size[rig_row, :, 0]
+    keep = (np.abs(pixel - 0.5 * size) <= 1.5 * size).all(axis=1)
+    counts = np.bincount(np.repeat(np.arange(len(ids)), n_rows)[keep], minlength=len(ids))
+    cams = tuple(rig_cams[position[i]] for i, n in zip(ids, counts) if n)
+    counts = counts[counts > 0]  # kept keypoints per contributing camera
+    m = model.n_keypoints
+    columns = (rig_row * m + idx)[keep]
+    return FlatObservations(
+        linear_map=rig_map.reshape(5, 3, len(rig_cams) * m).take(columns, axis=2).reshape(5, -1),
+        center=rig_center.take(columns, axis=1),
+        pixel=pixel[keep].T.copy(),
+        weight=np.concatenate([m.confidence for m in messages] + [np.zeros(0)])[keep],
+        stamp=frameset.anchor_stamp,
+        cameras=cams,
+        offsets=tuple(itertools.accumulate(counts.tolist(), initial=0)),
+        rejected=len(keep) - int(np.count_nonzero(keep)),
+    )

@@ -257,6 +257,28 @@ class TestConfigValidation:
             assert proc.stderr.startswith("error: solver: lm_lambda_scale "), proc.stderr
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,override", [
+        ("traj3", "odometry_noise.bias_trans_m_per_m=1e100"),
+        ("long_feedback", "odometry_noise.rot_sigma_per_sqrt_rad=1e20"),
+    ], ids=["bias_trans_1e100", "rot_sigma_per_rad_1e20"])
+    def test_unformable_feedback_fusion_costs_its_fix(self, scenario_dir, tmp_path, name,
+                                                      override):
+        """Odometry this poor makes the information of the robot's belief
+        singular or not positive definite. Each such fusion restarts the
+        belief from its fix and is counted; it never ends in a traceback
+        (exit 1). The run is a child process limited to 60 s."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "camloc.cli", "run", "--scenario",
+             str(scenario_dir / f"{name}.json"), "--out", str(tmp_path / "o"),
+             "--override", override, "--override", "feedback=true"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        if proc.returncode == 0:
+            counters = json.loads((tmp_path / "o" / "run_meta.json").read_text())["counters"]
+            assert 0 < counters["feedback_restarts"] <= counters["feedback_applications"]
+
     @pytest.mark.parametrize("override,segment", [
         ("cameras.0.fx_px=700", "cameras"),
         ("seed.x=3", "seed"),
@@ -558,9 +580,9 @@ class TestReplay:
         # of the frame-set that holds the marked confidence diverges
         marker, solve = 0.123, pipeline.solve_batch
 
-        def diverging(observations, config=None):
-            return [SolverDiverged("planted") if (obs.weight == marker).any() else est
-                    for obs, est in zip(observations, solve(observations, config))]
+        def diverging(block, config=None):
+            return [SolverDiverged("planted") if (weight == marker).any() else est
+                    for weight, est in zip(block.weight, solve(block, config))]
 
         def corrupt(msg):
             msg["keypoints"][0]["conf"] = marker

@@ -24,7 +24,7 @@ from camloc.estimation import (
     single_view_candidate,
     solve_multiview,
 )
-from camloc.geometry import PoseSE2, angle_diff, flatten_observations
+from camloc.geometry import PoseSE2, angle_diff, flatten_observations, gather_observations
 from camloc.pipeline import run_pipeline, simulate_detections
 from camloc.scenario import WAYPOINTS, camera_visibility_count, load_config, make_camera
 from camloc.simulation import GroundTruthSample, NoiseModel, simulate_frame
@@ -467,12 +467,14 @@ class TestOneLMLoop:
         self._assert_same(far, blind, SolverConfig(), monkeypatch)
 
 
-def flattened_stream(config):
-    """Every frame-set of a scenario's simulated stream, flattened."""
+def stream_framesets(config):
+    """Every frame-set of a scenario's simulated stream."""
     sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
-    framesets = [fs for msg in simulate_detections(config) for fs in sync.ingest(msg)]
-    return [flatten_observations(fs, config.cameras, config.robot_model)
-            for fs in framesets + sync.flush()]
+    return [fs for msg in simulate_detections(config) for fs in sync.ingest(msg)] + sync.flush()
+
+
+def gathered(framesets, config):
+    return gather_observations(framesets, config.cameras, config.robot_model)
 
 
 def batch_seed(obs):
@@ -492,24 +494,28 @@ def assert_same_bits(got, want):
 
 class TestSolveBatch:
     """solve_batch is solve_multiview from the algebraic seed, for every
-    frame-set at once."""
+    row of a gathered block at once."""
 
     @pytest.mark.parametrize("name", ["traj1", "traj2", "traj3"])
     def test_equals_the_scalar_loop(self, scenario_dir, name):
         config = load_config(scenario_dir / f"{name}.json", {"seed": 7})
-        observations = flattened_stream(config)
-        batch = estimation.solve_batch(observations, config.solver)
-        assert len(batch) == len(observations) > estimation.BATCH_BLOCK * 3
-        for obs, got in zip(observations, batch):
-            want = solve_multiview(obs, batch_seed(obs), config.solver)
-            assert got.n_iterations == want.n_iterations
-            assert (got.n_cameras, got.n_keypoints, got.stamp) == (
-                want.n_cameras, want.n_keypoints, want.stamp)
-            assert abs(got.pose.x - want.pose.x) < 1e-9
-            assert abs(got.pose.y - want.pose.y) < 1e-9
-            assert abs(angle_diff(got.pose.theta, want.pose.theta)) < 1e-9
-            np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
-            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9)
+        framesets = stream_framesets(config)
+        assert len(framesets) > estimation.BATCH_BLOCK * 3
+        for lo in range(0, len(framesets), estimation.BATCH_BLOCK):
+            block = gathered(framesets[lo:lo + estimation.BATCH_BLOCK], config)
+            batch = estimation.solve_batch(block, config.solver)
+            assert len(batch) == len(block) == len(framesets[lo:lo + estimation.BATCH_BLOCK])
+            for n, got in enumerate(batch):
+                obs = block.row(n)
+                want = solve_multiview(obs, batch_seed(obs), config.solver)
+                assert got.n_iterations == want.n_iterations
+                assert (got.n_cameras, got.n_keypoints, got.stamp) == (
+                    want.n_cameras, want.n_keypoints, want.stamp)
+                assert abs(got.pose.x - want.pose.x) < 1e-9
+                assert abs(got.pose.y - want.pose.y) < 1e-9
+                assert abs(angle_diff(got.pose.theta, want.pose.theta)) < 1e-9
+                np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
+                assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9)
 
     @pytest.mark.parametrize("solver", [
         SolverConfig(max_iterations=1),
@@ -520,41 +526,68 @@ class TestSolveBatch:
     def test_equals_the_scalar_loop_at_other_settings(self, traj1_config, solver):
         """The iteration cap, the lam schedule, the tolerance and the Huber
         threshold mean what they mean to levenberg_marquardt."""
-        observations = flattened_stream(traj1_config)[:150]
-        for obs, got in zip(observations, estimation.solve_batch(observations, solver)):
+        block = gathered(stream_framesets(traj1_config)[:150], traj1_config)
+        for n, got in enumerate(estimation.solve_batch(block, solver)):
+            obs = block.row(n)
             want = solve_multiview(obs, batch_seed(obs), solver)
             assert got.n_iterations == want.n_iterations
             assert np.abs(got.pose.as_array() - want.pose.as_array()).max() < 1e-9
             np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
 
     def test_bad_frame_sets_fail_alone(self, traj1_config):
-        """Three frame-sets that must fail share a block with 40 that must
-        not: each fails with solve_multiview's error, and every other answer
-        is that of its frame-set solved in a block of one, bit for bit."""
-        good = flattened_stream(traj1_config)[:40]
-        far_pixel = good[7].pixel.copy()
-        far_pixel[0, 0] = 1e200  # past the image: flatten_observations drops it
-        two = good[9]
-        bad = {
-            10: (replace(good[3], weight=np.zeros(good[3].n_rows)), InsufficientObservations),
-            21: (replace(good[7], pixel=far_pixel), SolverDiverged),
-            32: (replace(two, linear_map=two.linear_map.reshape(5, 3, -1)[:, :, :2].reshape(5, -1),
-                         center=two.center[:, :2], pixel=two.pixel[:, :2],
-                         weight=two.weight[:2], offsets=(0, 2)), InsufficientObservations),
-        }
-        block = list(good)
-        for k in sorted(bad):
-            block.insert(k, bad[k][0])
-        assert len({obs.n_rows for obs in good}) > 3  # the block pads most of them
+        """Three rows that must fail share a block with 40 that must not:
+        each fails with solve_multiview's error, and every other answer is
+        that of its frame-set solved in a block of one, bit for bit."""
+        good = stream_framesets(traj1_config)[:40]
+        framesets = list(good)
+        for k, twin in ((10, 3), (21, 7), (32, 9)):
+            framesets.insert(k, good[twin])
+        block = gathered(framesets, traj1_config)
+        weight, pixel, n_rows = block.weight.copy(), block.pixel.copy(), block.n_rows.copy()
+        linear_map, center = block.linear_map.copy(), block.center.copy()
+        weight[10] = 0.0  # every confidence 0
+        pixel[0, 21, 0] = 1e200  # past the image: the gather drops it
+        n_rows[32] = 2  # only 2 keypoints
+        for a in (weight[32], pixel[:, 32], center[:, 32], linear_map[32].reshape(5, 3, -1)):
+            a[..., 2:] = 0.0
+        offsets = list(block.offsets)
+        offsets[32] = (0, 2)
+        block = replace(block, linear_map=linear_map, center=center, pixel=pixel, weight=weight,
+                        n_rows=n_rows, offsets=tuple(offsets))
+        bad = {10: InsufficientObservations, 21: SolverDiverged, 32: InsufficientObservations}
+        assert len(set(block.n_rows.tolist())) > 3  # the block pads most of them
         results = estimation.solve_batch(block, traj1_config.solver)
-        for k, (obs, error) in bad.items():
+        for k, error in bad.items():
             assert type(results[k]) is error
+            obs = block.row(k)
             with pytest.raises(error):
                 solve_multiview(obs, batch_seed(obs) if obs.n_rows >= 3 else PoseSE2(),
                                 traj1_config.solver)
-        for k, (obs, got) in enumerate(zip(block, results)):
+        for k, (fs, got) in enumerate(zip(framesets, results)):
             if k not in bad:
-                assert_same_bits(got, estimation.solve_batch([obs], traj1_config.solver)[0])
+                alone = gathered([fs], traj1_config)
+                assert_same_bits(got, estimation.solve_batch(alone, traj1_config.solver)[0])
+
+    def test_a_block_with_no_row_to_solve(self, traj1_config, monkeypatch):
+        """An empty block, rows of 0 and 2 columns, and rows whose every
+        seed is singular: nothing enters the LM, and each row gets its
+        entry."""
+        cam = traj1_config.cameras[0].camera_id
+        short = [FrameSet(0.0, {cam: DetectionMessage(cam, 0.0, ids, [[400.0, 200.0]] * len(ids),
+                                                      [1.0] * len(ids))})
+                 for ids in ([], [0, 1])]
+        assert estimation.solve_batch(gathered([], traj1_config)) == []
+        results = estimation.solve_batch(gathered(short, traj1_config))
+        assert [type(r) for r in results] == [InsufficientObservations] * 2
+        seeds = estimation._algebraic_seeds
+
+        def all_singular(*arrays):
+            out, singular = seeds(*arrays)
+            return out * np.nan, singular | True
+
+        monkeypatch.setattr(estimation, "_algebraic_seeds", all_singular)
+        block = gathered(stream_framesets(traj1_config)[:5] + short, traj1_config)
+        assert estimation.solve_batch(block)[:5] == [None] * 5
 
     def test_a_singular_matrix_fails_alone(self, rng):
         """_each solves a stack in one call, or, when one matrix is singular,
@@ -982,6 +1015,38 @@ class TestPoseEstimateInvariants:
         with pytest.raises(ValueError):
             PoseEstimate(pose=PoseSE2(), covariance=np.eye(3), rms_residual=0.0,
                          n_cameras=0, n_keypoints=4, stamp=0.0)
+
+    @pytest.mark.parametrize("cov", [
+        np.diag([0.0, 1.0, 1.0]),  # a zero first pivot
+        # pivots 1 and 1, then 1 - 0.8^2 - 0.8^2 < 0
+        np.array([[1.0, 0.0, 0.8], [0.0, 1.0, 0.8], [0.8, 0.8, 1.0]]),
+        np.diag([1.0, 1.0, np.nextafter(0.0, -1.0)]),
+    ], ids=["zero_first_pivot", "negative_third_pivot", "third_pivot_below_zero"])
+    def test_rejects_a_non_positive_pivot(self, cov):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        with pytest.raises(np.linalg.LinAlgError):
+            PoseEstimate(pose=PoseSE2(), covariance=cov, rms_residual=0.0, n_cameras=1,
+                         n_keypoints=4, stamp=0.0)
+
+    def test_pivots_agree_with_lapack(self, rng):
+        """positive_definite is np.linalg.cholesky's verdict on symmetric
+        matrices with eigenvalues of either sign, spread over six decades:
+        far enough from zero that rounding cannot flip either verdict."""
+        verdicts = set()
+        for _ in range(2000):
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            eig = rng.choice([-1.0, 1.0], size=3, p=[0.2, 0.8]) * 10.0 ** rng.uniform(-3, 3, 3)
+            cov = q @ np.diag(eig) @ q.T
+            cov = 0.5 * (cov + cov.T)
+            try:
+                np.linalg.cholesky(cov)
+                want = True
+            except np.linalg.LinAlgError:
+                want = False
+            assert estimation.positive_definite(cov.ravel().tolist()) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestSolverConfigValidation:

@@ -13,13 +13,18 @@ from camloc.geometry import (
     RobotModel,
     angle_diff,
     flatten_observations,
+    gather_observations,
     project_robot,
     reprojection_kernel,
     wrap_angle,
 )
-from camloc.sync import DetectionMessage, FrameSet
+from camloc.estimation import BATCH_BLOCK
+from camloc.pipeline import simulate_detections
+from camloc.scenario import load_config
+from camloc.sync import DetectionMessage, FrameSet, Synchronizer
 
-from oracles import BehindCamera, central_difference_jacobian, keypoint_world, project
+from oracles import (BehindCamera, central_difference_jacobian, keypoint_world, project,
+                     reference_flatten)
 
 
 def _axis_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
@@ -465,3 +470,97 @@ class TestRigMap:
         assert geometry._rig_map(rig, RobotModel(robot_model.keypoints, 0.35))[1] is not first
         first = geometry._rig_map(rig, robot_model)[1]
         assert geometry._rig_map(rig[::-1], robot_model)[1] is not first
+
+
+def _stream_framesets(config):
+    sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
+    return [fs for msg in simulate_detections(config) for fs in sync.ingest(msg)] + sync.flush()
+
+
+class TestGather:
+    """gather_observations against oracles.reference_flatten, the flatten
+    of one frame-set on its own that it replaced: every row, bit for bit,
+    and every frame-set left out, with the reference's error."""
+
+    @staticmethod
+    def _assert_rows(framesets, cameras, model):
+        block = gather_observations(framesets, cameras, model)
+        rows = iter(range(len(block)))
+        for p, fs in enumerate(framesets):
+            try:
+                want = reference_flatten(fs, cameras, model)
+            except (UnknownCamera, UnknownKeypoint) as error:
+                assert [type(e) for q, e in block.failures if q == p] == [type(error)]
+                continue
+            n = next(rows)
+            assert block.source[n] == p
+            got = block.row(n)
+            for name in ("linear_map", "center", "pixel", "weight"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert (got.cameras, got.offsets, got.stamp, got.rejected) == (
+                want.cameras, want.offsets, want.stamp, want.rejected)
+            # the padding the batched solve relies on: zero columns
+            k = block.n_rows[n]
+            assert not block.weight[n, k:].any() and not block.pixel[:, n, k:].any()
+            assert not block.center[:, n, k:].any()
+            assert not block.linear_map[n].reshape(5, 3, -1)[:, :, k:].any()
+        assert next(rows, None) is None
+        assert len(block) + len(block.failures) == len(framesets)
+        return block
+
+    @pytest.mark.parametrize("name", ["traj1", "traj2", "traj3"])
+    def test_every_row_equals_the_reference(self, scenario_dir, name):
+        config = load_config(scenario_dir / f"{name}.json", {"seed": 7})
+        framesets = _stream_framesets(config)
+        blocks = [self._assert_rows(framesets[lo:lo + BATCH_BLOCK], config.cameras,
+                                    config.robot_model)
+                  for lo in range(0, len(framesets), BATCH_BLOCK)]
+        assert len(blocks) > 3
+        assert len(set(blocks[0].n_rows.tolist())) > 3  # most rows are padded
+        for fs in framesets[::25]:
+            got = flatten_observations(fs, config.cameras, config.robot_model)
+            want = reference_flatten(fs, config.cameras, config.robot_model)
+            assert got.linear_map.tobytes() == want.linear_map.tobytes()
+            assert got.pixel.tobytes() == want.pixel.tobytes()
+
+    def test_a_mixed_block(self, traj1_config):
+        """Clean frame-sets, and frame-sets holding an unknown camera id, a
+        keypoint id 99, a 1e200 px pixel, and only 2 keypoints."""
+        cameras, model = traj1_config.cameras, traj1_config.robot_model
+        clean = _stream_framesets(traj1_config)[:12]
+
+        def edited(fs, edit):
+            per_camera = dict(fs.per_camera)
+            cam_id = min(per_camera)
+            m = per_camera[cam_id]
+            ids, pixels, conf = m.keypoints.copy(), m.pixels.copy(), m.confidence.copy()
+            cam_id, ids, pixels, conf = edit(cam_id, ids, pixels, conf)
+            per_camera[cam_id] = DetectionMessage(cam_id, m.stamp, ids, pixels, conf)
+            return FrameSet(fs.anchor_stamp, per_camera)
+
+        def two_keypoints(fs):
+            cam_id = min(fs.per_camera)
+            m = fs.per_camera[cam_id]
+            return FrameSet(fs.anchor_stamp, {cam_id: DetectionMessage(
+                cam_id, m.stamp, m.keypoints[:2], m.pixels[:2], m.confidence[:2])})
+
+        def far(cam_id, ids, pixels, conf):
+            pixels[0, 0] = 1e200
+            return cam_id, ids, pixels, conf
+
+        def unknown_keypoint(cam_id, ids, pixels, conf):
+            ids[-1] = 99
+            return cam_id, ids, pixels, conf
+
+        mixed = list(clean)
+        mixed[2] = edited(clean[2], lambda cam_id, *rest: (99, *rest))
+        mixed[4] = edited(clean[4], unknown_keypoint)
+        mixed[5] = edited(clean[5], far)
+        mixed[7] = two_keypoints(clean[7])
+        mixed.append(edited(clean[8], unknown_keypoint))
+        block = self._assert_rows(mixed, cameras, model)
+        assert [(p, type(e)) for p, e in block.failures] == [
+            (2, UnknownCamera), (4, UnknownKeypoint), (12, UnknownKeypoint)]
+        assert block.rejected[block.source.index(5)] == 1
+        assert block.n_rows[block.source.index(7)] == 2

@@ -10,7 +10,7 @@ from camloc import estimation, pipeline
 from camloc.geometry import PoseSE2, angle_diff
 from camloc.scenario import load_config
 from camloc.simulation import script_trajectory, simulate_odometry_step
-from camloc.sync import nearest_stamp_index
+from camloc.sync import DetectionMessage, Synchronizer, nearest_stamp_index
 
 import oracles
 
@@ -54,12 +54,13 @@ def _counting(monkeypatch, name, calls):
 
 
 def test_the_batch_is_the_route(scenario_dir, monkeypatch):
-    """After the first fix no frame-set is solved one at a time."""
-    calls = {"solve_multiview": 0, "initialize_global": 0}
+    """After the first fix no frame-set is flattened or solved one at a
+    time: only the first-fix attempts flatten."""
+    calls = {"solve_multiview": 0, "initialize_global": 0, "flatten_observations": 0}
     for name in calls:
         _counting(monkeypatch, name, calls)
     result = pipeline.run_pipeline(load_config(scenario_dir / "traj1.json", {"seed": 7}))
-    assert calls == {"solve_multiview": 0, "initialize_global": 1}
+    assert calls == {"solve_multiview": 0, "initialize_global": 1, "flatten_observations": 1}
     assert len(result.mode_trajectories["raw"]) > 600
 
 
@@ -107,3 +108,72 @@ def test_singular_seed_is_solved_from_the_prediction(scenario_dir, monkeypatch):
     again = estimation.solve_multiview(obs, predicted, config.solver)
     assert (again.pose, again.n_iterations) == (est.pose, est.n_iterations)
     assert again.covariance.tobytes() == est.covariance.tobytes()
+
+
+def _steps(config, samples):
+    rng = pipeline._odometry_rng(config.seed)
+    return [simulate_odometry_step(a.pose.inverse().compose(b.pose), config.odometry_noise, rng)
+            for a, b in zip(samples, samples[1:])]
+
+
+def test_a_prediction_after_a_skip_is_the_eager_fold(scenario_dir, monkeypatch):
+    """A frame-set skipped for an unknown camera, then one seen by a lone
+    camera: the gate's prediction is the last accepted pose moved by every
+    odometry step since, the skipped frame-set's included, composed one by
+    one from the identity in stream order, bit for bit."""
+    config = _config(scenario_dir, "traj1", 7)
+    samples = script_trajectory(config.trajectory)
+    messages = pipeline.simulate_detections(config, samples)
+    sync = Synchronizer([c.camera_id for c in config.cameras], config.sync)
+    framesets = [fs for msg in messages for fs in sync.ingest(msg)] + sync.flush()
+    skipped, lone = framesets[300], framesets[301]
+    kept = max(lone.per_camera.values(), key=lambda m: len(m.keypoints))
+    dropped = {id(m) for m in lone.per_camera.values() if m is not kept}
+    stray = next(iter(skipped.per_camera.values()))
+    stray = DetectionMessage(99, stray.stamp, stray.keypoints, stray.pixels, stray.confidence)
+    stream = [m for m in messages if id(m) not in dropped] + [stray]
+    stream.sort(key=lambda m: (m.stamp, m.camera_id))
+
+    gate, seen = pipeline.gate_single_view, []
+
+    def spy(predicted, raw, camera, thresholds=None):
+        seen.append((predicted, raw))
+        return gate(predicted, raw, camera, thresholds)
+
+    monkeypatch.setattr(pipeline, "gate_single_view", spy)
+    result = pipeline.run_pipeline(config, stream, samples)
+    assert result.counters["skipped_framesets"] == 1
+    (predicted, raw), = [(p, r) for p, r in seen if r.stamp == lone.anchor_stamp]
+    assert raw.n_cameras == 1
+
+    gated = result.mode_trajectories["gated_1frame"]
+    k = int(np.flatnonzero(gated.stamps == lone.anchor_stamp)[0])
+    assert gated.stamps[k - 1] < skipped.anchor_stamp < lone.anchor_stamp
+    prev, now = nearest_stamp_index([s.stamp for s in samples],
+                                    [gated.stamps[k - 1], lone.anchor_stamp])
+    moved = PoseSE2()
+    for step in _steps(config, samples)[prev:now]:
+        moved = moved.compose(step)
+    assert predicted == gated.poses[k - 1].compose(moved)
+
+
+@pytest.mark.parametrize("name", ["traj1", "traj2", "traj3", "long_feedback"])
+def test_no_bundled_run_restarts_its_belief(scenario_dir, name):
+    """Every fix of a bundled run with feedback fuses into the belief."""
+    config = load_config(scenario_dir / f"{name}.json",
+                         {"seed": 7, "feedback": True, "modes": ["robot"]})
+    counters = pipeline.run_pipeline(config).counters
+    assert counters["feedback_applications"] > 50
+    assert counters["feedback_restarts"] == 0
+
+
+@pytest.mark.parametrize("cov", [np.full((3, 3), np.nan), -np.eye(3)],
+                         ids=["not_finite", "not_positive_definite"])
+def test_a_fusion_that_cannot_be_formed_is_refused(cov):
+    """A belief whose fusion with a fix gives a non-finite or indefinite
+    covariance is not fused: the caller restarts it from the fix."""
+    fix = estimation.PoseEstimate(PoseSE2(1.0, 2.0, 0.3), 2.0 * np.eye(3), rms_residual=0.0,
+                                  n_cameras=2, n_keypoints=8, stamp=0.0)
+    assert pipeline._fuse(PoseSE2(), cov, fix) is None
+    mean, fused = pipeline._fuse(PoseSE2(), np.eye(3), fix)
+    assert estimation.positive_definite(fused.ravel().tolist())
