@@ -72,7 +72,8 @@ def procrustes_align(estimate: Trajectory, reference: Trajectory, tol: float = S
     pairs = match_stamps(estimate, reference, tol)
     if len(pairs) < 2:
         raise InsufficientOverlap(f"{len(pairs)} matched pairs (need 2)")
-    pe = estimate.positions()[[ia for ia, _ in pairs]]
+    pos = estimate.positions()
+    pe = pos[[ia for ia, _ in pairs]]
     pr = reference.positions()[[ib for _, ib in pairs]]
     ce = pe.mean(axis=0)
     cr = pr.mean(axis=0)
@@ -84,9 +85,14 @@ def procrustes_align(estimate: Trajectory, reference: Trajectory, tol: float = S
     rot = PoseSE2(0.0, 0.0, theta)
     t = cr - rot.apply(ce)
     transform = PoseSE2(t[0], t[1], theta)
-    aligned = Trajectory(
-        estimate.stamps.copy(), [transform.compose(p) for p in estimate.poses]
-    )
+    # transform.compose(p) of every pose, in the same float operations
+    c, s = math.cos(transform.theta), math.sin(transform.theta)
+    px, py = pos.T
+    x = transform.x + c * px - s * py
+    y = transform.y + s * px + c * py
+    heading = [transform.theta + p.theta for p in estimate.poses]
+    aligned = Trajectory(estimate.stamps.copy(),
+                         list(map(PoseSE2, x.tolist(), y.tolist(), heading)))
     return aligned, transform
 
 
@@ -153,9 +159,7 @@ def error_over_distance(aligned: Trajectory, reference: Trajectory, tol: float =
     ref_pos = reference.positions()
     seg = np.linalg.norm(np.diff(ref_pos, axis=0), axis=1) if len(reference) > 1 else np.zeros(0)
     cumdist = np.concatenate([[0.0], np.cumsum(seg)])
-    pos = aligned.positions()
-    out = []
-    for ia, ib in pairs:
-        err = float(np.linalg.norm(pos[ia] - ref_pos[ib]))
-        out.append((float(aligned.stamps[ia]), float(cumdist[ib]), err))
-    return out
+    ia, ib = np.array(pairs).T
+    d = aligned.positions()[ia] - ref_pos[ib]
+    err = np.sqrt(np.vecdot(d, d))
+    return list(zip(aligned.stamps[ia].tolist(), cumdist[ib].tolist(), err.tolist()))

@@ -407,15 +407,24 @@ def project_robot(pose: PoseSE2, cameras, model: RobotModel):
     given order: keypoint j is visible in camera i iff it lies more than
     MIN_DEPTH in front of the camera and its pixel, rounded to the pixel
     grid, lands inside the image."""
+    pixels, visible = project_robots([pose], cameras, model)
+    return pixels[0], visible[0]
+
+
+def project_robots(poses, cameras, model: RobotModel):
+    """project_robot at each of F poses: (pixels (F, C, M, 2), visible
+    (F, C, M)). Each pose is its own product with the rig's linear map in
+    one stacked matmul, so its pixels do not depend on the other poses."""
     cams, linear_map, center, size = _rig_map(cameras, model)
-    m = model.n_keypoints
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    pc = (np.array([c, s, pose.x, pose.y, 1.0]) @ linear_map).reshape(3, -1)
-    pixels = (_pixel_offset(pc)[0] + center).reshape(2, len(cams), m)
+    shape = (len(poses), len(cams), model.n_keypoints)
+    rows = np.array([(math.cos(p.theta), math.sin(p.theta), p.x, p.y, 1.0) for p in poses])
+    pc = np.matmul(rows.reshape(-1, 1, 5), linear_map).reshape(-1, 3, shape[1] * shape[2])
+    offset, _ = _pixel_offset(pc.transpose(1, 0, 2))
+    pixels = (offset + center[:, None]).reshape((2,) + shape)
     col, row = np.round(pixels)
-    visible = ((pc[2].reshape(len(cams), m) > MIN_DEPTH) & (col >= 0) & (col < size[:, 0])
+    visible = ((pc[:, 2].reshape(shape) > MIN_DEPTH) & (col >= 0) & (col < size[:, 0])
                & (row >= 0) & (row < size[:, 1]))
-    return pixels.transpose(1, 2, 0), visible
+    return pixels.transpose(1, 2, 3, 0), visible
 
 
 # Rows applied to FlatObservations.linear_map: the camera-frame point,

@@ -80,11 +80,14 @@ def simulate_detections(config: ScenarioConfig, samples=None):
 
 
 def _simulate(config, samples, frames):
-    """The stamp-ordered detections of the frames at sample indices ``frames``."""
+    """The stamp-ordered detections of the frames at sample indices
+    ``frames``, simulated in batches of at most BATCH_BLOCK frames."""
     messages = []
-    for i in frames:
-        messages.extend(simulate_frame(samples[i], config.cameras, config.robot_model,
-                                       config.noise, _frame_rng(config.seed, i)))
+    for start in range(0, len(frames), BATCH_BLOCK):
+        block = frames[start:start + BATCH_BLOCK]
+        messages.extend(simulate_frame([samples[i] for i in block], config.cameras,
+                                       config.robot_model, config.noise,
+                                       [_frame_rng(config.seed, i) for i in block]))
     messages.sort(key=lambda m: (m.stamp, m.camera_id))
     return messages
 

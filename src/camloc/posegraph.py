@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaugeFree, SolverDiverged, UnknownNode
-from .estimation import PoseEstimate, SolverConfig, levenberg_marquardt
+from .estimation import PoseEstimate, SolverConfig, levenberg_marquardt, positive_definite
 from .geometry import PoseSE2, wrap_angles
 from .sync import nearest_stamp_index
 
@@ -66,7 +66,8 @@ class PoseGraph:
     def add_odometry(self, delta: PoseSE2, covariance, stamp: float) -> int:
         """Append a node at previous ∘ delta with a binary odometry edge."""
         cov = np.array(covariance, dtype=float).reshape(3, 3)
-        np.linalg.cholesky(cov)  # positive-definite check
+        if not positive_definite(cov.ravel().tolist()):
+            raise np.linalg.LinAlgError("odometry covariance is not positive definite")
         prev = self.nodes[-1]
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")

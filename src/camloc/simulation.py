@@ -5,7 +5,9 @@ Stands in for a real detection pipeline so the estimator can be exercised
 against exact ground truth. All randomness flows through a caller-provided
 seeded generator; identical seeds give bit-identical outputs. A frame's
 detection noise is drawn as arrays in one fixed layout (see
-simulate_frame), so its detections depend on its generator alone.
+simulate_frame), so its detections depend on its generator alone, and a
+batch of frames, simulated in one call with vectorized projection and
+noise, gives the bytes of one call per frame.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import PoseSE2, RobotModel, angle_diff, project_robot
+from .geometry import PoseSE2, RobotModel, angle_diff, project_robots
 from .sync import DetectionMessage, ns_to_stamp, stamp_to_ns
 
 
@@ -211,45 +213,66 @@ def script_trajectory(script: TrajectoryScript):
 
 
 def simulate_frame(sample, cameras, model, noise: NoiseModel, rng):
-    """Simulate one synchronized capture; returns per-camera detection messages.
+    """Simulate synchronized captures; returns per-camera detection messages.
+
+    ``sample`` and ``rng`` are one GroundTruthSample and its generator, or
+    equal-length sequences of them: the F frames are simulated as one batch
+    and their messages returned in frame order, then camera-id order.
 
     Keypoints are projected exactly, then perturbed by truncated Gaussian
     pixel noise (clipped at 6 sigma), dropped out at random, and occasionally
     replaced by uniform-offset outliers. Confidence reflects only the
     Gaussian component, so outliers keep a deceptively plausible confidence.
 
-    The noise is drawn as arrays over the C cameras, in camera-id order, by
-    the M model keypoints, in this order and whether or not a keypoint is
-    visible or a sigma is 0: the dropout uniforms (C, M), the pixel normals
-    (C, M, 2), the outlier uniforms (C, M), the outlier angles (C, M) and
-    radii (C, M), and the stamp jitter (C,).
+    Each frame draws its noise from its own generator, frame after frame, as
+    arrays over the C cameras, in camera-id order, by the M model keypoints,
+    in this order and whether or not a keypoint is visible or a sigma is 0:
+    the dropout uniforms (C, M), the pixel normals (C, M, 2), the outlier
+    uniforms (C, M), the outlier angles (C, M) and radii (C, M), and the
+    stamp jitter (C,). The batch is then projected in one project_robots
+    and perturbed in one pass over (F, C, M) arrays, elementwise, so a
+    frame's messages have the bytes of a call with it alone, and F frames
+    sharing one generator draw as F single-frame calls would.
     """
+    samples, rngs = ([sample], [rng]) if isinstance(sample, GroundTruthSample) else (sample, rng)
+    if len(samples) != len(rngs):
+        raise ValueError(f"{len(samples)} samples but {len(rngs)} generators")
+    if not samples:
+        return []
     cameras = sorted(cameras, key=lambda c: c.camera_id)
-    pixels, visible = project_robot(sample.pose, cameras, model)
-    shape = visible.shape
-    kept = visible & (rng.random(shape) >= noise.dropout_prob)
-    offset = rng.normal(0.0, noise.pixel_sigma, shape + (2,))
+    pixels, visible = project_robots([s.pose for s in samples], cameras, model)
+    shape = visible.shape[1:]
+    dropout, offset, outlier, angle, radius, jitter = map(np.array, zip(*[
+        (g.random(shape), g.normal(0.0, noise.pixel_sigma, shape + (2,)), g.random(shape),
+         g.uniform(0.0, 2.0 * math.pi, shape), g.uniform(0.0, noise.outlier_spread, shape),
+         g.normal(0.0, noise.timestamp_jitter, len(cameras))) for g in rngs]))
+    kept = visible & (dropout >= noise.dropout_prob)
     mag = np.hypot(offset[..., 0], offset[..., 1])
     limit = 6.0 * noise.pixel_sigma
     clipped = mag > limit
     offset[clipped] *= (limit / mag[clipped])[:, None]
     mag[clipped] = limit
-    confidence = np.clip(1.0 - mag / (3.0 * noise.pixel_sigma + 1e-9),
-                         noise.confidence_floor, 1.0)
-    pixels = pixels + offset  # a C-ordered copy, cheaper to gather per camera
-    outlier = rng.random(shape) < noise.outlier_prob
-    angle = rng.uniform(0.0, 2.0 * math.pi, shape)[outlier]
-    radius = rng.uniform(0.0, noise.outlier_spread, shape)[outlier]
-    pixels[outlier] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    jitter = np.clip(rng.normal(0.0, noise.timestamp_jitter, len(cameras)),
-                     -3 * noise.timestamp_jitter, 3 * noise.timestamp_jitter).tolist()
+    # np.clip's values at less of its per-call cost, which a single frame feels
+    confidence = np.minimum(np.maximum(1.0 - mag / (3.0 * noise.pixel_sigma + 1e-9),
+                                       noise.confidence_floor), 1.0)
+    pixels = pixels + offset
+    outlier = outlier < noise.outlier_prob
+    angle, radius = angle[outlier], radius[outlier]
+    pixels[outlier] += (radius * np.array([np.cos(angle), np.sin(angle)])).T
+    span = 3 * noise.timestamp_jitter
+    jitter = np.minimum(np.maximum(jitter, -span), span).tolist()
+    # the kept detections in (frame, camera, keypoint) order; those of
+    # (frame f, camera c) are rows bounds[f * C + c] to bounds[f * C + c + 1]
+    ids = kept.nonzero()[2]
+    pixels, confidence = pixels[kept], confidence[kept]
+    bounds = [0] + kept.sum(axis=2).cumsum().tolist()
     messages = []
-    for i, camera in enumerate(cameras):
-        ids = kept[i].nonzero()[0]
-        if len(ids):
-            stamp = ns_to_stamp(stamp_to_ns(sample.stamp + jitter[i]))
-            messages.append(DetectionMessage(camera.camera_id, stamp, ids, pixels[i, ids],
-                                             confidence[i, ids]))
+    for fc, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a < b:
+            f, c = divmod(fc, len(cameras))
+            stamp = ns_to_stamp(stamp_to_ns(samples[f].stamp + jitter[f][c]))
+            messages.append(DetectionMessage(cameras[c].camera_id, stamp, ids[a:b],
+                                             pixels[a:b], confidence[a:b]))
     return messages
 
 

@@ -764,11 +764,13 @@ class TestSimulationOnlyWhenRead:
             "seed": 7, "modes": '["robot","fused"]', "feedback": "true", **overrides})
         samples = simulation.script_trajectory(config.trajectory)
         whole = pipeline.simulate_detections(config, samples)
-        simulated = []
+        simulated, lines = [], []
 
-        def recorded(sample, *args):
-            messages = simulation.simulate_frame(sample, *args)
-            simulated.append((sample, messages))
+        def recorded(batch, *args):
+            """Records each batch's samples and messages, flattened."""
+            messages = simulation.simulate_frame(batch, *args)
+            simulated.extend(batch)
+            lines.extend(message_to_json(m) for m in messages)
             return messages
 
         monkeypatch.setattr(pipeline, "simulate_frame", recorded)
@@ -778,8 +780,7 @@ class TestSimulationOnlyWhenRead:
         frames = samples[::config.frame_stride]
         static = [s for s in frames if s.is_static]
         assert len(static) < len(frames) / 2
-        assert [sample for sample, _ in simulated] == (static if static_only else frames)
-        lines = [message_to_json(m) for _, messages in simulated for m in messages]
+        assert simulated == (static if static_only else frames)
         assert set(lines) <= {message_to_json(m) for m in whole}
         assert ours.counters["feedback_applications"] > 50
         for mode in ("robot", "fused"):

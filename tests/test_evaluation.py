@@ -102,6 +102,17 @@ class TestProcrustesAlign:
         with pytest.raises(InsufficientOverlap):
             procrustes_align(a, b)
 
+    def test_aligned_poses_are_the_per_pose_compose(self):
+        """The vectorized compose has the bits of transform.compose(p)."""
+        rng = np.random.default_rng(3)
+        ref = random_traj(rng, n=2000)
+        est = Trajectory(ref.stamps.copy(), [
+            PoseSE2(p.x + rng.normal(0, 0.3), p.y + rng.normal(0, 0.3), p.theta + 3.0)
+            for p in ref.poses])
+        aligned, transform = procrustes_align(est, ref)
+        assert aligned.stamps.tobytes() == est.stamps.tobytes()
+        assert aligned.poses == [transform.compose(p) for p in est.poses]
+
 
 class TestTranslationRmse:
     def test_constant_offsets(self):
@@ -176,3 +187,27 @@ class TestErrorOverDistance:
         b = make_traj([(0, 0, 0)], t0=5.0)
         with pytest.raises(InsufficientOverlap):
             error_over_distance(a, b)
+
+    def test_rows_are_the_per_pair_norms(self):
+        """The vectorized rows have the bits of one np.linalg.norm per
+        matched pair, on a stream with unmatched samples on both sides."""
+        rng = np.random.default_rng(4)
+        full = random_traj(rng, n=3000)
+
+        def subset(share, offset, noise):
+            keep = (rng.random(len(full)) < share).nonzero()[0]
+            return Trajectory(full.stamps[keep] + offset, [
+                PoseSE2(full.poses[k].x + rng.normal(0, noise),
+                        full.poses[k].y + rng.normal(0, noise), 0.0) for k in keep])
+
+        # an estimate 20 ms after a sample the reference lacks is 80 ms
+        # from the nearest one, so it stays unmatched
+        ref, est = subset(0.9, 0.0, 0.0), subset(0.8, 0.02, 0.2)
+        pairs = match_stamps(est, ref)
+        assert 0 < len(pairs) < min(len(est), len(ref))
+        ref_pos, pos = ref.positions(), est.positions()
+        cumdist = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(ref_pos, axis=0),
+                                                                  axis=1))])
+        want = [(float(est.stamps[ia]), float(cumdist[ib]),
+                 float(np.linalg.norm(pos[ia] - ref_pos[ib]))) for ia, ib in pairs]
+        assert error_over_distance(est, ref) == want

@@ -80,6 +80,40 @@ class TestGraphConstruction:
             g.add_odometry(PoseSE2(0.1, 0, 0), np.diag([1.0, -1.0, 1.0]), stamp=1.0)
         assert len(g.nodes) == 1 and len(g.odometry_edges) == 0
 
+    @pytest.mark.parametrize("cov,accepted", [
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),  # second pivot 0
+        (np.diag([1.0, 1.0, -1e-300]), False),
+        # pivots 1, 1 and 2^-52: the last one just above zero
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 0.25 + 2.0**-52]], True),
+        (np.diag([1.0, 1.0, 5e-324]), True),  # a subnormal last pivot
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 0.25]], False),  # on the boundary
+    ], ids=["zero_pivot", "negative_pivot", "just_inside", "subnormal_pivot", "boundary"])
+    def test_insert_check_is_choleskys_verdict(self, cov, accepted):
+        """add_odometry's check on Python floats accepts and rejects what
+        np.linalg.cholesky does."""
+        try:
+            np.linalg.cholesky(np.array(cov))
+            assert accepted
+        except np.linalg.LinAlgError:
+            assert not accepted
+        g = PoseGraph()
+        if accepted:
+            g.add_odometry(PoseSE2(0.1, 0, 0), cov, stamp=1.0)
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                g.add_odometry(PoseSE2(0.1, 0, 0), cov, stamp=1.0)
+        assert len(g.nodes) == 1 + accepted
+
+    @pytest.mark.parametrize("row,col", [(1, 1), (2, 0)])
+    def test_nan_covariance_rejected(self, row, col):
+        """A NaN pivot is not positive. np.linalg.cholesky passes it on
+        OpenBLAS, whose factorization returns NaN without an error, so the
+        check is made on the pivots themselves."""
+        cov = np.eye(3)
+        cov[row, col] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            PoseGraph().add_odometry(PoseSE2(0.1, 0, 0), cov, stamp=1.0)
+
     def test_non_increasing_stamp_rejected(self):
         g = PoseGraph()
         g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=1.0)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from camloc.geometry import PoseSE2, project_robot
-from camloc.scenario import WAYPOINTS
+from camloc import pipeline
+from camloc.geometry import PoseSE2, project_robot, project_robots
+from camloc.scenario import WAYPOINTS, load_config
 from camloc.simulation import (
     MAX_SAMPLES,
     GroundTruthSample,
@@ -239,6 +240,87 @@ class TestSimulateFrame:
             runs.append([(m.camera_id, m.stamp, m.keypoints.tolist(), m.pixels.tolist(),
                           m.confidence.tolist()) for m in msgs])
         assert runs[0] == runs[1]
+
+
+def _fields(messages):
+    """Each message's camera, stamp, ids and the bytes of its arrays."""
+    return [(m.camera_id, m.stamp, m.keypoints.tolist(), m.pixels.tobytes(),
+             m.confidence.tobytes()) for m in messages]
+
+
+class TestSimulateBatch:
+    """simulate_frame over a sequence of samples and generators against the
+    single-frame route: one call per frame, each with its own generator."""
+
+    @staticmethod
+    def _per_frame(config, samples, frames, rngs):
+        return [m for i, rng in zip(frames, rngs)
+                for m in simulate_frame(samples[i], config.cameras, config.robot_model,
+                                        config.noise, rng)]
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("name", ["traj1", "traj2", "traj3", "long_feedback"])
+    def test_batch_is_the_per_frame_route(self, scenario_dir, name, seed):
+        config = load_config(scenario_dir / f"{name}.json", {"seed": seed})
+        samples = script_trajectory(config.trajectory)
+        frames = range(0, len(samples), config.frame_stride)
+        single = self._per_frame(config, samples, frames,
+                                 [pipeline._frame_rng(seed, i) for i in frames])
+        batch = simulate_frame([samples[i] for i in frames], config.cameras,
+                               config.robot_model, config.noise,
+                               [pipeline._frame_rng(seed, i) for i in frames])
+        assert len(single) > 1000
+        assert _fields(batch) == _fields(single)
+
+    @pytest.mark.parametrize("block", [7, pipeline.BATCH_BLOCK])
+    def test_blocks_of_the_stream(self, scenario_dir, monkeypatch, block):
+        """The pipeline's stream, simulated in blocks whose last one is short,
+        is the per-frame route's, stamp-ordered."""
+        config = load_config(scenario_dir / "traj3.json", {"seed": 7})
+        samples = script_trajectory(config.trajectory)
+        frames = range(0, len(samples), config.frame_stride)
+        assert len(frames) % block
+        monkeypatch.setattr(pipeline, "BATCH_BLOCK", block)
+        blocked = pipeline.simulate_detections(config, samples)
+        single = self._per_frame(config, samples, frames,
+                                 [pipeline._frame_rng(7, i) for i in frames])
+        single.sort(key=lambda m: (m.stamp, m.camera_id))
+        assert _fields(blocked) == _fields(single)
+
+    def test_empty_batch(self, rig, robot_model):
+        assert simulate_frame([], rig, robot_model, NoiseModel(), []) == []
+
+    def test_lengths_must_match(self, rig, robot_model):
+        sample = GroundTruthSample(0.0, PoseSE2(5.0, 4.0, 0.3), True, 0)
+        with pytest.raises(ValueError, match="2 samples but 1 generators"):
+            simulate_frame([sample, sample], rig, robot_model, NoiseModel(),
+                           [np.random.default_rng(0)])
+        with pytest.raises(ValueError):
+            simulate_frame([], rig, robot_model, NoiseModel(), [np.random.default_rng(0)])
+
+    def test_shared_generator_draws_as_single_calls(self, rig, robot_model):
+        """Frames that share one generator, as the relocalization set-up's
+        do, draw frame after frame, as one call per frame would."""
+        poses = [PoseSE2(*p) for p in WAYPOINTS.values()] * 5
+        samples = [GroundTruthSample(0.1 * k, pose, True, 0) for k, pose in enumerate(poses)]
+        rng_single, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
+        single = [m for s in samples
+                  for m in simulate_frame(s, rig, robot_model, NoiseModel(), rng_single)]
+        batch = simulate_frame(samples, rig, robot_model, NoiseModel(),
+                               [rng_batch] * len(samples))
+        assert len(single) > 40
+        assert _fields(batch) == _fields(single)
+        assert rng_batch.random() == rng_single.random()  # the same number of draws
+
+    def test_projection_is_per_pose(self, rig, robot_model):
+        """project_robots has the bits of project_robot at each pose."""
+        rng = np.random.default_rng(6)
+        poses = [PoseSE2(*p) for p in rng.uniform([-1.0, -1.0, -4.0], [11.0, 9.0, 4.0], (300, 3))]
+        pixels, visible = project_robots(poses, rig, robot_model)
+        for pose, pix, vis in zip(poses, pixels, visible):
+            one_pix, one_vis = project_robot(pose, rig, robot_model)
+            assert pix.tobytes() == one_pix.tobytes()
+            assert (vis == one_vis).all()
 
 
 class TestSimulateOdometry:
