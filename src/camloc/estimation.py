@@ -1,17 +1,18 @@
 """Multi-view pose estimation from synchronized keypoint detections.
 
-Implements the scalar Levenberg-Marquardt loop, which the pose graph
-shares; the weighted nonlinear least-squares pose solve it runs, on a
-Huber-robustified pixel residual; that solve for many frame-sets at once,
-each from its own algebraic seed, in one vectorized loop (solve_batch);
-per-camera candidates for prior-free initialization, each solved from one
-algebraic seed; the single-camera bearing-only outlier gate; and
-information-weighted averaging. Every solve's covariance is sigma^2 * H^-1
-from its own Gauss-Newton Hessian H, with sigma^2 the residual variance
-(cf. Triggs et al., "Bundle Adjustment - A Modern Synthesis", 2000), and
-that one covariance, by its full 3x3 information, weights every blend: of
-the per-camera candidates that seed relocalization, of consecutive static
-estimates, of the robot's belief and a fix, and in the pose graph.
+Implements the one pose solve: a weighted nonlinear least-squares fit of
+the ground-plane pose to a Huber-robustified pixel residual, run for a
+block of frame-sets at once in one vectorized Levenberg-Marquardt loop
+(solve_batch), each frame-set from its own start or its own algebraic
+seed. solve_multiview, prior-free initialization and the single-view
+candidate are each one row of it; the pose graph runs the same LM rule in
+the generic levenberg_marquardt. Also the single-camera bearing-only
+outlier gate and information-weighted averaging. Every solve's covariance
+is sigma^2 * H^-1 from its own Gauss-Newton Hessian H, with sigma^2 the
+residual variance (cf. Triggs et al., "Bundle Adjustment - A Modern
+Synthesis", 2000), and that one covariance, by its full 3x3 information,
+weights every blend: of consecutive static estimates, of the robot's
+belief and a fix, and in the pose graph.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from .geometry import (
     RobotModel,
     angle_diff,
     flatten_observations,
-    reprojection_kernel,
     reprojection_kernels,
-    wrap_angle,
     wrap_angles,
 )
 from .sync import FrameSet
 
-# Keypoints one camera needs to seed relocalization on its own.
+# Keypoints some camera must report for relocalization, and a single-view
+# candidate needs.
 MIN_SEED_KEYPOINTS = 4
 # Longest stamp span of the estimates that average_estimates accepts.
 AVERAGE_SPAN = 2.0  # s
@@ -143,19 +143,14 @@ def _huber_weight(norms, wts, delta):
     return wts * np.where(norms <= delta, 1.0, delta / np.maximum(norms, 1e-12))
 
 
-def _normal_equations(res, jac, norms, wts, delta):
-    """Huber-reweighted Gauss-Newton system: (hessian (3, 3), gradient (3,))."""
-    jw = (jac * _huber_weight(norms, wts, delta)).reshape(3, -1)
-    return jw @ jac.reshape(3, -1).T, jw @ res.reshape(-1)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol: float,
                         config: SolverConfig):
-    """Levenberg-Marquardt from ``start``: the one loop of the pose solve
-    and the pose graph, which pass ``evaluate(state) -> (objective,
-    residuals)``, ``linearize(state, residuals) -> (system, gradient)`` and
-    ``trial(state, system, gradient, lam) -> state``, the step damped by lam.
+    """Levenberg-Marquardt from ``start``: the pose graph's loop, which
+    passes ``evaluate(state) -> (objective, residuals)``,
+    ``linearize(state, residuals) -> (system, gradient)`` and
+    ``trial(state, system, gradient, lam) -> state``, the step damped by
+    lam. solve_batch runs the same rule for many pose solves at once.
 
     A trial is accepted iff it lowers the objective, so the NaN trial of a
     system with no solution never is. lam is divided by ``lm_lambda_scale``
@@ -190,138 +185,29 @@ def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol:
     return state, obj, iters, False, system
 
 
-def _levenberg_marquardt(start, obs: FlatObservations, config: SolverConfig):
-    """Minimize the Huber objective by LM from one start (x, y, theta).
-
-    Each trial pose is evaluated with its Jacobian, the next linearization
-    once the trial is accepted. Returns (params (3,), objective, iterations,
-    diverged, Gauss-Newton hessian (3, 3) of the last linearization).
-    """
-    delta, wts = config.huber_delta, obs.weight
-
-    def evaluate(params):
-        res, jac, _ = reprojection_kernel(params, obs)
-        norms = np.sqrt(np.add.reduce(res * res, axis=0))
-        return np.add.reduce(wts * _huber_cost(norms, delta)), (res, jac, norms)
-
-    def linearize(params, residuals):
-        return _normal_equations(*residuals, wts, delta)
-
-    def trial(params, hess, grad, lam):
-        """params + the step solving (H + lam * D) step = -grad, with
-        D = diag(max(diag(H), DAMPING_FLOOR)); NaN for a singular system."""
-        damped = hess.copy()
-        damped.reshape(9)[::4] += lam * np.maximum(hess.diagonal(), DAMPING_FLOOR)
-        try:
-            params = params - np.linalg.solve(damped, grad)
-        except np.linalg.LinAlgError:
-            return np.full(3, np.nan)
-        # an infinite angle becomes NaN, as np.fmod makes it; math.fmod raises
-        params[2] = wrap_angle(params[2]) if math.isfinite(params[2]) else math.nan
-        return params
-
-    start = np.array(start, dtype=float).reshape(3)
-    return levenberg_marquardt(start, evaluate, linearize, trial, config.lm_lambda_init,
-                               GRAD_TOL, config)
-
-
-def _too_few(n_rows: int):
-    return InsufficientObservations(f"{n_rows} keypoint observations (need 3)")
-
-
-def _unconstrained(n_rows: int):
-    return InsufficientObservations(f"{n_rows} keypoint observations leave the pose unconstrained")
-
-
-def _diverged():
-    return SolverDiverged("the LM start ended in a non-finite state")
-
-
-def _solve_covariance(hess, objective: float, n_rows: int) -> np.ndarray:
-    """sigma^2 * H^-1 of one solve, with sigma^2 = objective / (2K - 3) the
-    residual variance of its K keypoints, floored at R_MIN^2.
-
-    Raises InsufficientObservations when H is not positive definite, as when
-    every detection has confidence 0, or when the covariance overflows, as
-    when one absurd pixel swamps the objective: either way the detections
-    leave the pose unconstrained.
-    """
-    sigma2 = max(objective / (2 * n_rows - 3), R_MIN**2)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = sigma2 * np.linalg.inv(hess)
-        if np.isfinite(cov).all():
-            np.linalg.cholesky(cov)  # H^-1 is positive definite iff H is
-            return cov
-    except np.linalg.LinAlgError:
-        pass
-    raise _unconstrained(n_rows)
-
-
-def _estimate(params, objective: float, iters: int, cov, n_rows: int, n_cameras: int,
-              stamp: float) -> PoseEstimate:
-    return PoseEstimate(
-        pose=PoseSE2(*params),
-        covariance=cov,
-        rms_residual=math.sqrt(objective / n_rows),
-        n_cameras=n_cameras,
-        n_keypoints=n_rows,
-        stamp=stamp,
-        n_iterations=int(iters),
-    )
-
-
-def _best_solve(obs: FlatObservations, start, config: SolverConfig):
-    """Run LM from one start and return its answer as a PoseEstimate.
-
-    Raises SolverDiverged when the start ends in a non-finite state.
-    """
-    params, obj, iters, diverged, hess = _levenberg_marquardt(start, obs, config)
-    if diverged:
-        raise _diverged()
-    return _estimate(params, obj, iters, _solve_covariance(hess, obj, obs.n_rows), obs.n_rows,
-                     obs.n_cameras, obs.stamp)
-
-
 def solve_multiview(
     obs: FlatObservations, init: PoseSE2, config: SolverConfig | None = None
 ) -> PoseEstimate:
-    """Refine the robot pose on a flattened frame-set by robust LM from init."""
-    config = config or SolverConfig()
-    if obs.n_rows < 3:
-        raise _too_few(obs.n_rows)
-    return _best_solve(obs, init.as_array(), config)
+    """Refine the robot pose on a flattened frame-set by robust LM from
+    init: solve_batch of the frame-set as a block of one row."""
+    block = ObservationBlock(obs.linear_map[None], obs.center[:, None], obs.pixel[:, None],
+                             obs.weight[None], np.array([obs.n_rows]), (obs.stamp,),
+                             (obs.cameras,), (obs.offsets,), (obs.rejected,), (0,), ())
+    (est,) = solve_batch(block, config, starts=init.as_array()[:, None])
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
-def _seed_equations(lin, offset, weight):
-    """The algebraic seed's equations, (5, 2, ...) coefficients of q, and
-    their first four rows weighted, from the linear map (5, 3, ...), the
-    pixel offsets (2, ...) and the confidences (...) of the columns."""
-    eqs = lin[:, :2] - offset * lin[:, 2:]
-    return eqs, eqs[:4] * np.maximum(weight, 1e-6)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _algebraic_seed(obs: FlatObservations) -> np.ndarray:
-    """Pose (x, y, theta) from one weighted linear solve, the planar form of
-    DLT pose initialization (Hartley & Zisserman, Multiple View Geometry,
-    2nd ed., sec. 7.1). Keypoint k's camera-frame point is linear in
-    q = (cos, sin, x, y, 1), so its pixel offset (u', v') gives two
-    equations (L_x - u' L_z) q = 0 and (L_y - v' L_z) q = 0, each weighted
-    by max(confidence, 1e-6); their 4x4 normal equations give (cos, sin,
-    x, y), and theta = atan2(sin, cos). A non-finite seed is returned as
-    it is: the LM from it diverges. Raises InsufficientObservations when
-    the normal equations are singular.
-    """
-    eqs, weighted = _seed_equations(obs.linear_map.reshape(5, 3, obs.n_rows),
-                                    obs.pixel - obs.center, obs.weight)
-    eqs, weighted = eqs.reshape(5, -1), weighted.reshape(4, -1)
-    try:
-        c, s, x, y = np.linalg.solve(weighted @ eqs[:4].T, -(weighted @ eqs[4]))
-    except np.linalg.LinAlgError:
+def _seed(obs: FlatObservations) -> PoseSE2:
+    """The algebraic seed of all of obs's columns (see _algebraic_seeds).
+    Raises InsufficientObservations when its normal equations are singular."""
+    seeds, singular = _algebraic_seeds(obs.linear_map[None], (obs.pixel - obs.center)[:, None],
+                                       obs.weight[None])
+    if singular[0]:
         raise InsufficientObservations(
-            f"{obs.n_rows} keypoints leave the algebraic seed singular") from None
-    return np.array([x, y, math.atan2(s, c)])
+            f"{obs.n_rows} keypoints leave the algebraic seed singular")
+    return PoseSE2(*seeds[:, 0])
 
 
 # -- the batched solve ----------------------------------------------------
@@ -370,12 +256,24 @@ def _solve_stack(a, b):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _algebraic_seeds(linear_map, offset, weight):
-    """_algebraic_seed of each frame-set of a block, from its linear map
-    (N, 5, 3W), pixel offsets (2, N, W) and confidences (N, W): (seeds
-    (3, N), singular (N,)), with NaN seeds where the normal equations are
-    singular."""
+    """Pose (x, y, theta) of each frame-set of a block from one weighted
+    linear solve, the planar form of DLT pose initialization (Hartley &
+    Zisserman, Multiple View Geometry, 2nd ed., sec. 7.1), over all its
+    columns, whichever camera each comes from: the rig is one generalized
+    camera (Pless, "Using Many Cameras as One", CVPR 2003).
+
+    Keypoint k's camera-frame point is linear in q = (cos, sin, x, y, 1),
+    so its pixel offset (u', v') gives two equations (L_x - u' L_z) q = 0
+    and (L_y - v' L_z) q = 0, each weighted by max(confidence, 1e-6); their
+    4x4 normal equations give (cos, sin, x, y), and theta = atan2(sin, cos).
+    From the linear map (N, 5, 3W), pixel offsets (2, N, W) and confidences
+    (N, W): (seeds (3, N), singular (N,)), with NaN seeds where the normal
+    equations are singular. A non-finite seed is returned as it is: the LM
+    from it diverges.
+    """
     lin = linear_map.reshape(len(weight), 5, 3, -1).transpose(1, 2, 0, 3)
-    eqs, weighted = _seed_equations(lin, offset, weight)
+    eqs = lin[:, :2] - offset * lin[:, 2:]
+    weighted = eqs[:4] * np.maximum(weight, 1e-6)
     u, v = _column_dot(weighted[:, None], eqs).transpose(2, 3, 0, 1)  # (N, 4, 5) each
     normal = u + v
     solution, singular = _each(_solve_stack, normal[:, :, :4], -normal[:, :, 4])
@@ -391,27 +289,30 @@ def _rows(arrays, keep):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_batch(block: ObservationBlock, config: SolverConfig | None = None) -> list:
-    """solve_multiview of each row of a block of frame-sets (see
-    geometry.gather_observations) from its own algebraic seed, in one
-    vectorized LM.
+def solve_batch(block: ObservationBlock, config: SolverConfig | None = None,
+                starts=None) -> list:
+    """The robust pose solve of each row of a block of frame-sets (see
+    geometry.gather_observations) in one vectorized LM, from starts (3, N)
+    where given, else from each row's own algebraic seed.
 
     Each frame-set keeps its own lam, accept test, iteration count and stops,
     with levenberg_marquardt's rule and constants, and leaves the block once
-    it stops. Returns one entry per row: its PoseEstimate; the error
-    solve_multiview raises for it (InsufficientObservations, for fewer than
-    3 columns or a Hessian that is not positive definite, or
-    SolverDiverged), as an instance; or None where its seed is singular, so
-    that it needs a start of its own. A row with fewer than 3 columns or a
-    singular seed stays out of the LM.
+    it stops. Its covariance is sigma^2 * H^-1, with sigma^2 = objective /
+    (2K - 3) the residual variance of its K keypoints floored at R_MIN^2.
+    Returns one entry per row: its PoseEstimate; its error, as an instance
+    (InsufficientObservations, for fewer than 3 columns or a covariance that
+    is not finite and positive definite, as when every confidence is 0 or
+    one absurd pixel swamps the objective, or SolverDiverged); or None where
+    its seed is singular, so that it needs a start of its own. A row with
+    fewer than 3 columns or a singular seed stays out of the LM.
     """
     config = config or SolverConfig()
     delta, scale = config.huber_delta, config.lm_lambda_scale
     rows = block.n_rows
 
     def evaluate(params, lin, pixel, center, wts):
-        """The objective (N,) at params and the Gauss-Newton system (N, 3, 4)
-        there: the hessian, then the gradient, as _normal_equations."""
+        """The objective (N,) at params and the Huber-reweighted Gauss-Newton
+        system (N, 3, 4) there: the hessian, then the gradient."""
         res, jac = reprojection_kernels(params, lin, pixel, center)
         norms = np.sqrt(res[0] * res[0] + res[1] * res[1])
         jw = (jac * _huber_weight(norms, wts, delta))[:, None]
@@ -424,7 +325,9 @@ def solve_batch(block: ObservationBlock, config: SolverConfig | None = None) -> 
     if len(live) < len(rows):
         arrays = _rows(arrays, live)
     singular = np.zeros(len(rows), dtype=bool)
-    if len(live):
+    if starts is not None:
+        params = np.asarray(starts, dtype=float)[:, live]
+    elif len(live):
         lin, pixel, center, wts = arrays
         params, singular[live] = _algebraic_seeds(lin, pixel - center, wts)
         seeded = ~singular[live]
@@ -469,36 +372,35 @@ def solve_batch(block: ObservationBlock, config: SolverConfig | None = None) -> 
                 live[keep], params[:, keep], obj[keep], system[keep], lam[keep], iters[keep])
             arrays = _rows(arrays, keep)
 
-    # sigma^2 * H^-1 as _solve_covariance forms it, from one batched inverse
     sigma2 = np.maximum(final_obj / (2 * rows - 3), R_MIN**2)
     cov = sigma2[:, None, None] * _each(np.linalg.inv, final_hess)[0]
     definite = (np.isfinite(cov).all(axis=(1, 2))
                 & np.isfinite(_each(np.linalg.cholesky, cov)[0]).all(axis=(1, 2)))
-    return [_too_few(k) if k < 3
+    return [InsufficientObservations(f"{k} keypoint observations (need 3)") if k < 3
             else None if singular[n]
-            else _diverged() if diverged[n]
-            else _unconstrained(k) if not definite[n]
-            else _estimate(final_params[:, n], final_obj[n], final_iters[n], cov[n], k,
-                           len(block.cameras[n]), block.stamps[n])
+            else SolverDiverged("the LM start ended in a non-finite state") if diverged[n]
+            else InsufficientObservations(
+                f"{k} keypoint observations leave the pose unconstrained") if not definite[n]
+            else PoseEstimate(PoseSE2(*final_params[:, n]), cov[n],
+                              math.sqrt(final_obj[n] / k), len(block.cameras[n]), k,
+                              block.stamps[n], n_iterations=int(final_iters[n]))
             for n, k in enumerate(rows.tolist())]
 
 
 def single_view_candidate(
     obs: FlatObservations, config: SolverConfig | None = None
 ) -> PoseEstimate:
-    """Ground-plane pose candidate from one camera's columns, ``obs.camera(i)``.
-
-    Runs the 3-DoF solve from one start, the algebraic seed of the camera's
-    keypoints, which is exact for noise-free detections and so starts the
-    LM in the basin of the least-squares pose; the narrow robot body leaves
-    the heading multi-modal for starts far from it. The candidate carries
-    the covariance of its own solve, long along the camera's viewing ray.
+    """Ground-plane pose from one camera's flattened columns: solve_multiview
+    from their algebraic seed, which is exact for noise-free detections and
+    so starts the LM in the basin of the least-squares pose; the narrow
+    robot body leaves the heading multi-modal for starts far from it. The
+    answer carries the covariance of its own solve, long along the camera's
+    viewing ray.
     """
-    config = config or SolverConfig()
     if obs.n_rows < MIN_SEED_KEYPOINTS:
         raise InsufficientKeypoints(f"{obs.n_rows} keypoints from one camera "
                                     f"(need {MIN_SEED_KEYPOINTS})")
-    return _best_solve(obs, _algebraic_seed(obs), config)
+    return solve_multiview(obs, _seed(obs), config)
 
 
 def initialize_global(
@@ -507,28 +409,18 @@ def initialize_global(
     model: RobotModel,
     config: SolverConfig | None = None,
 ) -> PoseEstimate:
-    """Prior-free (kidnapped robot) initialization from a frame-set.
+    """Prior-free (kidnapped robot) initialization from a frame-set:
+    solve_multiview from the algebraic seed of all its columns.
 
-    The frame-set is flattened once. Each camera with enough keypoints gives
-    a candidate from its slice of the columns; a camera whose solve diverges
-    or leaves the pose unconstrained is skipped. The final multi-view solve
-    starts from the candidates' information-weighted mean.
+    Raises NoEligibleCamera unless some camera has MIN_SEED_KEYPOINTS
+    keypoints, InsufficientObservations where the seed is singular or the
+    solve leaves the pose unconstrained, and SolverDiverged where it
+    diverges.
     """
-    config = config or SolverConfig()
     obs = flatten_observations(frameset, cameras, model)
-    candidates = []
-    for view in map(obs.camera, range(obs.n_cameras)):
-        if view.n_rows < MIN_SEED_KEYPOINTS:
-            continue
-        try:
-            candidates.append(single_view_candidate(view, config))
-        except (SolverDiverged, InsufficientObservations):
-            continue
-    if not candidates:
-        raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints "
-                               "gave a candidate")
-    init = average_estimates(candidates).pose
-    return solve_multiview(obs, init, config)
+    if max(np.diff(obs.offsets), default=0) < MIN_SEED_KEYPOINTS:
+        raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints")
+    return solve_multiview(obs, _seed(obs), config)
 
 
 def gate_single_view(

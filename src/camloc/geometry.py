@@ -196,14 +196,6 @@ class FlatObservations:
     def n_cameras(self) -> int:
         return len(self.cameras)
 
-    def camera(self, i: int) -> "FlatObservations":
-        """Camera i's keypoints alone, as a one-camera FlatObservations."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        linear_map = self.linear_map.reshape(5, 3, self.n_rows)[:, :, lo:hi].reshape(5, -1)
-        return FlatObservations(linear_map, self.center[:, lo:hi], self.pixel[:, lo:hi],
-                                self.weight[lo:hi], self.stamp, self.cameras[i:i + 1],
-                                (0, hi - lo))
-
 
 def flatten_observations(frameset, cameras, model: RobotModel) -> FlatObservations:
     """Flatten a frame-set into one FlatObservations: gather_observations of
@@ -437,35 +429,16 @@ _POINT_AND_DERIVATIVES = np.array([[0.0, 0.0, 0.0, 0.0, 1.0],
                                    [0.0, 0.0, 0.0, 0.0, 0.0]])
 
 
-def reprojection_kernel(pose, obs: FlatObservations):
-    """Reprojection residuals of one robot pose against K flattened keypoints.
-
-    pose: (x, y, theta). Returns (residuals (2, K), Jacobian (3, 2, K) w.r.t.
-    (x, y, theta), depth (K,)). The residual is observed pixel minus
-    projection. Depth is the camera-frame z before the projection clamps it
-    at MIN_DEPTH, which keeps the residual and its gradient finite when a
-    trial pose puts a keypoint behind a camera.
-    """
-    x, y, theta = pose
-    c, s = math.cos(theta), math.sin(theta)
-    rows = _POINT_AND_DERIVATIVES.copy()
-    rows[0, 0] = rows[3, 1] = c
-    rows[0, 1] = s
-    rows[3, 0] = -s
-    rows[0, 2:4] = x, y
-    point_and_derivatives = (rows @ obs.linear_map).reshape(4, 3, obs.n_rows)
-    pc = point_and_derivatives[0]
-    res, jac = _residual(pc, point_and_derivatives[1:], obs.pixel, obs.center)
-    return res, jac, pc[2]
-
-
 def reprojection_kernels(params, linear_map, pixel, center):
-    """reprojection_kernel of N poses, params (3, N), each against its own
-    frame-set of W columns: linear_map (N, 5, 3W), pixel and center
-    (2, N, W). Returns (residuals (2, N, W), Jacobian (3, 2, N, W)). Each
-    frame-set's projection is the one matmul of reprojection_kernel, so
-    its bits do not depend on the other frame-sets or on zero columns
-    appended to its own.
+    """Reprojection residuals of N robot poses, params (3, N) of (x, y,
+    theta), each against its own frame-set of W flattened keypoints:
+    linear_map (N, 5, 3W), pixel and center (2, N, W). Returns (residuals
+    (2, N, W), Jacobian (3, 2, N, W) w.r.t. (x, y, theta)). The residual
+    is observed pixel minus projection; the projection clamps the depth at
+    MIN_DEPTH, which keeps the residual and its gradient finite when a
+    trial pose puts a keypoint behind a camera. Each frame-set's projection
+    is its own matmul, so its bits do not depend on the other frame-sets or
+    on zero columns appended to its own.
     """
     x, y, theta = params
     c, s = np.cos(theta), np.sin(theta)
@@ -476,18 +449,11 @@ def reprojection_kernels(params, linear_map, pixel, center):
     rows[:, 0, 2], rows[:, 0, 3] = x, y
     point_and_derivatives = np.matmul(rows, linear_map).reshape(len(theta), 4, 3, -1)
     point_and_derivatives = point_and_derivatives.transpose(1, 2, 0, 3)
-    return _residual(point_and_derivatives[0], point_and_derivatives[1:], pixel, center)
-
-
-def _residual(pc, d_pc, pixel, center):
-    """Observed pixel (2, ...) minus the projection of camera-frame points
-    pc (3, ...), as _pixel_offset makes it, and its Jacobian (3, 2, ...)
-    from d_pc (3, 3, ...), pc's derivatives in (x, y, theta)."""
-    offset, z = _pixel_offset(pc)
+    d_pc = point_and_derivatives[1:]  # the derivatives of pc in (x, y, theta)
+    offset, z = _pixel_offset(point_and_derivatives[0])
     # residual = -projection and d(fp / z) = (fp / z * dz - d(fp)) / -z,
-    # formed in place to hold one (3, 2, ...) array
+    # formed in place to hold one (3, 2, N, W) array
     jac = offset * d_pc[:, 2:]
     jac -= d_pc[:, :2]
     jac /= z
     return pixel - (offset + center), jac
-

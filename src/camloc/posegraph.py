@@ -20,6 +20,7 @@ whole graph.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,10 +65,15 @@ class PoseGraph:
         self.stamp_mismatch_warnings = 0
 
     def add_odometry(self, delta: PoseSE2, covariance, stamp: float) -> int:
-        """Append a node at previous ∘ delta with a binary odometry edge."""
+        """Append a node at previous ∘ delta with a binary odometry edge.
+        Raises LinAlgError unless the covariance is finite, symmetric and
+        positive definite: the solve inverts all of it."""
         cov = np.array(covariance, dtype=float).reshape(3, 3)
-        if not positive_definite(cov.ravel().tolist()):
-            raise np.linalg.LinAlgError("odometry covariance is not positive definite")
+        a = cov.ravel().tolist()
+        if not (all(map(math.isfinite, a)) and a[1] == a[3] and a[2] == a[6] and a[5] == a[7]
+                and positive_definite(a)):
+            raise np.linalg.LinAlgError(
+                "odometry covariance is not finite, symmetric and positive definite")
         prev = self.nodes[-1]
         if stamp <= prev.stamp:
             raise ValueError("node stamps must be strictly increasing")

@@ -4,10 +4,13 @@ Everything here recomputes expected values by a route different from the
 library code: scalar pinhole projection for the vectorised kernel, dense
 grid search for solver optimality, central finite differences for
 Jacobians, random search for alignment, and closed-form normal equations
-for small graphs. The 8-heading multi-start, a loop of one-start LM
-solves, is the reference that the single algebraic seed of a single-view
-candidate must match, and the prior-started loop of frame-set solves is
-the reference for the pipeline's batched one.
+for small graphs. The scalar pose solve (one frame-set, one start: the
+scalar kernel, LM, covariance and algebraic seed) is the reference for
+every row of the batched solve, and relocalization from per-camera
+candidates (reference_initialize_global) the reference for the one joint
+seed. The 8-heading multi-start, a loop of scalar solves, is the
+reference that a single algebraic seed must match, and the prior-started
+loop of frame-set solves is the reference for the pipeline's batched one.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from camloc import estimation
 from camloc.errors import (GaugeFree, InsufficientObservations, NoEligibleCamera, SolverDiverged,
                            UnknownCamera, UnknownKeypoint)
-from camloc.geometry import (FlatObservations, PoseSE2, _rig_map, flatten_observations,
-                             reprojection_kernel, wrap_angle, wrap_angles)
+from camloc.geometry import (_POINT_AND_DERIVATIVES, FlatObservations, PoseSE2, _pixel_offset,
+                             _rig_map, flatten_observations, wrap_angle, wrap_angles)
 from camloc.posegraph import Node
 
 try:
@@ -261,30 +264,60 @@ def multi_start(obs, starts, config):
     """Run the LM from each start alone. Returns (the index of the first
     start with the lowest objective among those that did not diverge, or
     None when all diverged; the list of each start's LM result)."""
-    results = [estimation._levenberg_marquardt(start, obs, config) for start in starts]
+    results = [reference_pose_lm(start, obs, config) for start in starts]
     kept = [i for i, (_, _, _, diverged, _) in enumerate(results) if not diverged]
     best = min(kept, key=lambda i: results[i][1]) if kept else None  # first on ties
     return best, results
 
 
-# -- the two LM loops as they were before they shared one ------------------
+# -- the scalar pose solve ------------------------------------------------
 #
-# Verbatim copies of the pose LM and of PoseGraph.optimize from before both
-# went through estimation.levenberg_marquardt; the shared loop must match
-# each bit for bit.
+# The pose solve as it ran one frame-set at a time before every pose solve
+# became a row of estimation.solve_batch: the scalar kernel, the scalar LM
+# (a verbatim copy of its loop from before it went through
+# estimation.levenberg_marquardt), the scalar covariance and algebraic
+# seed, and relocalization from per-camera candidates. The batched route
+# must match it.
+
+
+def reprojection_kernel(pose, obs):
+    """The residuals (2, K) of one pose (x, y, theta) against a flattened
+    frame-set, their Jacobian (3, 2, K) and the depths (K,) before the
+    MIN_DEPTH clamp, from one (4, 5) by (5, 3K) matmul."""
+    x, y, theta = pose
+    c, s = math.cos(theta), math.sin(theta)
+    rows = _POINT_AND_DERIVATIVES.copy()
+    rows[0, 0] = rows[3, 1] = c
+    rows[0, 1] = s
+    rows[3, 0] = -s
+    rows[0, 2:4] = x, y
+    point_and_derivatives = (rows @ obs.linear_map).reshape(4, 3, obs.n_rows)
+    pc, d_pc = point_and_derivatives[0], point_and_derivatives[1:]
+    offset, z = _pixel_offset(pc)
+    jac = offset * d_pc[:, 2:]
+    jac -= d_pc[:, :2]
+    jac /= z
+    return obs.pixel - (offset + obs.center), jac, pc[2]
+
+
+def normal_equations(res, jac, norms, wts, delta):
+    """Huber-reweighted Gauss-Newton system: (hessian (3, 3), gradient (3,))."""
+    jw = (jac * estimation._huber_weight(norms, wts, delta)).reshape(3, -1)
+    return jw @ jac.reshape(3, -1).T, jw @ res.reshape(-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_pose_lm(start, obs, config):
-    """The pose LM's own loop: (params, objective, iterations, diverged,
-    hessian), as estimation._levenberg_marquardt returns them."""
+    """The scalar pose LM from one start: (params (3,), objective,
+    iterations, diverged, Gauss-Newton hessian (3, 3) of the last
+    linearization)."""
     delta, scale, wts = config.huber_delta, config.lm_lambda_scale, obs.weight
     params = np.array(start, dtype=float).reshape(3)
     res, jac, _ = reprojection_kernel(params, obs)
     norms = np.sqrt(np.add.reduce(res * res, axis=0))
     cost = np.where(norms <= delta, norms**2, 2.0 * delta * norms - delta**2)
     obj = np.add.reduce(wts * cost)
-    hess, grad = estimation._normal_equations(res, jac, norms, wts, delta)
+    hess, grad = normal_equations(res, jac, norms, wts, delta)
     iters, lam, diverged = 1, config.lm_lambda_init, False
     running = not np.sqrt(np.add.reduce(grad * grad)) < 1e-14
     while running:
@@ -306,7 +339,7 @@ def reference_pose_lm(start, obs, config):
             if rel < config.convergence_tol or iters >= config.max_iterations:
                 break
             iters += 1
-            hess, grad = estimation._normal_equations(res, jac, norms, wts, delta)
+            hess, grad = normal_equations(res, jac, norms, wts, delta)
             running = not np.sqrt(np.add.reduce(grad * grad)) < 1e-14
         else:
             lam *= scale
@@ -314,6 +347,78 @@ def reference_pose_lm(start, obs, config):
                 diverged = not (math.isfinite(obj) and np.isfinite(params).all())
                 break
     return params, obj, iters, diverged, hess
+
+
+def camera_columns(obs, i):
+    """Camera i's columns of a flattened frame-set, as a one-camera
+    FlatObservations."""
+    lo, hi = obs.offsets[i], obs.offsets[i + 1]
+    linear_map = obs.linear_map.reshape(5, 3, obs.n_rows)[:, :, lo:hi].reshape(5, -1)
+    return FlatObservations(linear_map, obs.center[:, lo:hi], obs.pixel[:, lo:hi],
+                            obs.weight[lo:hi], obs.stamp, obs.cameras[i:i + 1], (0, hi - lo))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def algebraic_seed(obs):
+    """The planar DLT seed (x, y, theta) of a flattened frame-set from one
+    4x4 weighted normal-equation solve, as a matmul over its columns.
+    Raises InsufficientObservations where the normal equations are
+    singular; a non-finite seed is returned as it is."""
+    lin = obs.linear_map.reshape(5, 3, obs.n_rows)
+    eqs = lin[:, :2] - (obs.pixel - obs.center) * lin[:, 2:]
+    weighted = (eqs[:4] * np.maximum(obs.weight, 1e-6)).reshape(4, -1)
+    eqs = eqs.reshape(5, -1)
+    try:
+        c, s, x, y = np.linalg.solve(weighted @ eqs[:4].T, -(weighted @ eqs[4]))
+    except np.linalg.LinAlgError:
+        raise InsufficientObservations("singular algebraic seed") from None
+    return np.array([x, y, math.atan2(s, c)])
+
+
+def reference_solve(obs, start, config):
+    """The scalar pose solve from one start as a PoseEstimate, with the
+    covariance sigma^2 * H^-1 of its last hessian. Raises SolverDiverged and
+    InsufficientObservations as solve_multiview does."""
+    if obs.n_rows < 3:
+        raise InsufficientObservations(f"{obs.n_rows} keypoint observations (need 3)")
+    params, obj, iters, diverged, hess = reference_pose_lm(start, obs, config)
+    if diverged:
+        raise SolverDiverged("the LM start ended in a non-finite state")
+    sigma2 = max(obj / (2 * obs.n_rows - 3), estimation.R_MIN**2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = sigma2 * np.linalg.inv(hess)
+        if np.isfinite(cov).all():
+            np.linalg.cholesky(cov)
+            return estimation.PoseEstimate(PoseSE2(*params), cov, math.sqrt(obj / obs.n_rows),
+                                           obs.n_cameras, obs.n_rows, obs.stamp,
+                                           n_iterations=int(iters))
+    except np.linalg.LinAlgError:
+        pass
+    raise InsufficientObservations(f"{obs.n_rows} keypoints leave the pose unconstrained")
+
+
+def reference_initialize_global(frameset, cameras, model, config=None):
+    """initialize_global as it was before its one joint seed: each camera
+    with MIN_SEED_KEYPOINTS keypoints gives a candidate, the scalar solve
+    from its own algebraic seed; a camera whose seed is singular or whose
+    solve diverges or leaves the pose unconstrained is skipped; the final
+    scalar solve starts from the candidates' information-weighted mean.
+    Raises NoEligibleCamera when no camera gives a candidate."""
+    config = config or estimation.SolverConfig()
+    obs = flatten_observations(frameset, cameras, model)
+    candidates = []
+    for i in range(obs.n_cameras):
+        view = camera_columns(obs, i)
+        if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
+            continue
+        try:
+            candidates.append(reference_solve(view, algebraic_seed(view), config))
+        except (SolverDiverged, InsufficientObservations):
+            continue
+    if not candidates:
+        raise NoEligibleCamera("no camera gave a candidate")
+    return reference_solve(obs, estimation.average_estimates(candidates).pose.as_array(), config)
 
 
 def reference_graph_optimize(graph, config=None):

@@ -157,26 +157,36 @@ class TestSolveCovariance:
     Hessian, with sigma^2 = objective / (2K - 3) floored at R_MIN^2."""
 
     @staticmethod
-    def _solve(fs, truth, rig, model):
+    def _solve(fs, truth, rig, model, monkeypatch):
+        """solve_multiview from truth, its objective by the scalar oracle
+        from the same start, and the Hessian it inverts, which equals the
+        oracle's last Hessian to 1e-9 of its largest entry: the sums run in
+        another order, and the cross terms nearly cancel."""
         obs = flatten_observations(fs, rig, model)
+        inverted, each = [], estimation._each
+        monkeypatch.setattr(estimation, "_each", lambda fn, *stacks: (
+            fn is np.linalg.inv and inverted.append(stacks[0][0].copy()), each(fn, *stacks))[1])
         est = solve_multiview(obs, truth)
-        _, obj, _, _, hess = estimation._levenberg_marquardt(truth.as_array(), obs,
-                                                            SolverConfig())
-        return est, obs, obj, hess
+        monkeypatch.undo()
+        _, obj, iters, _, hess = oracles.reference_pose_lm(truth.as_array(), obs, SolverConfig())
+        (own,) = inverted
+        assert est.n_iterations == iters
+        assert np.abs(own - hess).max() <= 1e-9 * np.abs(hess).max()
+        return est, obs, obj, own
 
-    def test_residual_variance_scale(self, rig, robot_model):
+    def test_residual_variance_scale(self, rig, robot_model, monkeypatch):
         truth = PoseSE2(5.0, 4.0, 0.3)
         noise = NoiseModel(dropout_prob=0.0, outlier_prob=0.0, timestamp_jitter=0.0)
         fs = make_frameset(truth, rig, robot_model, noise, np.random.default_rng(3))
-        est, obs, obj, hess = self._solve(fs, truth, rig, robot_model)
+        est, obs, obj, hess = self._solve(fs, truth, rig, robot_model, monkeypatch)
         sigma2 = obj / (2 * obs.n_rows - 3)
         assert sigma2 > estimation.R_MIN**2
         np.testing.assert_allclose(est.covariance, sigma2 * np.linalg.inv(hess), rtol=1e-9)
 
-    def test_zero_residual_floored(self, rig, robot_model, rng):
+    def test_zero_residual_floored(self, rig, robot_model, rng, monkeypatch):
         truth = PoseSE2(5.0, 4.0, 0.3)
         fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
-        est, _, obj, hess = self._solve(fs, truth, rig, robot_model)
+        est, _, obj, hess = self._solve(fs, truth, rig, robot_model, monkeypatch)
         assert obj < 1e-12
         np.linalg.cholesky(est.covariance)
         np.testing.assert_allclose(est.covariance, estimation.R_MIN**2 * np.linalg.inv(hess),
@@ -194,10 +204,20 @@ class TestSolveCovariance:
         # the 4-camera covariance is smaller in every direction
         assert np.linalg.eigvalsh(one - four).min() > 0
 
-    def test_overflow_leaves_the_pose_unconstrained(self):
-        # sigma^2 near the float maximum times a large H^-1 has no finite value
-        with pytest.raises(InsufficientObservations):
-            estimation._solve_covariance(1e-10 * np.eye(3), 1e308, 8)
+    def test_overflow_leaves_the_pose_unconstrained(self, rig, robot_model, rng):
+        # confidences of 1e-315 leave sigma^2 at its floor and H about
+        # 1e-310, whose inverse has no finite value
+        truth = PoseSE2(5.0, 4.0, 0.3)
+        obs = flatten_observations(make_frameset(truth, rig, robot_model, ZERO_NOISE, rng),
+                                   rig, robot_model)
+        obs = replace(obs, weight=obs.weight * 1e-315)
+        _, _, _, _, hess = oracles.reference_pose_lm(truth.as_array(), obs, SolverConfig())
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(estimation.R_MIN**2 * np.linalg.inv(hess)).all()
+        for solve in (solve_multiview, lambda obs, init: oracles.reference_solve(
+                obs, init.as_array(), SolverConfig())):
+            with pytest.raises(InsufficientObservations):
+                solve(obs, truth)
 
     @pytest.mark.parametrize("waypoint,lone", [(1, True), (6, True), (3, False), (7, False)])
     def test_monte_carlo_calibration(self, rig, robot_model, waypoint, lone):
@@ -269,7 +289,8 @@ class TestSingleViewCandidate:
 
 
 class TestInterpolateCandidates:
-    """The blend of single-view candidates that seeds `initialize_global`'s final solve."""
+    """The blend of single-view candidates that seeds the final solve of the
+    candidate route, `oracles.reference_initialize_global`."""
 
     def test_single_candidate_identity(self, rig, robot_model, rng):
         fs = make_frameset(PoseSE2(4.0, 3.0, 0.9), rig, robot_model, ZERO_NOISE, rng)
@@ -288,10 +309,23 @@ class TestInterpolateCandidates:
             average_estimates([])
 
 
+def assert_close_to_scalar(got, want):
+    """A PoseEstimate of the batched solve against the scalar oracle's from
+    the same start: equal counts, and pose, residual and covariance within
+    1e-9, the bounds of TestSolveBatch."""
+    assert got.n_iterations == want.n_iterations
+    assert (got.n_cameras, got.n_keypoints, got.stamp) == (
+        want.n_cameras, want.n_keypoints, want.stamp)
+    assert np.abs(got.pose.xy - want.pose.xy).max() < 1e-9
+    assert abs(angle_diff(got.pose.theta, want.pose.theta)) < 1e-9
+    np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
+    assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9)
+
+
 class TestBatchedMultiStart:
-    """The 8-heading multi-start of the oracle, each start one LM run: every
-    start converges, and the first lowest start's answer is what
-    `_best_solve` returns from that start."""
+    """The 8-heading multi-start of the oracle, each start one scalar LM
+    run: every start converges, and the first lowest start's answer is what
+    solve_multiview returns from that start."""
 
     @staticmethod
     def _single_camera_messages(rig, model, n=50):
@@ -321,20 +355,19 @@ class TestBatchedMultiStart:
             obj = np.array([r[1] for r in results])
             first_best = int(np.flatnonzero(obj == obj.min())[0])
             assert best_start == first_best
-            params, _, _, _, hess = results[first_best]
-            best = estimation._best_solve(obs, starts[first_best], config)
-            assert best.pose == PoseSE2(*params)
-            assert best.rms_residual == math.sqrt(obj[first_best] / obs.n_rows)
+            params, _, iters, _, hess = results[first_best]
+            best = solve_multiview(obs, PoseSE2(*starts[first_best]), config)
+            assert best.n_iterations == iters
+            assert np.abs(best.pose.xy - params[:2]).max() < 1e-9
+            assert abs(angle_diff(best.pose.theta, params[2])) < 1e-9
+            assert best.rms_residual == pytest.approx(math.sqrt(obj[first_best] / obs.n_rows),
+                                                      rel=1e-9)
             assert (best.n_cameras, best.n_keypoints, best.stamp) == (1, obs.n_rows, msg.stamp)
             sigma2 = max(obj[first_best] / (2 * obs.n_rows - 3), estimation.R_MIN**2)
             np.testing.assert_allclose(best.covariance, sigma2 * np.linalg.inv(hess), rtol=1e-9)
-            # the candidate is the solve from its one algebraic seed
+            # the candidate is solve_multiview from its one algebraic seed
             cand = single_view_candidate(lone(msg, cam, robot_model), config)
-            alone = estimation._best_solve(obs, estimation._algebraic_seed(obs), config)
-            assert cand.pose == alone.pose and cand.n_iterations == alone.n_iterations
-            assert cand.rms_residual == alone.rms_residual
-            assert (cand.n_cameras, cand.n_keypoints, cand.stamp) == (1, obs.n_rows, msg.stamp)
-            np.testing.assert_array_equal(cand.covariance, alone.covariance)
+            assert_same_bits(cand, solve_multiview(obs, estimation._seed(obs), config))
 
     def test_diverged_start_leaves_the_others(self, rig, robot_model):
         msg = self._single_camera_messages(rig, robot_model, n=1)[0]
@@ -353,15 +386,17 @@ class TestBatchedMultiStart:
 
         obj = np.array([r[1] for r in results])
         assert best == np.flatnonzero(keep)[np.argmin(obj[keep])]
-        assert estimation._best_solve(obs, broken[best], config).pose == PoseSE2(*results[best][0])
+        assert_close_to_scalar(solve_multiview(obs, PoseSE2(*broken[best]), config),
+                               oracles.reference_solve(obs, broken[best], config))
         with pytest.raises(SolverDiverged):
-            estimation._best_solve(obs, broken[3], config)
+            solve_multiview(obs, PoseSE2(*broken[3]), config)
         assert oracles.multi_start(obs, np.full((8, 3), np.nan), config)[0] is None
 
 
 class TestScalarLM:
-    """The one-start LM's stop paths: the iteration cap, divergence from a
-    non-finite start, and relocalization skipping a diverged candidate."""
+    """The pose LM's stop paths, on solve_multiview against the scalar
+    oracle: the iteration cap, divergence from a non-finite start, and
+    relocalization from a diverged seed."""
 
     @staticmethod
     def _noisy(rig, model):
@@ -372,99 +407,110 @@ class TestScalarLM:
 
     def test_iteration_cap(self, rig, robot_model):
         truth, _, obs = self._noisy(rig, robot_model)
-        start = truth.as_array() + [0.3, -0.2, 0.3]
-        _, _, free, _, _ = estimation._levenberg_marquardt(start, obs, SolverConfig())
-        assert free > 2
-        params, obj, iters, diverged, _ = estimation._levenberg_marquardt(
-            start, obs, SolverConfig(max_iterations=2))
-        assert iters == 2 and not diverged
-        assert math.isfinite(obj) and np.isfinite(params).all()
+        start = PoseSE2(*(truth.as_array() + [0.3, -0.2, 0.3]))
+        assert solve_multiview(obs, start).n_iterations > 2
+        capped = SolverConfig(max_iterations=2)
+        est = solve_multiview(obs, start, capped)
+        assert est.n_iterations == 2
+        assert math.isfinite(est.rms_residual) and np.isfinite(est.pose.as_array()).all()
+        assert_close_to_scalar(est, oracles.reference_solve(obs, start.as_array(), capped))
 
     def test_nan_start_diverges(self, rig, robot_model):
         _, _, obs = self._noisy(rig, robot_model)
         start = np.full(3, np.nan)
-        params, obj, _, diverged, _ = estimation._levenberg_marquardt(start, obs, SolverConfig())
+        params, obj, _, diverged, _ = oracles.reference_pose_lm(start, obs, SolverConfig())
         assert diverged is True
         assert not math.isfinite(obj) and not np.isfinite(params).all()
         with pytest.raises(SolverDiverged):
-            estimation._best_solve(obs, start, SolverConfig())
+            solve_multiview(obs, PoseSE2(*start))
 
     def test_diverged_candidate_skipped(self, rig, robot_model, monkeypatch):
+        """The candidate route skips a camera whose seed diverges and lands
+        where the joint seed does; a joint seed that diverges fails the
+        frame-set with SolverDiverged, which the pipeline counts as
+        skipped."""
         truth, fs, obs = self._noisy(rig, robot_model)
-        eligible = [i for i in range(obs.n_cameras)
-                    if obs.camera(i).n_rows >= estimation.MIN_SEED_KEYPOINTS]
+        views = [oracles.camera_columns(obs, i) for i in range(obs.n_cameras)]
+        eligible = [v for v in views if v.n_rows >= estimation.MIN_SEED_KEYPOINTS]
         assert len(eligible) >= 2
-        bad = obs.cameras[eligible[0]].camera_id
-        seed = estimation._algebraic_seed
-        monkeypatch.setattr(estimation, "_algebraic_seed", lambda view: (
+        bad = eligible[0].cameras[0].camera_id
+        seed = oracles.algebraic_seed
+        monkeypatch.setattr(oracles, "algebraic_seed", lambda view: (
             np.full(3, np.nan) if view.cameras[0].camera_id == bad else seed(view)))
-        with pytest.raises(SolverDiverged):
-            single_view_candidate(obs.camera(eligible[0]))
-        good = [single_view_candidate(obs.camera(i)) for i in eligible[1:]]
+        ref = oracles.reference_initialize_global(fs, rig, robot_model)
         est = initialize_global(fs, rig, robot_model)
-        assert est.pose == solve_multiview(obs, average_estimates(good).pose).pose
+        assert np.abs(est.pose.xy - ref.pose.xy).max() <= 1e-6
+        assert abs(angle_diff(est.pose.theta, ref.pose.theta)) <= 1e-6
         assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 0.05
-        monkeypatch.setattr(estimation, "_algebraic_seed", lambda view: np.full(3, np.nan))
-        with pytest.raises(NoEligibleCamera):
+        nan_seeds = lambda *block: (np.full((3, len(block[-1])), np.nan),  # noqa: E731
+                                    np.zeros(len(block[-1]), dtype=bool))
+        monkeypatch.setattr(estimation, "_algebraic_seeds", nan_seeds)
+        with pytest.raises(SolverDiverged):
+            single_view_candidate(eligible[0])
+        with pytest.raises(SolverDiverged):
             initialize_global(fs, rig, robot_model)
 
 
 class TestOneLMLoop:
-    """The pose LM runs the loop it shares with the pose graph; it matches
-    its own loop from before the sharing, oracles.reference_pose_lm, bit for
-    bit: pose, objective, iterations, divergence flag and Hessian, after as
-    many kernel evaluations."""
+    """Every pose solve is a row of solve_batch's loop: solve_multiview from
+    a start is that frame-set's row of a block solved from the same starts,
+    bit for bit, and matches the scalar LM of the oracle within
+    TestSolveBatch's bounds, with the same iterations and errors."""
 
     @staticmethod
-    def _counted(module, monkeypatch):
-        calls, kernel = [], module.reprojection_kernel
-        monkeypatch.setattr(module, "reprojection_kernel",
-                            lambda *args: calls.append(1) or kernel(*args))
-        return calls
+    def _assert_same(start, obs, config):
+        """solve_multiview from start against the scalar oracle: the answer,
+        or the type of the error that both raise."""
+        answers = []
+        for solve in (lambda: solve_multiview(obs, PoseSE2(*start), config),
+                      lambda: oracles.reference_solve(obs, start, config)):
+            try:
+                answers.append(solve())
+            except (InsufficientObservations, SolverDiverged) as exc:
+                answers.append(type(exc))
+        got, want = answers
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_close_to_scalar(got, want)
+        return got
 
-    def _assert_same(self, start, obs, config, monkeypatch):
-        calls, calls0 = (self._counted(m, monkeypatch) for m in (estimation, oracles))
-        got = estimation._levenberg_marquardt(start, obs, config)
-        want = oracles.reference_pose_lm(start, obs, config)
-        assert len(calls) == len(calls0)
-        monkeypatch.undo()
-        (params, obj, iters, diverged, hess), (params0, obj0, iters0, diverged0, hess0) = got, want
-        assert params.tobytes() == params0.tobytes()
-        assert np.float64(obj).tobytes() == np.float64(obj0).tobytes()
-        assert (iters, diverged) == (iters0, diverged0)
-        assert hess.tobytes() == hess0.tobytes()
-
-    def test_seeded_framesets(self, rig, robot_model, monkeypatch):
+    def test_seeded_framesets(self, rig, robot_model):
         rng = np.random.default_rng(29)
         noise = NoiseModel(timestamp_jitter=0.0)  # dropouts and outliers on
         capped = SolverConfig(max_iterations=2)
-        framesets = 0
-        while framesets < 60:
+        framesets, starts = [], []
+        while len(framesets) < 60:
             truth = PoseSE2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 7.5),
                             rng.uniform(-math.pi, math.pi))
-            obs = flatten_observations(make_frameset(truth, rig, robot_model, noise, rng),
-                                       rig, robot_model)
+            fs = make_frameset(truth, rig, robot_model, noise, rng)
+            obs = flatten_observations(fs, rig, robot_model)
             if obs.n_rows < 3:
                 continue
-            start = truth.as_array() + rng.normal(0.0, 0.3, 3)
+            start = PoseSE2(*(truth.as_array() + rng.normal(0.0, 0.3, 3))).as_array()
             for config in (SolverConfig(), capped):
-                self._assert_same(start, obs, config, monkeypatch)
-            for view in map(obs.camera, range(obs.n_cameras)):
+                self._assert_same(start, obs, config)
+            for view in (oracles.camera_columns(obs, i) for i in range(obs.n_cameras)):
                 if view.n_rows >= estimation.MIN_SEED_KEYPOINTS:
-                    self._assert_same(estimation._algebraic_seed(view), view, SolverConfig(),
-                                      monkeypatch)
-            framesets += 1
+                    self._assert_same(estimation._seed(view).as_array(), view, SolverConfig())
+            framesets.append(fs)
+            starts.append(start)
+        block = gather_observations(framesets, rig, robot_model)
+        for config in (SolverConfig(), capped):
+            batch = estimation.solve_batch(block, config, starts=np.array(starts).T)
+            for n, got in enumerate(batch):
+                assert_same_bits(got, solve_multiview(block.row(n), PoseSE2(*starts[n]), config))
 
-    def test_stop_paths(self, rig, robot_model, monkeypatch):
+    def test_stop_paths(self, rig, robot_model):
         truth = PoseSE2(5.0, 4.0, 0.7)
         fs = make_frameset(truth, rig, robot_model, NoiseModel(timestamp_jitter=0.0),
                            np.random.default_rng(11))
         obs = flatten_observations(fs, rig, robot_model)
         far = truth.as_array() + [0.3, -0.2, 0.3]
-        self._assert_same(far, obs, SolverConfig(max_iterations=2), monkeypatch)
-        self._assert_same(np.full(3, np.nan), obs, SolverConfig(), monkeypatch)
+        self._assert_same(far, obs, SolverConfig(max_iterations=2))
+        assert self._assert_same(np.full(3, np.nan), obs, SolverConfig()) is SolverDiverged
         blind = flatten_observations(zero_confidence(fs, fs.per_camera), rig, robot_model)
-        self._assert_same(far, blind, SolverConfig(), monkeypatch)
+        assert self._assert_same(far, blind, SolverConfig()) is InsufficientObservations
 
 
 def stream_framesets(config):
@@ -493,8 +539,9 @@ def assert_same_bits(got, want):
 
 
 class TestSolveBatch:
-    """solve_batch is solve_multiview from the algebraic seed, for every
-    row of a gathered block at once."""
+    """solve_batch is the scalar solve from the algebraic seed, for every
+    row of a gathered block at once, and solve_multiview from that seed is
+    its row bit for bit."""
 
     @pytest.mark.parametrize("name", ["traj1", "traj2", "traj3"])
     def test_equals_the_scalar_loop(self, scenario_dir, name):
@@ -507,15 +554,10 @@ class TestSolveBatch:
             assert len(batch) == len(block) == len(framesets[lo:lo + estimation.BATCH_BLOCK])
             for n, got in enumerate(batch):
                 obs = block.row(n)
-                want = solve_multiview(obs, batch_seed(obs), config.solver)
-                assert got.n_iterations == want.n_iterations
-                assert (got.n_cameras, got.n_keypoints, got.stamp) == (
-                    want.n_cameras, want.n_keypoints, want.stamp)
-                assert abs(got.pose.x - want.pose.x) < 1e-9
-                assert abs(got.pose.y - want.pose.y) < 1e-9
-                assert abs(angle_diff(got.pose.theta, want.pose.theta)) < 1e-9
-                np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
-                assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9)
+                seed = batch_seed(obs)
+                assert_close_to_scalar(got, oracles.reference_solve(obs, seed.as_array(),
+                                                                    config.solver))
+                assert_same_bits(got, solve_multiview(obs, seed, config.solver))
 
     @pytest.mark.parametrize("solver", [
         SolverConfig(max_iterations=1),
@@ -525,11 +567,11 @@ class TestSolveBatch:
     ], ids=["one_iteration", "heavy_damping", "loose_tolerance", "lam_at_its_bounds"])
     def test_equals_the_scalar_loop_at_other_settings(self, traj1_config, solver):
         """The iteration cap, the lam schedule, the tolerance and the Huber
-        threshold mean what they mean to levenberg_marquardt."""
+        threshold mean what they mean to the scalar LM."""
         block = gathered(stream_framesets(traj1_config)[:150], traj1_config)
         for n, got in enumerate(estimation.solve_batch(block, solver)):
             obs = block.row(n)
-            want = solve_multiview(obs, batch_seed(obs), solver)
+            want = oracles.reference_solve(obs, batch_seed(obs).as_array(), solver)
             assert got.n_iterations == want.n_iterations
             assert np.abs(got.pose.as_array() - want.pose.as_array()).max() < 1e-9
             np.testing.assert_allclose(got.covariance, want.covariance, rtol=1e-9, atol=0)
@@ -606,8 +648,9 @@ class TestSolveBatch:
 
 
 class TestAlgebraicSeed:
-    """A single-view candidate starts its LM from one weighted linear solve
-    in (cos, sin, x, y) instead of 8 heading starts."""
+    """Relocalization and a single-view candidate start their LM from one
+    weighted linear solve in (cos, sin, x, y) over all their columns,
+    instead of 8 heading starts or a blend of per-camera candidates."""
 
     def test_noiseless_seed_is_exact(self, rig, robot_model):
         rng = np.random.default_rng(7)
@@ -616,10 +659,10 @@ class TestAlgebraicSeed:
             truth = PoseSE2(rng.uniform(0, 10), rng.uniform(0, 8), rng.uniform(-math.pi, math.pi))
             fs = make_frameset(truth, rig, robot_model, ZERO_NOISE, rng)
             obs = flatten_observations(fs, rig, robot_model)
-            for view in map(obs.camera, range(obs.n_cameras)):
+            for view in [obs] + [oracles.camera_columns(obs, i) for i in range(obs.n_cameras)]:
                 if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
                     continue
-                x, y, theta = estimation._algebraic_seed(view)
+                x, y, theta = estimation._seed(view).as_array()
                 assert math.hypot(x - truth.x, y - truth.y) <= 1e-9
                 assert abs(angle_diff(theta, truth.theta)) <= 1e-9
                 views += 1
@@ -630,7 +673,7 @@ class TestAlgebraicSeed:
         for msg in TestBatchedMultiStart._single_camera_messages(rig, robot_model):
             obs, starts = TestBatchedMultiStart._starts(msg, cams[msg.camera_id], robot_model)
             best, _ = oracles.multi_start(obs, starts, config)
-            oracle = estimation._best_solve(obs, starts[best], config)
+            oracle = oracles.reference_solve(obs, starts[best], config)
             cand = single_view_candidate(obs, config)
             assert cand.rms_residual**2 <= oracle.rms_residual**2 * (1 + 1e-9)
             assert np.linalg.norm(cand.pose.xy - oracle.pose.xy) <= 1e-6
@@ -655,6 +698,11 @@ class TestAlgebraicSeed:
 
     @pytest.mark.parametrize("case", ["singular", "non_finite"])
     def test_unusable_seed_skips_the_camera(self, rig, robot_model, rng, monkeypatch, case):
+        """A camera whose own seed is singular leaves the joint seed over all
+        the columns regular, and initialize_global solves from it where the
+        candidate route skipped that camera. A non-finite pixel makes the
+        joint seed non-finite too, and the frame-set fails with
+        SolverDiverged, as the candidate route's final solve did."""
         model = robot_model
         if case == "singular":
             on_axis = [[0.0, 0.0, z] for z in (0.1, 0.15, 0.2, 0.25)]
@@ -667,22 +715,32 @@ class TestAlgebraicSeed:
         if case == "non_finite":  # planted after the flatten, which drops it
             obs = self._absurd_pixel(obs, [c.camera_id for c in obs.cameras].index(bad_id))
             monkeypatch.setattr(estimation, "flatten_observations", lambda *args: obs)
-        views = {c.camera_id: obs.camera(i) for i, c in enumerate(obs.cameras)}
+            monkeypatch.setattr(oracles, "flatten_observations", lambda *args: obs)
+        views = {c.camera_id: oracles.camera_columns(obs, i) for i, c in enumerate(obs.cameras)}
         if case == "singular":
+            for seed in (estimation._seed, oracles.algebraic_seed):
+                with pytest.raises(InsufficientObservations):
+                    seed(views[bad_id])
             with pytest.raises(InsufficientObservations):
-                estimation._algebraic_seed(views[bad_id])
+                single_view_candidate(views[bad_id])
+            inits = []
+            solve = estimation.solve_multiview
+            monkeypatch.setattr(estimation, "solve_multiview", lambda obs, init, config=None: (
+                inits.append(init), solve(obs, init, config))[1])
+            est = initialize_global(fs, rig, model)
+            assert inits == [estimation._seed(obs)]
+            ref = oracles.reference_initialize_global(fs, rig, model)
+            assert np.abs(est.pose.xy - ref.pose.xy).max() <= 1e-6
+            assert abs(angle_diff(est.pose.theta, ref.pose.theta)) <= 1e-6
         else:
-            assert not np.isfinite(estimation._algebraic_seed(views[bad_id])).all()
+            assert not np.isfinite(oracles.algebraic_seed(views[bad_id])).all()
             with pytest.raises(SolverDiverged):
                 single_view_candidate(views[bad_id])
-        good = [single_view_candidate(v) for i, v in views.items()
-                if i != bad_id and v.n_rows >= estimation.MIN_SEED_KEYPOINTS]
-        assert good
-        inits = []
-        monkeypatch.setattr(estimation, "solve_multiview",
-                            lambda obs, init, config=None: inits.append(init))
-        initialize_global(fs, rig, model)
-        assert inits == [average_estimates(good).pose]
+            # the candidate route skipped the camera, but its final solve
+            # read the pixel too
+            for relocalize in (initialize_global, oracles.reference_initialize_global):
+                with pytest.raises(SolverDiverged):
+                    relocalize(fs, rig, model)
 
 
 class TestInitializeGlobal:
@@ -694,10 +752,15 @@ class TestInitializeGlobal:
         assert abs(angle_diff(est.pose.theta, truth.theta)) < 1e-5
 
     def test_zero_confidence_frameset_skipped(self, rig, robot_model, rng):
+        """Every confidence 0 leaves the joint seed regular and the solve's
+        Hessian zero: InsufficientObservations, which the pipeline skips and
+        counts as the candidate route's NoEligibleCamera."""
         fs = make_frameset(PoseSE2(3.0, 3.0, math.pi / 4), rig, robot_model, ZERO_NOISE, rng)
         fs = zero_confidence(fs, fs.per_camera)
-        with pytest.raises(NoEligibleCamera):
+        with pytest.raises(InsufficientObservations):
             initialize_global(fs, rig, robot_model)
+        with pytest.raises(NoEligibleCamera):
+            oracles.reference_initialize_global(fs, rig, robot_model)
 
     def test_zero_confidence_camera_skipped(self, rig, robot_model, rng):
         truth = PoseSE2(5.5, 4.5, -1.2)
@@ -761,8 +824,8 @@ class TestUnknownInputIds:
 
 
 class TestOneFlatten:
-    """A frame-set is flattened once; each camera's candidate reads a slice
-    of that one FlatObservations."""
+    """A frame-set is flattened once, and a camera's columns of it are that
+    camera's message flattened alone."""
 
     @staticmethod
     def _noisy_framesets(rig, model, n):
@@ -782,7 +845,7 @@ class TestOneFlatten:
             obs = flatten_observations(fs, rig, robot_model)
             assert [c.camera_id for c in obs.cameras] == sorted(fs.per_camera)
             for i, cam in enumerate(obs.cameras):
-                view = obs.camera(i)
+                view = oracles.camera_columns(obs, i)
                 alone = flatten_observations(
                     FrameSet(fs.anchor_stamp, {cam.camera_id: fs.per_camera[cam.camera_id]}),
                     rig, robot_model)

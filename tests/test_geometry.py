@@ -15,7 +15,7 @@ from camloc.geometry import (
     flatten_observations,
     gather_observations,
     project_robot,
-    reprojection_kernel,
+    reprojection_kernels,
     wrap_angle,
 )
 from camloc.estimation import BATCH_BLOCK
@@ -24,7 +24,7 @@ from camloc.scenario import load_config
 from camloc.sync import DetectionMessage, FrameSet, Synchronizer
 
 from oracles import (BehindCamera, central_difference_jacobian, keypoint_world, project,
-                     reference_flatten)
+                     reference_flatten, reprojection_kernel)
 
 
 def _axis_camera(fx=600.0, fy=600.0, cx=424.0, cy=240.0):
@@ -220,19 +220,31 @@ def _noise_free_frameset(pose, cameras, model):
     return FrameSet(anchor_stamp=0.0, per_camera=per_camera)
 
 
+def _kernel(pose, obs):
+    """reprojection_kernels of one pose (3,) on one flattened frame-set:
+    residuals (2, K) and Jacobian (3, 2, K)."""
+    res, jac = reprojection_kernels(np.asarray(pose, dtype=float)[:, None], obs.linear_map[None],
+                                    obs.pixel[:, None], obs.center[:, None])
+    return res[:, 0], jac[:, :, 0]
+
+
 def _residuals(pose, cameras, fs, model):
     """The kernel's residuals of one pose over a frame-set, one (2,) row per
     detected keypoint, and the detection weights."""
     obs = flatten_observations(fs, cameras, model)
-    res, _, _ = reprojection_kernel(pose.as_array(), obs)
+    res, _ = _kernel(pose.as_array(), obs)
     return res.T, obs.weight
 
 
 def _keypoint_jacobian(pose, camera, model, j):
-    """The kernel's 2x3 residual Jacobian and depth of keypoint j in one camera."""
+    """The kernel's 2x3 residual Jacobian of keypoint j in one camera, and
+    the keypoint's depth by the scalar oracle kernel, whose Jacobian the
+    kernel's equals."""
     message = DetectionMessage(camera.camera_id, 0.0, [j], [(0.0, 0.0)], [1.0])
     obs = flatten_observations(FrameSet(0.0, {camera.camera_id: message}), [camera], model)
-    _, jac, depth = reprojection_kernel(pose.as_array(), obs)
+    _, jac = _kernel(pose.as_array(), obs)
+    _, scalar_jac, depth = reprojection_kernel(pose.as_array(), obs)
+    np.testing.assert_array_equal(jac, scalar_jac)
     return jac[:, :, 0].T, depth[0]
 
 
@@ -370,9 +382,9 @@ class TestResidualJacobian:
 
 class TestReprojectionKernel:
     def test_batch_of_poses_matches_oracle(self, rig, robot_model):
-        """3 poses, each evaluated alone, against one 4-camera frame-set: the
-        true pose, a perturbed one, and one that puts a camera's keypoints
-        behind it."""
+        """3 poses against one 4-camera frame-set, in one call: the true
+        pose, a perturbed one, and one that puts a camera's keypoints behind
+        it. Each pose's rows equal the scalar oracle kernel's bit for bit."""
         truth = PoseSE2(5.0, 4.0, 0.7)
         fs = _noise_free_frameset(truth, rig, robot_model)
         assert len(fs.per_camera) == 4
@@ -382,7 +394,15 @@ class TestReprojectionKernel:
         behind = cam0.ground_position() - 5.0 * forward / np.linalg.norm(forward)
         params = np.array([truth.as_array(), [5.1, 3.9, 0.9], [behind[0], behind[1], -2.0]])
         obs = flatten_observations(fs, rig, robot_model)
-        res, jac, depth = map(np.array, zip(*(reprojection_kernel(p, obs) for p in params)))
+        res, jac = reprojection_kernels(params.T, np.repeat(obs.linear_map[None], 3, axis=0),
+                                        np.repeat(obs.pixel[:, None], 3, axis=1),
+                                        np.repeat(obs.center[:, None], 3, axis=1))
+        res, jac = res.transpose(1, 0, 2), jac.transpose(2, 0, 1, 3)
+        scalar = [reprojection_kernel(p, obs) for p in params]
+        for s, (res0, jac0, _) in enumerate(scalar):
+            np.testing.assert_array_equal(res[s], res0)
+            np.testing.assert_array_equal(jac[s], jac0)
+        depth = np.array([d for _, _, d in scalar])
         n = obs.n_rows
         assert res.shape == (3, 2, n) and jac.shape == (3, 3, 2, n) and depth.shape == (3, n)
         # columns follow camera id, then detection order

@@ -114,6 +114,19 @@ class TestGraphConstruction:
         with pytest.raises(np.linalg.LinAlgError):
             PoseGraph().add_odometry(PoseSE2(0.1, 0, 0), cov, stamp=1.0)
 
+    @pytest.mark.parametrize("cov", [
+        [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # NaN above the diagonal
+        [[1.0, 5.0, 5.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]],  # asymmetric, identity below
+    ], ids=["nan_upper", "asymmetric"])
+    def test_upper_triangle_checked(self, cov):
+        """The solve inverts the whole matrix, so the insert check reads all
+        of it: a lower triangle that passes Cholesky does not let a NaN or an
+        asymmetric upper triangle in."""
+        g = PoseGraph()
+        with pytest.raises(np.linalg.LinAlgError):
+            g.add_odometry(PoseSE2(0.1, 0, 0), cov, stamp=1.0)
+        assert len(g.nodes) == 1 and len(g.odometry_edges) == 0
+
     def test_non_increasing_stamp_rejected(self):
         g = PoseGraph()
         g.add_odometry(PoseSE2(0.1, 0, 0), SMALL_COV, stamp=1.0)
