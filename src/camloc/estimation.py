@@ -3,13 +3,14 @@
 Implements the one pose solve: a weighted nonlinear least-squares fit of
 the ground-plane pose to a Huber-robustified pixel residual, run for a
 block of frame-sets at once in one vectorized Levenberg-Marquardt loop
-(solve_batch), each frame-set from its own start or its own algebraic
-seed. solve_multiview, prior-free initialization and the single-view
-candidate are each one row of it; the pose graph runs the same LM rule in
-the generic levenberg_marquardt. Also the single-camera bearing-only
-outlier gate and information-weighted averaging. Every solve's covariance
-is sigma^2 * H^-1 from its own Gauss-Newton Hessian H, with sigma^2 the
-residual variance (cf. Triggs et al., "Bundle Adjustment - A Modern
+(solve_batch), each frame-set from its own start or from its own
+algebraic seed, which is taken there alone. solve_multiview, prior-free
+initialization and the single-view candidate are each a block of one
+row; the pose graph runs the same LM rule in the generic
+levenberg_marquardt. Also the single-camera bearing-only outlier gate and
+information-weighted averaging. Every solve's covariance is sigma^2 *
+H^-1 from its own Gauss-Newton Hessian H, with sigma^2 the residual
+variance (cf. Triggs et al., "Bundle Adjustment - A Modern
 Synthesis", 2000), and that one covariance, by its full 3x3 information,
 weights every blend: of consecutive static estimates, of the robot's
 belief and a fix, and in the pose graph.
@@ -186,28 +187,22 @@ def levenberg_marquardt(start, evaluate, linearize, trial, lam: float, grad_tol:
 
 
 def solve_multiview(
-    obs: FlatObservations, init: PoseSE2, config: SolverConfig | None = None
+    obs: FlatObservations, init: PoseSE2 | None = None, config: SolverConfig | None = None
 ) -> PoseEstimate:
     """Refine the robot pose on a flattened frame-set by robust LM from
-    init: solve_batch of the frame-set as a block of one row."""
+    init, or without it from the algebraic seed of all its columns:
+    solve_batch of the frame-set as a block of one row. Raises
+    InsufficientObservations where that seed is singular."""
     block = ObservationBlock(obs.linear_map[None], obs.center[:, None], obs.pixel[:, None],
                              obs.weight[None], np.array([obs.n_rows]), (obs.stamp,),
                              (obs.cameras,), (obs.offsets,), (obs.rejected,), (0,), ())
-    (est,) = solve_batch(block, config, starts=init.as_array()[:, None])
+    starts = None if init is None else init.as_array()[:, None]
+    (est,) = solve_batch(block, config, starts=starts)
+    if est is None:
+        raise InsufficientObservations(f"{obs.n_rows} keypoints leave the algebraic seed singular")
     if isinstance(est, Exception):
         raise est
     return est
-
-
-def _seed(obs: FlatObservations) -> PoseSE2:
-    """The algebraic seed of all of obs's columns (see _algebraic_seeds).
-    Raises InsufficientObservations when its normal equations are singular."""
-    seeds, singular = _algebraic_seeds(obs.linear_map[None], (obs.pixel - obs.center)[:, None],
-                                       obs.weight[None])
-    if singular[0]:
-        raise InsufficientObservations(
-            f"{obs.n_rows} keypoints leave the algebraic seed singular")
-    return PoseSE2(*seeds[:, 0])
 
 
 # -- the batched solve ----------------------------------------------------
@@ -400,7 +395,7 @@ def single_view_candidate(
     if obs.n_rows < MIN_SEED_KEYPOINTS:
         raise InsufficientKeypoints(f"{obs.n_rows} keypoints from one camera "
                                     f"(need {MIN_SEED_KEYPOINTS})")
-    return solve_multiview(obs, _seed(obs), config)
+    return solve_multiview(obs, None, config)
 
 
 def initialize_global(
@@ -410,7 +405,10 @@ def initialize_global(
     config: SolverConfig | None = None,
 ) -> PoseEstimate:
     """Prior-free (kidnapped robot) initialization from a frame-set:
-    solve_multiview from the algebraic seed of all its columns.
+    solve_multiview, without a start, from the algebraic seed of all its
+    columns. The library's entry point for one frame-set; the pipeline
+    takes its first fix as a row of its batch instead, without the
+    NoEligibleCamera precondition.
 
     Raises NoEligibleCamera unless some camera has MIN_SEED_KEYPOINTS
     keypoints, InsufficientObservations where the seed is singular or the
@@ -420,7 +418,7 @@ def initialize_global(
     obs = flatten_observations(frameset, cameras, model)
     if max(np.diff(obs.offsets), default=0) < MIN_SEED_KEYPOINTS:
         raise NoEligibleCamera(f"no camera message with >= {MIN_SEED_KEYPOINTS} keypoints")
-    return solve_multiview(obs, _seed(obs), config)
+    return solve_multiview(obs, None, config)
 
 
 def gate_single_view(

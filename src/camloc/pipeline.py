@@ -1,6 +1,9 @@
 """End-to-end scenario runner: simulation, synchronization, per-mode
 estimation, pose-graph fusion, feedback, and metric export.
 
+Every frame-set an output reads, the first fix included, is solved as one
+row of a batched solve from its own algebraic seed (see _solve_framesets).
+
 Detections and odometry draw from independent generators derived from the
 scenario seed: one per simulated frame, from the seed and the sample index,
 and one odometry stream. A recorded detection stream can then be replayed
@@ -20,19 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CamlocError, InsufficientObservations, InsufficientOverlap
-from .errors import NoEligibleCamera, SolverDiverged, UnknownCamera, UnknownKeypoint
+from .errors import CamlocError, InsufficientObservations, InsufficientOverlap, SolverDiverged
 from .estimation import (
     AVERAGE_SPAN,
     BATCH_BLOCK,
     average_estimates,
     gate_single_view,
     information_mean,
-    initialize_global,
     positive_definite,
     solve_batch,
     solve_multiview,
 )
+# No run calls it, but bench/tracer.py wraps camloc.pipeline.initialize_global,
+# looked up with getattr, so the name must resolve here.
+from .estimation import initialize_global  # noqa: F401
 from .evaluation import (
     Trajectory,
     error_over_distance,
@@ -40,7 +44,7 @@ from .evaluation import (
     translation_rmse,
     waypoint_errors,
 )
-from .geometry import PoseSE2, flatten_observations, gather_observations
+from .geometry import PoseSE2, gather_observations
 from .posegraph import PoseGraph
 from .scenario import ScenarioConfig, camera_visibility_count
 from .simulation import script_trajectory, simulate_frame, simulate_odometry_step
@@ -131,28 +135,19 @@ def _solve_framesets(config, steps, needed):
     frame-set) pairs ``needed``, in stream order, and skipped and rejected
     the skipped frame-sets and the dropped detections.
 
-    Frame-sets are flattened and go to initialize_global one by one until
-    the first fix. After it, each block of BATCH_BLOCK frame-sets is
-    gathered in one gather_observations and solved in one solve_batch, each
-    from its own algebraic seed, so that only one block's arrays are held at
-    once. A sweep in stream order then predicts a pose only where one is
+    Each block of BATCH_BLOCK frame-sets is gathered in one
+    gather_observations and solved in one solve_batch, each from its own
+    algebraic seed, so that only one block's arrays are held at once. A
+    sweep in stream order then takes the first frame-set that solves as the
+    first fix, ungated, and after it predicts a pose only where one is
     read: for the single-camera gate, and for a frame-set whose seed is
     singular, which is solved from it. The prediction is the last accepted
-    pose moved by the odometry since. A frame-set holding an unknown id, or
-    whose solve fails, is skipped.
+    pose moved by the odometry since. A frame-set holding an unknown id,
+    whose solve fails, or whose seed is singular before the first fix, is
+    skipped.
     """
     solves, skipped, rejected = [], 0, 0
     pending = iter(needed)
-    for i, fs in pending:
-        try:
-            rejected += flatten_observations(fs, config.cameras, config.robot_model).rejected
-            est = initialize_global(fs, config.cameras, config.robot_model, config.solver)
-        except (UnknownCamera, UnknownKeypoint, NoEligibleCamera, InsufficientObservations,
-                SolverDiverged):
-            skipped += 1
-            continue
-        solves.append((i, est, est))
-        break
     while block := list(itertools.islice(pending, BATCH_BLOCK)):
         gathered = gather_observations([fs for _, fs in block], config.cameras,
                                        config.robot_model)
@@ -162,19 +157,22 @@ def _solve_framesets(config, steps, needed):
         for n, (p, est) in enumerate(zip(gathered.source, estimates)):
             i = block[p][0]
             try:
+                if est is None and not solves:
+                    raise InsufficientObservations("a singular seed before the first fix")
                 if isinstance(est, CamlocError):
                     raise est
-                if est is None or est.n_cameras == 1:  # the prediction is read
+                gated = est
+                if solves and (est is None or est.n_cameras == 1):  # the prediction is read
                     prior_at, _, prior = solves[-1]
                     moved = PoseSE2()
                     for step in steps[prior_at:i]:
                         moved = moved.compose(step)
                     predicted = prior.pose.compose(moved)
-                if est is None:  # a singular seed
-                    est = solve_multiview(gathered.row(n), predicted, config.solver)
-                gated = est
-                if est.n_cameras == 1:
-                    gated = gate_single_view(predicted, est, gathered.cameras[n][0], config.gate)
+                    if est is None:  # a singular seed
+                        gated = est = solve_multiview(gathered.row(n), predicted, config.solver)
+                    if est.n_cameras == 1:
+                        gated = gate_single_view(predicted, est, gathered.cameras[n][0],
+                                                 config.gate)
             except (InsufficientObservations, SolverDiverged):
                 skipped += 1
                 continue

@@ -367,7 +367,7 @@ class TestBatchedMultiStart:
             np.testing.assert_allclose(best.covariance, sigma2 * np.linalg.inv(hess), rtol=1e-9)
             # the candidate is solve_multiview from its one algebraic seed
             cand = single_view_candidate(lone(msg, cam, robot_model), config)
-            assert_same_bits(cand, solve_multiview(obs, estimation._seed(obs), config))
+            assert_same_bits(cand, solve_multiview(obs, batch_seed(obs), config))
 
     def test_diverged_start_leaves_the_others(self, rig, robot_model):
         msg = self._single_camera_messages(rig, robot_model, n=1)[0]
@@ -492,7 +492,7 @@ class TestOneLMLoop:
                 self._assert_same(start, obs, config)
             for view in (oracles.camera_columns(obs, i) for i in range(obs.n_cameras)):
                 if view.n_rows >= estimation.MIN_SEED_KEYPOINTS:
-                    self._assert_same(estimation._seed(view).as_array(), view, SolverConfig())
+                    self._assert_same(batch_seed(view).as_array(), view, SolverConfig())
             framesets.append(fs)
             starts.append(start)
         block = gather_observations(framesets, rig, robot_model)
@@ -524,10 +524,12 @@ def gathered(framesets, config):
 
 
 def batch_seed(obs):
-    """The batch's algebraic seed of one frame-set, solved in a block of one."""
+    """The batch's algebraic seed of one frame-set, solved in a block of one.
+    Raises InsufficientObservations where it is singular."""
     seeds, singular = estimation._algebraic_seeds(
         obs.linear_map[None], (obs.pixel - obs.center)[:, None], obs.weight[None])
-    assert not singular[0]
+    if singular[0]:
+        raise InsufficientObservations("singular seed")
     return PoseSE2(*seeds[:, 0])
 
 
@@ -558,6 +560,7 @@ class TestSolveBatch:
                 assert_close_to_scalar(got, oracles.reference_solve(obs, seed.as_array(),
                                                                     config.solver))
                 assert_same_bits(got, solve_multiview(obs, seed, config.solver))
+                assert_same_bits(got, solve_multiview(obs, None, config.solver))
 
     @pytest.mark.parametrize("solver", [
         SolverConfig(max_iterations=1),
@@ -662,7 +665,7 @@ class TestAlgebraicSeed:
             for view in [obs] + [oracles.camera_columns(obs, i) for i in range(obs.n_cameras)]:
                 if view.n_rows < estimation.MIN_SEED_KEYPOINTS:
                     continue
-                x, y, theta = estimation._seed(view).as_array()
+                x, y, theta = batch_seed(view).as_array()
                 assert math.hypot(x - truth.x, y - truth.y) <= 1e-9
                 assert abs(angle_diff(theta, truth.theta)) <= 1e-9
                 views += 1
@@ -700,7 +703,8 @@ class TestAlgebraicSeed:
     def test_unusable_seed_skips_the_camera(self, rig, robot_model, rng, monkeypatch, case):
         """A camera whose own seed is singular leaves the joint seed over all
         the columns regular, and initialize_global solves from it where the
-        candidate route skipped that camera. A non-finite pixel makes the
+        candidate route skipped that camera; solve_multiview without a start
+        raises on that camera alone. A non-finite pixel makes the
         joint seed non-finite too, and the frame-set fails with
         SolverDiverged, as the candidate route's final solve did."""
         model = robot_model
@@ -718,9 +722,9 @@ class TestAlgebraicSeed:
             monkeypatch.setattr(oracles, "flatten_observations", lambda *args: obs)
         views = {c.camera_id: oracles.camera_columns(obs, i) for i, c in enumerate(obs.cameras)}
         if case == "singular":
-            for seed in (estimation._seed, oracles.algebraic_seed):
+            for from_seed in (batch_seed, oracles.algebraic_seed, solve_multiview):
                 with pytest.raises(InsufficientObservations):
-                    seed(views[bad_id])
+                    from_seed(views[bad_id])
             with pytest.raises(InsufficientObservations):
                 single_view_candidate(views[bad_id])
             inits = []
@@ -728,7 +732,8 @@ class TestAlgebraicSeed:
             monkeypatch.setattr(estimation, "solve_multiview", lambda obs, init, config=None: (
                 inits.append(init), solve(obs, init, config))[1])
             est = initialize_global(fs, rig, model)
-            assert inits == [estimation._seed(obs)]
+            assert inits == [None]
+            assert_same_bits(est, solve_multiview(obs, batch_seed(obs)))
             ref = oracles.reference_initialize_global(fs, rig, model)
             assert np.abs(est.pose.xy - ref.pose.xy).max() <= 1e-6
             assert abs(angle_diff(est.pose.theta, ref.pose.theta)) <= 1e-6
